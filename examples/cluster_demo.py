@@ -10,59 +10,26 @@ keeping the revocation state correct throughout.
     python examples/cluster_demo.py
 """
 
-import numpy as np
-
-from repro.cluster import (
-    ClusterConfig,
-    ClusterDirectory,
-    ClusterFrontend,
-    ClusterShard,
-    FailureDetector,
-    HashRing,
-    LocalShardTransport,
-)
+from repro.cluster import ClusterConfig, LocalCluster
 from repro.core.validation import ValidationPolicy, Validator
 from repro.crypto.signatures import KeyPair
-from repro.crypto.timestamp import TimestampAuthority
 from repro.media.image import generate_photo
-from repro.netsim.simulator import ManualClock
 
 
 def main() -> None:
     print("=== 1. Stand up the cluster ===")
-    rng = np.random.default_rng(2022)
-    clock = ManualClock()
-    tsa = TimestampAuthority(
-        keypair=KeyPair.generate(bits=512, rng=rng), clock=clock.now
-    )
-    shard_ids = [f"shard-{i}" for i in range(4)]
-    shards = {
-        shard_id: ClusterShard(
-            shard_id,
-            "cluster",
-            tsa,
-            keypair=KeyPair.generate(bits=512, rng=rng),
-            clock=clock.now,
-        )
-        for shard_id in shard_ids
-    }
-    ring = HashRing(shard_ids)
-    transport = LocalShardTransport(shards)
-    detector = FailureDetector(clock.now, failure_threshold=2, probation=5.0)
-    directory = ClusterDirectory(list(shards.values()))
-    frontend = ClusterFrontend(
-        "cluster",
-        ring,
-        transport,
-        tsa,
-        detector=detector,
+    cluster = LocalCluster(
+        4,
         config=ClusterConfig(replication_factor=3),
-        clock=clock.now,
+        seed=2022,
+        failure_threshold=2,
+        probation=5.0,
     )
+    frontend, shards = cluster.frontend, cluster.shards
     print(f"  {len(shards)} shards, replication factor 3, one frontend")
 
     print("\n=== 2. Claim a photo through the frontend ===")
-    owner = KeyPair.generate(bits=512, rng=rng)
+    owner = KeyPair.generate(bits=512, rng=cluster.rngs.stream("owner"))
     photo = generate_photo(seed=7, height=96, width=96)
     content_hash = photo.content_hash()
     identifier = frontend.claim(
@@ -91,13 +58,13 @@ def main() -> None:
 
     print("\n=== 5. Kill a replica; answers stay correct ===")
     victim = replicas[0]
-    transport.kill(victim)
+    cluster.kill_shard(victim)
     answer = frontend.status(identifier)
     print(f"  {victim} down -> revoked={answer.revoked} "
           f"(answered by {answer.answered_by}, epoch {answer.epoch})")
     assert answer.revoked
     print(f"  proof verifies against the directory: "
-          f"{directory.verify(answer.proof)}")
+          f"{cluster.directory.verify(answer.proof)}")
 
     print("\n=== 6. Unrevoke while the replica is still down ===")
     verdict = frontend.unrevoke(identifier, owner)
@@ -108,7 +75,7 @@ def main() -> None:
     assert result.allowed
 
     print("\n=== 7. Revive; the next quorum read repairs it ===")
-    transport.revive(victim)
+    cluster.revive_shard(victim)
     stale_epoch = shards[victim].ledger.store.get(identifier.serial).revocation_epoch
     frontend.status(identifier)
     healed_epoch = shards[victim].ledger.store.get(identifier.serial).revocation_epoch

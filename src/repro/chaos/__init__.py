@@ -23,7 +23,6 @@ from repro.chaos.resilience import (
     POLICIES,
     REFERENCE_DEADLINE,
     ResilienceReport,
-    RevocationBloom,
     resilience_config,
     run_resilient_chaos,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "POLICIES",
     "REFERENCE_DEADLINE",
     "ResilienceReport",
-    "RevocationBloom",
     "resilience_config",
     "run_resilient_chaos",
     "SelftestResult",

@@ -432,7 +432,7 @@ class ConsistencyChecker:
         """Verify the crash-recovery invariants over one run.
 
         ``recoveries`` are the cluster's
-        :class:`~repro.cluster.simnet.ShardRecovery` captures;
+        :class:`~repro.cluster.assembly.ShardRecovery` captures;
         ``injected`` the controller's ``(shard_id, kind, at)`` list of
         storage faults that actually landed.  Two rules:
 

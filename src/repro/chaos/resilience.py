@@ -29,20 +29,17 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.chaos.checker import CheckReport, ConsistencyChecker, state_digest
-from repro.chaos.history import HistoryRecorder
-from repro.chaos.plan import ChaosController, ChaosKnobs, ChaosPlan
-from repro.cluster.antientropy import AntiEntropySweeper, SweepReport
+from repro.chaos.plan import ChaosKnobs
+from repro.chaos.runner import ChaosOutcome, drive_chaos
+from repro.cluster.antientropy import SweepReport
+from repro.cluster.assembly import LearningBloom
 from repro.cluster.frontend import ClusterConfig
 from repro.cluster.simnet import SimulatedCluster
-from repro.core.identifiers import PhotoIdentifier
-from repro.filters.bloom import BloomFilter
 
 __all__ = [
     "POLICIES",
     "REFERENCE_DEADLINE",
     "ResilienceReport",
-    "RevocationBloom",
     "resilience_config",
     "run_resilient_chaos",
 ]
@@ -53,33 +50,6 @@ POLICIES = ("none", "retry", "full")
 # or not its config enforces one — that is what makes "answered within
 # deadline" comparable across the sweep.
 REFERENCE_DEADLINE = 0.25
-
-
-class RevocationBloom:
-    """A frontend-side Bloom filter of revoked identifiers.
-
-    The degraded-read fallback: seeded with the initially revoked
-    population and *learning* — the frontend inserts every revocation
-    it acks via its ``add`` hook, which is what keeps degraded answers
-    fail-closed with respect to acknowledged revocations.  False
-    positives err toward "revoked" (safe); false negatives are bounded
-    by the sizing formula and by the checker's ``fail_open`` invariant.
-    """
-
-    def __init__(self, capacity: int = 4096, target_fpr: float = 0.01):
-        self._filter = BloomFilter.for_capacity(capacity, target_fpr)
-        self.added = 0
-
-    def might_be_revoked(self, compact_identifier: bytes) -> bool:
-        return compact_identifier in self._filter
-
-    def might_be_revoked_many(self, compact_identifiers) -> np.ndarray:
-        """Batch verdicts (entry ``i`` == the scalar probe for key ``i``)."""
-        return self._filter.query_many(compact_identifiers)
-
-    def add(self, compact_identifier: bytes) -> None:
-        self._filter.add(compact_identifier)
-        self.added += 1
 
 
 def resilience_config(policy: str, num_shards: int = 4) -> ClusterConfig:
@@ -111,22 +81,15 @@ def resilience_config(policy: str, num_shards: int = 4) -> ClusterConfig:
     raise ValueError(f"unknown resilience policy {policy!r} (want {POLICIES})")
 
 
-@dataclass
-class ResilienceReport:
+@dataclass(kw_only=True)
+class ResilienceReport(ChaosOutcome):
     """One (intensity, policy) cell of the E19 sweep."""
 
-    seed: int
-    intensity: float
-    num_shards: int
     policy: str
-    status_ops: int = 0
-    status_acked: int = 0
     deadline_met: int = 0
     latencies: List[float] = field(default_factory=list)
     degraded_answers: int = 0
     stale_degraded: int = 0  # degraded 'revoked' verdicts for valid records
-    revokes_attempted: int = 0
-    revokes_acked: int = 0
     retries: int = 0
     breaker_opens: int = 0
     hints_queued: int = 0
@@ -134,18 +97,6 @@ class ResilienceReport:
     hints_dropped: int = 0
     hint_drain_time: Optional[float] = None  # seconds past the heal barrier
     sweep: Optional[SweepReport] = None
-    check: CheckReport = field(default_factory=CheckReport)
-    faults: Dict[str, int] = field(default_factory=dict)
-    records_lost: int = 0
-    digest: str = ""
-    history: Optional[HistoryRecorder] = None
-
-    @property
-    def availability(self) -> float:
-        """Fraction of chaos-phase status checks answered successfully."""
-        if self.status_ops == 0:
-            return 1.0
-        return self.status_acked / self.status_ops
 
     @property
     def deadline_rate(self) -> float:
@@ -164,10 +115,6 @@ class ResilienceReport:
     @property
     def fail_open(self) -> int:
         return self.check.count("fail_open")
-
-    @property
-    def violations(self) -> int:
-        return self.check.count()
 
     def _percentile(self, q: float) -> float:
         if not self.latencies:
@@ -233,100 +180,33 @@ def run_resilient_chaos(
     comparison about the read path, not about filter hit rates.
     """
     config = resilience_config(policy, num_shards)
-    filterset = RevocationBloom(capacity=max(4 * population, 256))
     cluster = SimulatedCluster(
         num_shards,
         config=config,
         seed=seed,
         rpc_timeout=0.05,
         rpc_retries=1,
-        filterset=filterset,
+        filterset=LearningBloom(capacity=max(4 * population, 256)),
     )
-    sim = cluster.simulator
-    recorder = HistoryRecorder(clock=sim.clock().now)
-    cluster.frontend.observer = recorder
-    pop = cluster.seed_population(population, revoked_fraction=0.2)
-    for index, identifier in enumerate(pop.identifiers):
-        if pop.revoked(index):
-            filterset.add(identifier.to_compact())
-
-    plan = ChaosPlan.generate(
-        cluster.rngs.stream("chaos"),
-        sorted(cluster.shards),
-        horizon=horizon,
-        intensity=intensity,
-        knobs=knobs,
+    report = ResilienceReport(
+        seed=seed, intensity=intensity, num_shards=num_shards, policy=policy
     )
-    controller = ChaosController(cluster, plan)
-    controller.install()
-
-    workload = cluster.rngs.stream("workload")
-
-    times = sorted(workload.uniform(0.0, horizon, size=queries))
-    indices = workload.integers(0, pop.size, size=queries)
-    for at, index in zip(times, indices):
-        sim.schedule_at(
-            at,
-            cluster.frontend.status_async,
-            pop.identifiers[int(index)],
-            lambda answer: None,
-            False,  # use_filter: the filter is fallback-only here
-        )
-
-    candidates = [i for i in range(pop.size) if not pop.revoked(i)]
-    picks = workload.choice(
-        candidates, size=min(revocations, len(candidates)), replace=False
+    # Post-heal, under the full policy, an anti-entropy sweep restores
+    # records on replicas that reads and hints could not reach or
+    # re-create.
+    run = drive_chaos(
+        cluster,
+        report,
+        queries,
+        revocations,
+        population,
+        horizon,
+        drain,
+        knobs,
+        use_filter=False,  # the filter is fallback-only here
+        sweep_after=lambda plan: policy == "full",
     )
-    revoke_times = sorted(
-        workload.uniform(0.1 * horizon, 0.7 * horizon, size=len(picks))
-    )
-    for at, index in zip(revoke_times, picks):
-        sim.schedule_at(
-            at,
-            cluster.frontend.revoke_async,
-            pop.identifiers[int(index)],
-            pop.owner,
-            lambda outcome, error: None,
-        )
-
-    # Post-heal: one full read pass (read repair rides on reads), and —
-    # under the full policy — an anti-entropy sweep to restore records
-    # on replicas that reads and hints could not reach or re-create.
-    def _final_pass() -> None:
-        for identifier in pop.identifiers:
-            cluster.frontend.status_async(
-                identifier, lambda answer: None, False
-            )
-
-    sim.schedule_at(horizon + 0.2, _final_pass)
-
-    sweep_box: List[SweepReport] = []
-    if policy == "full":
-        sweeper = AntiEntropySweeper(
-            cluster.cluster_id,
-            cluster.ring,
-            cluster.transport,
-            config.replication_factor,
-            on_result=cluster.frontend._record_result,
-        )
-        sim.schedule_at(horizon + 0.5, sweeper.sweep_async, sweep_box.append)
-    sim.run(until=horizon + drain)
-
-    # -- measurement ---------------------------------------------------------------
-    chaos_status = [
-        op for op in recorder.of_kind("status") if op.invoked_at < horizon
-    ]
-    revoke_ops = recorder.of_kind("revoke", "unrevoke")
-    replication = cluster.frontend.config.replication_factor
-
-    def placement(serial: int) -> List[str]:
-        identifier = PhotoIdentifier(cluster.cluster_id, serial)
-        return cluster.ring.replicas(identifier.to_compact(), replication)
-
-    states = cluster.replica_states()
-    check = ConsistencyChecker(placement=placement).check(
-        recorder, replica_states=states, live_shards=sorted(cluster.shards)
-    )
+    pop = run.population
 
     # Ground truth for the stale-degraded metric: when did each record
     # *actually* become revoked (seeded, or first acknowledged revoke)?
@@ -335,7 +215,7 @@ def run_resilient_chaos(
         for index, identifier in enumerate(pop.identifiers)
     }
     first_revoke_ack: Dict[int, float] = {}
-    for op in recorder.of_kind("revoke"):
+    for op in report.history.of_kind("revoke"):
         if op.acked:
             prior = first_revoke_ack.get(op.serial)
             if prior is None or op.completed_at < prior:
@@ -347,25 +227,11 @@ def run_resilient_chaos(
         acked_at = first_revoke_ack.get(serial)
         return acked_at is not None and acked_at <= when
 
-    report = ResilienceReport(
-        seed=seed,
-        intensity=intensity,
-        num_shards=num_shards,
-        policy=policy,
-        status_ops=len(chaos_status),
-        revokes_attempted=len(revoke_ops),
-        revokes_acked=sum(1 for op in revoke_ops if op.acked),
-        retries=cluster.frontend.stats.retries,
-        check=check,
-        faults=dict(controller.faults_applied),
-        records_lost=controller.records_lost,
-        digest=state_digest(states),
-        history=recorder,
-    )
-    for op in chaos_status:
+    report.sweep = run.sweep
+    report.retries = cluster.frontend.stats.retries
+    for op in run.chaos_status:
         if not op.acked:
             continue
-        report.status_acked += 1
         latency = op.completed_at - op.invoked_at
         report.latencies.append(latency)
         if latency <= REFERENCE_DEADLINE + 1e-9:
@@ -385,6 +251,4 @@ def run_resilient_chaos(
             report.hint_drain_time = max(
                 0.0, frontend.hints.drained_at - horizon
             )
-    if sweep_box:
-        report.sweep = sweep_box[0]
     return report

@@ -27,23 +27,16 @@ both the durability and the convergence invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
+from typing import Dict
 
 from repro.chaos.checker import CheckReport, ConsistencyChecker
 from repro.chaos.history import HistoryRecorder
 from repro.core.errors import RevocationError
-from repro.core.identifiers import PhotoIdentifier
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import KeyPair
-from repro.crypto.timestamp import TimestampAuthority
 from repro.ledger.records import RevocationState
-from repro.netsim.simulator import ManualClock
-from repro.cluster.frontend import ClusterConfig, ClusterFrontend
-from repro.cluster.health import FailureDetector
-from repro.cluster.replication import LocalShardTransport
-from repro.cluster.ring import HashRing
+from repro.cluster.assembly import LocalCluster
+from repro.cluster.frontend import ClusterConfig
 from repro.cluster.shard import ClusterShard
 
 __all__ = ["install_lww_bug", "run_selftest", "SelftestResult"]
@@ -71,8 +64,7 @@ def _last_arrival_wins(shard: ClusterShard):
 def install_lww_bug(cluster) -> None:
     """Sabotage every shard of ``cluster`` with last-arrival-wins.
 
-    Works on anything exposing ``.shards`` (``SimulatedCluster`` or the
-    local-transport rig below).  Netsim endpoints capture bound methods
+    Works on any cluster assembly.  Netsim endpoints capture bound methods
     at registration time, so when the cluster has ``.endpoints`` the
     handler table is rewired too.
     """
@@ -101,68 +93,28 @@ class SelftestResult:
         )
 
 
-class _Rig:
-    """A tiny synchronous cluster wired for the deterministic scenario."""
-
-    def __init__(self, seed: int, sabotage: bool):
-        rng = np.random.default_rng(seed)
-        self.clock = ManualClock()
-        tsa = TimestampAuthority(
-            keypair=KeyPair.generate(bits=512, rng=rng), clock=self.clock.now
-        )
-        shard_ids = [f"shard-{i}" for i in range(3)]
-        self.shards = {
-            shard_id: ClusterShard(
-                shard_id,
-                "selftest",
-                tsa,
-                keypair=KeyPair.generate(bits=512, rng=rng),
-                clock=self.clock.now,
-            )
-            for shard_id in shard_ids
-        }
-        self.ring = HashRing(shard_ids)
-        self.transport = LocalShardTransport(self.shards)
-        self.recorder = HistoryRecorder(clock=self.clock.now)
-        # Primary reads (read_quorum=1, unhedged): the weakest read the
-        # config allows, which is what lets the resurrected primary
-        # answer alone — a quorum read would paper over the bug.
-        self.frontend = ClusterFrontend(
-            "selftest",
-            self.ring,
-            self.transport,
-            tsa,
-            detector=FailureDetector(self.clock.now),
-            config=ClusterConfig(
-                replication_factor=3, read_quorum=1, hedged_reads=False
-            ),
-            clock=self.clock.now,
-            observer=self.recorder,
-        )
-        self.owner = KeyPair.generate(bits=512, rng=rng)
-        if sabotage:
-            install_lww_bug(self)
-
-    def replica_states(self) -> Dict[str, Dict[int, tuple]]:
-        return {
-            shard_id: {
-                record.identifier.serial: (
-                    record.state.value,
-                    record.revocation_epoch,
-                )
-                for record in shard.ledger.store.records()
-            }
-            for shard_id, shard in sorted(self.shards.items())
-        }
-
-
 def _run_scenario(seed: int, sabotage: bool) -> CheckReport:
-    rig = _Rig(seed, sabotage)
-    frontend, clock = rig.frontend, rig.clock
+    # Primary reads (read_quorum=1, unhedged): the weakest read the
+    # config allows, which is what lets the resurrected primary
+    # answer alone — a quorum read would paper over the bug.
+    cluster = LocalCluster(
+        3,
+        config=ClusterConfig(
+            replication_factor=3, read_quorum=1, hedged_reads=False
+        ),
+        seed=seed,
+        cluster_id="selftest",
+    )
+    frontend, clock = cluster.frontend, cluster.manual_clock
+    recorder = HistoryRecorder(clock=clock.now)
+    frontend.observer = recorder
+    owner = KeyPair.generate(bits=512, rng=cluster.rngs.stream("owner"))
+    if sabotage:
+        install_lww_bug(cluster)
 
     content_hash = sha256_hex(b"selftest:photo")
-    signature = rig.owner.sign(content_hash.encode("utf-8"))
-    identifier = frontend.claim(content_hash, signature, rig.owner.public)
+    signature = owner.sign(content_hash.encode("utf-8"))
+    identifier = frontend.claim(content_hash, signature, owner.public)
 
     def _step(action) -> None:
         clock.advance(1.0)
@@ -170,15 +122,15 @@ def _run_scenario(seed: int, sabotage: bool) -> CheckReport:
         clock.advance(1.0)
         frontend.status(identifier)
 
-    _step(lambda: frontend.revoke(identifier, rig.owner))     # epoch 1
-    _step(lambda: frontend.unrevoke(identifier, rig.owner))   # epoch 2
-    _step(lambda: frontend.revoke(identifier, rig.owner))     # epoch 3
+    _step(lambda: frontend.revoke(identifier, owner))     # epoch 1
+    _step(lambda: frontend.unrevoke(identifier, owner))   # epoch 2
+    _step(lambda: frontend.revoke(identifier, owner))     # epoch 3
 
     # The delayed duplicate: a replication message from the epoch-2
     # unrevoke, arriving at the primary long after epoch 3 committed.
     clock.advance(1.0)
     primary = frontend.replicas_for(identifier)[0]
-    rig.transport.invoke(
+    cluster.transport.invoke(
         primary,
         "apply_state",
         {
@@ -193,14 +145,10 @@ def _run_scenario(seed: int, sabotage: bool) -> CheckReport:
     clock.advance(1.0)
     frontend.status(identifier)
 
-    def placement(serial: int) -> List[str]:
-        ident = PhotoIdentifier("selftest", serial)
-        return rig.ring.replicas(ident.to_compact(), 3)
-
-    return ConsistencyChecker(placement=placement).check(
-        rig.recorder,
-        replica_states=rig.replica_states(),
-        live_shards=sorted(rig.shards),
+    return ConsistencyChecker(placement=cluster.placement).check(
+        recorder,
+        replica_states=cluster.replica_states(),
+        live_shards=sorted(cluster.shards),
     )
 
 

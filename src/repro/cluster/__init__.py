@@ -17,8 +17,14 @@ planetary status-check load and survives node failures:
   half-open probation.
 * :mod:`repro.cluster.antientropy` — digest reconciliation and
   re-replication of records a replica missed or lost.
-* :mod:`repro.cluster.simnet` — the whole cluster as netsim nodes with
-  RPC latency, finite shard capacity, and injectable crashes (E17).
+* :mod:`repro.cluster.assembly` — the one place all of the above is
+  wired together, parameterised by (clock, scheduler, transport);
+  seeded populations, crash/restart faults, replica inspection, and
+  the synchronous :class:`LocalCluster` adapter.
+* :mod:`repro.cluster.simnet` — the netsim adapter: the assembly as
+  simulated nodes with RPC latency, finite shard capacity, link
+  partitions and clock skew (E17).  The asyncio adapter is
+  :mod:`repro.service.cluster`, next to the server that runs its loop.
 
 The frontend additionally hosts the resilience layer
 (:mod:`repro.resilience`): deadlines, bounded backoff retries, circuit
@@ -48,6 +54,13 @@ from repro.cluster.frontend import (
     FrontendStats,
 )
 from repro.cluster.health import FailureDetector, ShardHealth
+from repro.cluster.assembly import (
+    Cluster,
+    ClusterPopulation,
+    LearningBloom,
+    LocalCluster,
+    ShardRecovery,
+)
 from repro.cluster.simnet import (
     NetsimShardTransport,
     ShardCostModel,
@@ -79,6 +92,11 @@ __all__ = [
     "FrontendStats",
     "FailureDetector",
     "ShardHealth",
+    "Cluster",
+    "ClusterPopulation",
+    "LearningBloom",
+    "LocalCluster",
+    "ShardRecovery",
     "NetsimShardTransport",
     "ShardCostModel",
     "SimulatedCluster",

@@ -59,6 +59,7 @@ from repro.ledger.proofs import StatusProof
 from repro.ledger.records import claim_digest
 from repro.cluster.health import FailureDetector
 from repro.cluster.replication import (
+    MIN_RPC_BUDGET,
     HintQueue,
     QuorumExecutor,
     ShardTransport,
@@ -725,7 +726,18 @@ class ClusterFrontend:
                 return
         if ctx.span is not None:
             ctx.span.event("degraded", reason=reason or "quorum unreachable")
-        callback(self._degraded_answer(identifier, reason, cause="quorum"))
+        # Replica RPC timers are cut to the request's budget, so they
+        # and the deadline backstop expire together; whichever fires
+        # first, it is the budget that ran out.
+        spent = (
+            ctx.deadline is not None
+            and ctx.deadline.remaining(self._clock()) <= MIN_RPC_BUDGET
+        )
+        callback(
+            self._degraded_answer(
+                identifier, reason, cause="deadline" if spent else "quorum"
+            )
+        )
 
     def _degraded_answer(
         self,
@@ -990,94 +1002,6 @@ class ClusterFrontend:
             add(identifier.to_compact())
 
     # -- revocation -------------------------------------------------------------------
-
-    def make_challenge(self, identifier: PhotoIdentifier) -> tuple:
-        """Obtain an ownership challenge from a coordinating replica.
-
-        Returns ``(coordinator_shard_id, nonce)``; the owner signs
-        :meth:`Ledger.ownership_payload` over the nonce and passes both
-        back to :meth:`complete_revocation` — challenge state is
-        per-shard, so verify must land on the same replica.  Candidates
-        are tried in ring order (trusted replicas first, breaker-open
-        replicas last), so a dead primary only costs one failed probe.
-        """
-        replicas = self.replicas_for(identifier)
-        candidates = self.detector.live(replicas) + [
-            s for s in replicas if self.detector.is_suspect(s)
-        ]
-        candidates = self._breakers_last(candidates)
-        errors = []
-        for i, coordinator in enumerate(candidates):
-            box: List = []
-            self.transport.invoke(
-                coordinator, "challenge", {"serial": identifier.serial},
-                box.append, timeout=None,  # sync path; completes inline
-            )
-            if box and box[0].ok:
-                self._record_result(coordinator, True)
-                if i > 0:
-                    self.stats.failovers += 1
-                return coordinator, box[0].value
-            error = box[0].error if box else "no reply"
-            self._record_result(coordinator, False)
-            errors.append(f"{coordinator}: {error}")
-        raise RevocationError(
-            f"challenge failed on all replicas ({'; '.join(errors)})"
-        )
-
-    def complete_revocation(
-        self,
-        identifier: PhotoIdentifier,
-        coordinator: str,
-        nonce: bytes,
-        signature: Signature,
-        action: str = "revoke",
-    ) -> Dict[str, Any]:
-        """Verify on the coordinator, then quorum-propagate the flip."""
-        if action not in ("revoke", "unrevoke"):
-            raise ValueError(f"unknown revocation action {action!r}")
-        replicas = self.replicas_for(identifier)
-        box: List = []
-        self.transport.invoke(
-            coordinator,
-            action,
-            {"serial": identifier.serial, "nonce": nonce, "signature": signature},
-            box.append,
-            timeout=None,  # sync path; completes inline
-        )
-        if not box or not box[0].ok:
-            error = box[0].error if box else "no reply"
-            self._record_result(coordinator, False)
-            raise RevocationError(f"{action} via {coordinator} failed: {error}")
-        self._record_result(coordinator, True)
-        verdict = box[0].value  # {'state': ..., 'epoch': ...}
-        others = [s for s in replicas if s != coordinator]
-        needed = self.config.write_quorum - 1  # coordinator already holds it
-        outcome: Dict[str, Any] = dict(verdict)
-        if others:
-            payload = {"serial": identifier.serial, **verdict}
-            results: List = []
-            self.executor.execute(
-                others,
-                "apply_state",
-                payload,
-                max(needed, 1),
-                results.append,
-                on_reply=self._replica_write_hook(
-                    "apply_state", payload, epoch=verdict["epoch"]
-                ),
-            )
-            if needed > 0 and results and not results[0].ok:
-                raise RevocationError(
-                    f"{action} verified but replication quorum failed: "
-                    f"{results[0].error}"
-                )
-        self.stats.revocations += 1
-        if self.obs is not None:
-            self.obs.counter("frontend_revocations_total", action=action).inc()
-        if action == "revoke":
-            self._note_revoked(identifier)
-        return outcome
 
     def revoke_async(
         self,
@@ -1349,21 +1273,21 @@ class ClusterFrontend:
                     collector.record_error(shard_id, reply.error)
             self._pump()
 
-        kwargs: Dict[str, Any] = {}
-        if getattr(self.transport, "supports_deadlines", False):
-            # Deadline propagation: the RPC timeout shrinks to the
-            # tightest remaining budget in the batch, so a sub-call
-            # can never outlive the request it serves.
-            now = self._clock()
-            budgets = [
-                deadline.remaining(now)
-                for _, _, deadline in batch
-                if deadline is not None
-            ]
-            if budgets:
-                kwargs["timeout"] = max(min(budgets), 1e-4)
+        # Deadline propagation: the RPC timeout shrinks to the tightest
+        # remaining budget in the batch, so a sub-call can never outlive
+        # the request it serves.
+        now = self._clock()
+        budgets = [
+            deadline.remaining(now)
+            for _, _, deadline in batch
+            if deadline is not None
+        ]
         self.transport.invoke(
-            shard_id, "status", {"serials": serials}, _on_reply, **kwargs
+            shard_id,
+            "status",
+            {"serials": serials},
+            _on_reply,
+            timeout=min(budgets) if budgets else None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

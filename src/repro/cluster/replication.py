@@ -52,6 +52,8 @@ __all__ = [
     "Hint",
     "HintQueue",
     "majority",
+    "MIN_RPC_BUDGET",
+    "clamp_rpc_timeout",
 ]
 
 
@@ -71,6 +73,19 @@ class ShardReply:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+# The floor asynchronous transports put under an offered ``timeout``: a
+# nearly-spent budget still sends one RPC rather than an instant
+# timeout, and a request with less than this left cannot start another.
+MIN_RPC_BUDGET = 1e-4
+
+
+def clamp_rpc_timeout(default: float, offered: Optional[float]) -> float:
+    """One RPC's timeout: an offered budget may shorten it, never lengthen it."""
+    if offered is None:
+        return default
+    return max(min(default, offered), MIN_RPC_BUDGET)
 
 
 class ShardTransport(Protocol):
@@ -99,6 +114,13 @@ class ShardTransport(Protocol):
         ...
 
     def shard_ids(self) -> List[str]:  # pragma: no cover - protocol
+        ...
+
+    def kill(self, shard_id: str) -> None:  # pragma: no cover - protocol
+        """Crash ``shard_id`` as this wire would see it (fault hook)."""
+        ...
+
+    def revive(self, shard_id: str) -> None:  # pragma: no cover - protocol
         ...
 
 

@@ -1,12 +1,15 @@
-"""Cluster-on-netsim wiring: shards and frontend as simulated nodes.
+"""The netsim adapter: the cluster as simulated nodes on simulated time.
 
-:class:`SimulatedCluster` stands the whole subsystem up inside the
-discrete-event simulator: each shard is a :class:`~repro.netsim.node.Node`
-with an :class:`~repro.netsim.transport.RpcEndpoint` serving the shard
+:class:`SimulatedCluster` is the :class:`~repro.cluster.assembly.Cluster`
+assembly run inside the discrete-event simulator: each shard is a
+:class:`~repro.netsim.node.Node` with an
+:class:`~repro.netsim.transport.RpcEndpoint` serving the shard
 protocol, the frontend is a node with links to every shard, and the
 :class:`NetsimShardTransport` adapts the callback RPC layer to the
 :class:`~repro.cluster.replication.ShardTransport` interface the
-frontend coordinates over.
+frontend coordinates over.  Only what is netsim-specific lives here:
+the network, link partitions, per-shard clock skew, the shard cost
+model and the optional handler spans.
 
 Shards run the endpoint's *serial-server* cost model: a status batch
 occupies its shard for ``batch_overhead + per_item * len(batch)``
@@ -20,60 +23,21 @@ detector and quorum failover exactly as a crashed process would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
-from repro.core.identifiers import PhotoIdentifier
-from repro.crypto.hashing import sha256_hex
-from repro.crypto.signatures import KeyPair
-from repro.crypto.timestamp import TimestampAuthority
-from repro.ledger.durable import DurableStore
-from repro.ledger.events import replay
-from repro.ledger.records import ClaimRecord, RevocationState, claim_digest
-from repro.ledger.recovery import records_digest
 from repro.netsim.latency import LatencyModel, lan_latency
 from repro.netsim.link import Network
 from repro.netsim.node import Node
-from repro.netsim.rand import RngRegistry
 from repro.netsim.simulator import Simulator, SkewedClock
 from repro.netsim.transport import RpcEndpoint
-from repro.cluster.antientropy import AntiEntropySweeper
-from repro.cluster.frontend import ClusterConfig, ClusterFrontend
-from repro.cluster.health import FailureDetector
-from repro.cluster.replication import ShardReply
-from repro.cluster.ring import HashRing
-from repro.cluster.shard import ClusterDirectory, ClusterShard, content_serial
+from repro.cluster.assembly import Cluster
+from repro.cluster.frontend import ClusterConfig
+from repro.cluster.replication import ShardReply, clamp_rpc_timeout
+from repro.cluster.shard import ClusterShard
 from repro.obs import Observability
 
-__all__ = [
-    "SimulatedCluster",
-    "NetsimShardTransport",
-    "ShardCostModel",
-    "ShardRecovery",
-]
-
-
-@dataclass(frozen=True)
-class ShardRecovery:
-    """One shard restart's recovery outcome, captured at restart time.
-
-    The cluster keeps evolving after a recovery (read repair,
-    anti-entropy), so the consistency checker needs the state *as
-    recovered*, not as it ended up: ``installed_digest`` is what the
-    shard adopted, ``replayed_digest`` an independent snapshot+tail
-    replay of the same report — the "recovered state equals replayed
-    log" invariant in digest form.
-    """
-
-    shard_id: str
-    at: float
-    evidence: tuple
-    installed_digest: str
-    replayed_digest: str
-    records_recovered: int
-    events_replayed: int
+__all__ = ["SimulatedCluster", "NetsimShardTransport", "ShardCostModel"]
 
 
 @dataclass
@@ -102,12 +66,9 @@ class ShardCostModel:
 class NetsimShardTransport:
     """ShardTransport over netsim RPC endpoints.
 
-    Advertises ``supports_deadlines``: callers may pass a per-call
-    ``timeout`` and the effective RPC timeout shrinks to fit it —
-    deadline propagation reaching the wire.
+    Callers may pass a per-call ``timeout`` and the effective RPC
+    timeout shrinks to fit it — deadline propagation reaching the wire.
     """
-
-    supports_deadlines = True
 
     def __init__(
         self,
@@ -129,6 +90,13 @@ class NetsimShardTransport:
     def shard_ids(self) -> List[str]:
         return sorted(self._endpoints)
 
+    def kill(self, shard_id: str) -> None:
+        """Silence the endpoint: requests are delivered, never answered."""
+        self._endpoints[shard_id].down = True
+
+    def revive(self, shard_id: str) -> None:
+        self._endpoints[shard_id].down = False
+
     def invoke(
         self,
         shard_id: str,
@@ -149,12 +117,6 @@ class NetsimShardTransport:
             else:
                 callback(ShardReply(shard_id, error=str(result.error)))
 
-        effective_timeout = self.timeout
-        if timeout is not None:
-            # Deadline propagation: never wait longer than the caller's
-            # remaining budget (floored so a nearly-spent budget still
-            # sends one RPC rather than an instant timeout).
-            effective_timeout = max(min(self.timeout, timeout), 1e-4)
         endpoint.call(
             self._frontend_node,
             method,
@@ -162,12 +124,12 @@ class NetsimShardTransport:
             _on_result,
             request_bytes=self.request_bytes,
             response_bytes=self.response_bytes,
-            timeout=effective_timeout,
+            timeout=clamp_rpc_timeout(self.timeout, timeout),
             retries=self.retries,
         )
 
 
-class SimulatedCluster:
+class SimulatedCluster(Cluster):
     """A full cluster inside one discrete-event simulation.
 
     Parameters
@@ -214,88 +176,59 @@ class SimulatedCluster:
         durable: bool = True,
         snapshot_interval: int = 64,
     ):
-        if num_shards < 1:
-            raise ValueError("need at least one shard")
         self.simulator = Simulator()
-        self.rngs = RngRegistry(seed=seed)
-        self.network = Network(self.simulator, self.rngs.stream("net"))
         clock = self.simulator.clock().now
-        self.obs: Optional[Observability] = (
-            Observability(clock) if instrument else None
-        )
-        self.tsa = TimestampAuthority(
-            keypair=KeyPair.generate(bits=key_bits, rng=self.rngs.stream("tsa")),
-            clock=clock,
-        )
-        self.cluster_id = cluster_id
         self.cost_model = cost_model
-        self.shards: Dict[str, ClusterShard] = {}
+        self.frontend_name = "frontend"
         self.endpoints: Dict[str, RpcEndpoint] = {}
-        # Simulated disks (``durable=True``): every shard journals its
-        # event chain to one, and restarts recover from it instead of
-        # rejoining with whatever happened to be in memory.
-        self.disks: Dict[str, DurableStore] = {}
-        self.recoveries: List[ShardRecovery] = []
         # Per-shard clocks: same simulated time base, individually
         # skewable by the chaos harness (clock-drift faults).
         self.shard_clocks: Dict[str, SkewedClock] = {}
-        shard_ids = [f"shard-{i}" for i in range(num_shards)]
-        self.ring = HashRing(shard_ids)
 
-        frontend_name = "frontend"
-        self.frontend_name = frontend_name
-        self.network.add_node(Node(frontend_name, self.simulator))
-        latency = shard_latency or lan_latency()
-        for shard_id in shard_ids:
-            shard_clock = SkewedClock(clock)
-            self.shard_clocks[shard_id] = shard_clock
-            disk = DurableStore() if durable else None
-            shard = ClusterShard(
-                shard_id,
-                cluster_id,
-                self.tsa,
-                keypair=KeyPair.generate(
-                    bits=key_bits, rng=self.rngs.stream(f"key:{shard_id}")
-                ),
-                clock=shard_clock.now,
-                durable=disk,
-                snapshot_interval=snapshot_interval,
-            )
-            if disk is not None:
-                self.disks[shard_id] = disk
-            self.shards[shard_id] = shard
-            node = self.network.add_node(Node(shard_id, self.simulator))
-            self.network.connect(frontend_name, shard_id, latency)
-            endpoint = RpcEndpoint(
-                node,
-                self.network,
-                cost_fn=(cost_model.cost if cost_model is not None else None),
-            )
-            for method, handler in shard.rpc_handlers().items():
-                if self.obs is not None:
-                    handler = self._traced_handler(shard_id, method, handler)
-                endpoint.register(method, handler)
-            self.endpoints[shard_id] = endpoint
+        def shard_clock(shard_id: str) -> Callable[[], float]:
+            self.shard_clocks[shard_id] = SkewedClock(clock)
+            return self.shard_clocks[shard_id].now
 
-        self.directory = ClusterDirectory(list(self.shards.values()))
-        self.transport = NetsimShardTransport(
-            frontend_name, self.endpoints, timeout=rpc_timeout, retries=rpc_retries
-        )
-        self.detector = FailureDetector(
-            clock, failure_threshold=failure_threshold, probation=probation
-        )
-        self.frontend = ClusterFrontend(
-            cluster_id,
-            self.ring,
-            self.transport,
-            self.tsa,
-            detector=self.detector,
-            config=config,
+        def wire(shards: Dict[str, ClusterShard]) -> NetsimShardTransport:
+            self.network = Network(self.simulator, self.rngs.stream("net"))
+            self.network.add_node(Node(self.frontend_name, self.simulator))
+            latency = shard_latency or lan_latency()
+            for shard_id, shard in shards.items():
+                node = self.network.add_node(Node(shard_id, self.simulator))
+                self.network.connect(self.frontend_name, shard_id, latency)
+                endpoint = RpcEndpoint(
+                    node,
+                    self.network,
+                    cost_fn=(cost_model.cost if cost_model is not None else None),
+                )
+                for method, handler in shard.rpc_handlers().items():
+                    if instrument:
+                        handler = self._traced_handler(shard_id, method, handler)
+                    endpoint.register(method, handler)
+                self.endpoints[shard_id] = endpoint
+            return NetsimShardTransport(
+                self.frontend_name,
+                self.endpoints,
+                timeout=rpc_timeout,
+                retries=rpc_retries,
+            )
+
+        super().__init__(
+            num_shards,
             clock=clock,
             scheduler=self.simulator.schedule,
+            transport_factory=wire,
+            config=config,
+            seed=seed,
+            cluster_id=cluster_id,
+            key_bits=key_bits,
+            failure_threshold=failure_threshold,
+            probation=probation,
             filterset=filterset,
-            rng=self.rngs.stream("resilience"),
-            obs=self.obs,
+            obs=Observability(clock) if instrument else None,
+            durable=durable,
+            snapshot_interval=snapshot_interval,
+            shard_clock=shard_clock,
         )
 
     def _traced_handler(self, shard_id: str, method: str, handler):
@@ -309,11 +242,11 @@ class SimulatedCluster:
         """
 
         def _traced(payload):
-            # repro-lint: allow[obs-purity] wrapper installed only under the obs guard at the register() call site
+            # repro-lint: allow[obs-purity] wrapper installed only when instrument=True built self.obs (register() call site)
             self.obs.counter(
                 "shard_requests_total", shard=shard_id, method=method
             ).inc()
-            # repro-lint: allow[obs-purity] wrapper installed only under the obs guard at the register() call site
+            # repro-lint: allow[obs-purity] wrapper installed only when instrument=True built self.obs (register() call site)
             span = self.obs.start(f"shard.{method}", shard=shard_id)
             try:
                 result = handler(payload)
@@ -326,113 +259,7 @@ class SimulatedCluster:
 
         return _traced
 
-    # -- faults -------------------------------------------------------------------
-
-    def kill_shard(self, shard_id: str) -> None:
-        """Crash a shard: delivered requests are never answered."""
-        self.endpoints[shard_id].down = True
-
-    def revive_shard(self, shard_id: str) -> None:
-        self.endpoints[shard_id].down = False
-
-    def restart_shard(self, shard_id: str, wipe: bool = False) -> int:
-        """Bring a crashed shard back, with its state kept or lost.
-
-        ``wipe=True`` models a crash that took the disk: memory *and*
-        the durable store are lost, and the replica rejoins empty to be
-        refilled by re-replication and read repair.  Otherwise, a shard
-        with a durable store runs the real restart path — snapshot
-        load, chain verification, tail replay, disk truncation — and
-        the recovery outcome (including an independently replayed
-        digest) is captured in :attr:`recoveries` for the consistency
-        checker.  Returns the number of records lost from memory.
-        """
-        shard = self.shards[shard_id]
-        if wipe:
-            lost = shard.ledger.store.wipe()
-            disk = self.disks.get(shard_id)
-            if disk is not None:
-                disk.wipe()
-            self.revive_shard(shard_id)
-            return lost
-        disk = self.disks.get(shard_id)
-        if disk is not None:
-            report = shard.recover()
-            replayed = replay(
-                report.tail_events, base=report.snapshot_records
-            )
-            if report.suffix_lost:
-                self._schedule_backfill(shard_id)
-            self.recoveries.append(
-                ShardRecovery(
-                    shard_id=shard_id,
-                    at=self.simulator.now,
-                    evidence=report.evidence,
-                    installed_digest=records_digest(
-                        shard.ledger.store.records_map()
-                    ),
-                    replayed_digest=records_digest(replayed),
-                    records_recovered=len(report.records),
-                    events_replayed=len(report.tail_events),
-                )
-            )
-            if self.obs is not None:
-                self.obs.counter(
-                    "shard_recoveries_total", shard=shard_id
-                ).inc()
-                self.obs.counter(
-                    "recovery_records_restored_total", shard=shard_id
-                ).inc(len(report.records))
-                if report.evidence:
-                    self.obs.counter(
-                        "recovery_corruptions_total", shard=shard_id
-                    ).inc(len(report.evidence))
-        self.revive_shard(shard_id)
-        return 0
-
-    def _schedule_backfill(self, shard_id: str) -> None:
-        """Hinted-handoff stand-in after a recovery shed log suffix.
-
-        A truncated replica holds *convincingly stale* state (old
-        epochs, not missing records), so quorum reads through it can
-        observe pre-acknowledgement state until something reconciles
-        it.  Scheduling an anti-entropy sweep right behind the restart
-        pulls the lost writes back from peers promptly instead of
-        waiting for the next externally scheduled sweep.
-        """
-        sweeper = AntiEntropySweeper(
-            self.cluster_id,
-            self.ring,
-            self.transport,
-            self.frontend.config.replication_factor,
-            on_result=self.frontend._record_result,
-            obs=self.obs,
-        )
-        self.simulator.schedule_at(
-            self.simulator.now + 0.05,
-            sweeper.sweep_async,
-            lambda report: None,
-        )
-
-    def inject_storage_fault(self, shard_id: str, kind: str) -> bool:
-        """Damage a shard's durable store; True iff the fault landed.
-
-        Kinds: ``torn`` (final WAL frame cut short), ``corrupt`` (one
-        byte flipped in the newest segment), ``snapshot`` (newest
-        snapshot damaged).  A fault can miss — an empty disk has
-        nothing to tear — and the checker only demands detection for
-        faults that actually landed.
-        """
-        disk = self.disks.get(shard_id)
-        if disk is None:
-            return False
-        if kind == "torn":
-            return disk.tear_final_record()
-        if kind == "corrupt":
-            return disk.corrupt_random_byte(self.rngs.stream("storage"))
-        if kind == "snapshot":
-            return disk.corrupt_latest_snapshot()
-        raise ValueError(f"unknown storage fault kind {kind!r}")
+    # -- netsim-only faults -------------------------------------------------------
 
     def isolate_shards(self, shard_ids) -> None:
         """Sever the frontend links of ``shard_ids`` (a partition)."""
@@ -446,100 +273,3 @@ class SimulatedCluster:
     def skew_clock(self, shard_id: str, offset: float) -> None:
         """Drift one shard's local clock by ``offset`` seconds."""
         self.shard_clocks[shard_id].offset = float(offset)
-
-    # -- inspection ----------------------------------------------------------------
-
-    def replica_states(self) -> Dict[str, Dict[int, tuple]]:
-        """Every replica's ``{serial: (state, epoch)}`` snapshot.
-
-        The raw material for the chaos consistency checker's
-        convergence verdict and for deterministic state digests.
-        """
-        return {
-            shard_id: {
-                record.identifier.serial: (
-                    record.state.value,
-                    record.revocation_epoch,
-                )
-                for record in shard.ledger.store.records()
-            }
-            for shard_id, shard in sorted(self.shards.items())
-        }
-
-    # -- population ----------------------------------------------------------------
-
-    def seed_population(
-        self,
-        count: int,
-        revoked_fraction: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "ClusterPopulation":
-        """Install ``count`` synthetic claims directly on the replicas.
-
-        The fast-path equivalent of
-        :func:`repro.workload.population.populate_ledger` for clusters:
-        one shared signature/timestamp object, real content-derived
-        serials, real ring placement, real revocation state on every
-        replica.  Load experiments start from here rather than paying
-        per-record RSA through the wire.
-        """
-        if not 0.0 <= revoked_fraction <= 1.0:
-            raise ValueError("revoked_fraction must be in [0, 1]")
-        rng = rng or self.rngs.stream("population")
-        keypair = KeyPair.generate(bits=512, rng=rng)
-        shared_hash = sha256_hex(f"{self.cluster_id}:bulk-shared".encode())
-        shared_signature = keypair.sign(shared_hash.encode("utf-8"))
-        shared_timestamp = self.tsa.issue(claim_digest(shared_hash, keypair.public))
-        revoked_mask = rng.uniform(size=count) < revoked_fraction
-        identifiers: List[PhotoIdentifier] = []
-        r = self.frontend.config.replication_factor
-        for i in range(count):
-            content_hash = sha256_hex(f"{self.cluster_id}:photo:{i}".encode())
-            serial = content_serial(content_hash)
-            identifier = PhotoIdentifier(self.cluster_id, serial)
-            revoked = bool(revoked_mask[i])
-            for shard_id in self.ring.replicas(identifier.to_compact(), r):
-                store = self.shards[shard_id].ledger.store
-                store.put(
-                    ClaimRecord(
-                        identifier=identifier,
-                        content_hash=content_hash,
-                        content_signature=shared_signature,
-                        public_key=keypair.public,
-                        timestamp=shared_timestamp,
-                        state=(
-                            RevocationState.REVOKED
-                            if revoked
-                            else RevocationState.NOT_REVOKED
-                        ),
-                        revocation_epoch=1 if revoked else 0,
-                    )
-                )
-            identifiers.append(identifier)
-        return ClusterPopulation(
-            identifiers=identifiers, revoked_mask=revoked_mask, owner=keypair
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SimulatedCluster(shards={len(self.shards)}, "
-            f"r={self.frontend.config.replication_factor})"
-        )
-
-
-@dataclass
-class ClusterPopulation:
-    """Ground truth for a seeded cluster population."""
-
-    identifiers: List[PhotoIdentifier]
-    revoked_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
-    # The key pair every seeded claim was signed with — lets chaos
-    # workloads revoke seeded records through the real ownership proof.
-    owner: Optional[KeyPair] = None
-
-    @property
-    def size(self) -> int:
-        return len(self.identifiers)
-
-    def revoked(self, index: int) -> bool:
-        return bool(self.revoked_mask[index])

@@ -118,13 +118,7 @@ def run_traced_workload(
         sim.schedule(window / 2, cluster.kill_shard, f"shard-{num_shards - 1}")
     sim.run(until=max(60.0, window * 2))
 
-    r = cluster.frontend.config.replication_factor
-
-    def placement(serial: int) -> List[str]:
-        identifier = PhotoIdentifier(cluster.cluster_id, serial)
-        return cluster.ring.replicas(identifier.to_compact(), r)
-
-    checker = ConsistencyChecker(placement=placement)
+    checker = ConsistencyChecker(placement=cluster.placement)
     live = None
     if kill_shard:
         live = [s for s in cluster.shards if s != f"shard-{num_shards - 1}"]

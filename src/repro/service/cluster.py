@@ -1,12 +1,12 @@
-"""A real (non-simulated) cluster for the HTTP service to front.
+"""The asyncio adapter: the cluster the HTTP service fronts.
 
-``LiveCluster`` stands up in-process :class:`ClusterShard` replicas and
-a :class:`ClusterFrontend` whose injected clock and scheduler are the
-asyncio event loop's own ``loop.time`` / ``loop.call_later`` — the
-third execution style next to the repo's in-process and simulated
-ones, and the reason none of the frontend's resilience machinery
-(deadline backstop, breakers, shedding, degraded Bloom reads) needed
-changing to serve real sockets.
+``LiveCluster`` is the :class:`~repro.cluster.assembly.Cluster`
+assembly whose injected clock and scheduler are the asyncio event
+loop's own ``loop.time`` / ``loop.call_later`` — which is why none of
+the frontend's resilience machinery (deadline backstop, breakers,
+shedding, degraded Bloom reads) needed changing to serve real sockets.
+Only what is asyncio-specific lives here: the transport, the served
+configuration, the slow-replica hook and the ``/bloom`` export.
 
 :class:`AsyncioShardTransport` is the event-loop twin of the netsim
 RPC layer: every ``invoke`` is delivered on a later loop tick (never
@@ -20,55 +20,19 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from hashlib import blake2b
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
-from repro.cluster.frontend import ClusterConfig, ClusterFrontend
-from repro.cluster.health import FailureDetector
-from repro.cluster.replication import ShardReply
-from repro.cluster.ring import HashRing
-from repro.cluster.shard import ClusterShard, content_serial
-from repro.core.identifiers import PhotoIdentifier
-from repro.crypto.hashing import sha256_hex
-from repro.crypto.signatures import KeyPair
-from repro.crypto.timestamp import TimestampAuthority
+from repro.cluster.assembly import Cluster, LearningBloom
+from repro.cluster.frontend import ClusterConfig
+from repro.cluster.replication import ShardReply, clamp_rpc_timeout
 from repro.filters.bloom import BloomFilter
-from repro.ledger.records import ClaimRecord, RevocationState, claim_digest
-from repro.netsim.rand import RngRegistry
 
 __all__ = [
     "AsyncioShardTransport",
     "LiveCluster",
     "LiveClusterConfig",
-    "LivePopulation",
     "LearningBloom",
 ]
-
-
-class LearningBloom:
-    """Frontend filterset for degraded reads (learning, fail-closed).
-
-    Same contract as the chaos harness's ``RevocationBloom`` without
-    dragging the chaos runner into the service's import graph: the
-    frontend inserts every revocation it acks via ``add``, so degraded
-    answers never fail open on an acknowledged revocation.
-    """
-
-    def __init__(self, capacity: int = 8192, target_fpr: float = 0.01):
-        self._filter = BloomFilter.for_capacity(capacity, target_fpr)
-        self.added = 0
-
-    def might_be_revoked(self, compact_identifier: bytes) -> bool:
-        return compact_identifier in self._filter
-
-    def might_be_revoked_many(self, compact_identifiers) -> np.ndarray:
-        return self._filter.query_many(compact_identifiers)
-
-    def add(self, compact_identifier: bytes) -> None:
-        self._filter.add(compact_identifier)
-        self.added += 1
 
 
 class AsyncioShardTransport:
@@ -90,6 +54,12 @@ class AsyncioShardTransport:
     def shard_ids(self) -> List[str]:
         return sorted(self._handlers)
 
+    def kill(self, shard_id: str) -> None:
+        self.down.add(shard_id)
+
+    def revive(self, shard_id: str) -> None:
+        self.down.discard(shard_id)
+
     def invoke(
         self,
         shard_id: str,
@@ -106,8 +76,7 @@ class AsyncioShardTransport:
                 ShardReply(shard_id, error=f"unknown shard or method {method}"),
             )
             return
-        budget = self._default_timeout if timeout is None else timeout
-        budget = max(min(budget, self._default_timeout * 10), 1e-4)
+        budget = clamp_rpc_timeout(self._default_timeout, timeout)
         done = False
 
         def _on_timeout() -> None:
@@ -183,23 +152,7 @@ class LiveClusterConfig:
         )
 
 
-@dataclass
-class LivePopulation:
-    """Synthetic claims installed directly on the replicas."""
-
-    identifiers: List[PhotoIdentifier]
-    revoked_mask: np.ndarray
-    owner: KeyPair
-
-    @property
-    def size(self) -> int:
-        return len(self.identifiers)
-
-    def revoked(self, index: int) -> bool:
-        return bool(self.revoked_mask[index])
-
-
-class LiveCluster:
+class LiveCluster(Cluster):
     """Shards + frontend wired to the running event loop.
 
     Must be constructed inside a running loop (the server's); the
@@ -215,66 +168,25 @@ class LiveCluster:
     ):
         self.config = config or LiveClusterConfig()
         self._loop = loop or asyncio.get_running_loop()
-        self.obs = obs
-        self.cluster_id = "irs1"
-        self.rngs = RngRegistry(self.config.seed)
-        clock = self._loop.time
-        self.tsa = TimestampAuthority(
-            keypair=KeyPair.generate(
-                bits=self.config.key_bits, rng=self.rngs.stream("tsa")
-            ),
-            clock=clock,
-        )
-        shard_ids = [f"shard-{i}" for i in range(self.config.num_shards)]
-        self.shards: Dict[str, ClusterShard] = {
-            shard_id: ClusterShard(
-                shard_id=shard_id,
-                cluster_id=self.cluster_id,
-                timestamp_authority=self.tsa,
-                keypair=KeyPair.generate(
-                    bits=self.config.key_bits,
-                    rng=self.rngs.stream(f"key:{shard_id}"),
-                ),
-                clock=clock,
-            )
-            for shard_id in shard_ids
-        }
-        self.ring = HashRing(shard_ids)
-        self.transport = AsyncioShardTransport(
-            self._loop,
-            {sid: shard.rpc_handlers() for sid, shard in self.shards.items()},
-            default_timeout=self.config.rpc_timeout,
-        )
-        self.detector = FailureDetector(clock)
-        self.filterset = LearningBloom(capacity=self.config.filter_capacity)
-        self.frontend = ClusterFrontend(
-            cluster_id=self.cluster_id,
-            ring=self.ring,
-            transport=self.transport,
-            timestamp_authority=self.tsa,
-            detector=self.detector,
-            config=self.config.cluster_config(),
-            clock=clock,
+        super().__init__(
+            self.config.num_shards,
+            clock=self._loop.time,
             scheduler=self._schedule,
-            filterset=self.filterset,
-            rng=self.rngs.stream("frontend"),
+            transport_factory=lambda shards: AsyncioShardTransport(
+                self._loop,
+                {sid: shard.rpc_handlers() for sid, shard in shards.items()},
+                default_timeout=self.config.rpc_timeout,
+            ),
+            config=self.config.cluster_config(),
+            seed=self.config.seed,
+            cluster_id="irs1",
+            key_bits=self.config.key_bits,
+            filterset=LearningBloom(capacity=self.config.filter_capacity),
             obs=obs,
         )
 
     def _schedule(self, delay: float, fn: Callable[[], None]) -> None:
         self._loop.call_later(max(delay, 0.0), fn)
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self._loop.time
-
-    # -- fault hooks (tests, loadgen chaos) ----------------------------------------
-
-    def kill_shard(self, shard_id: str) -> None:
-        self.transport.down.add(shard_id)
-
-    def revive_shard(self, shard_id: str) -> None:
-        self.transport.down.discard(shard_id)
 
     def delay_shard(self, shard_id: str, seconds: float) -> None:
         """Make one replica slow without killing it (deadline tests)."""
@@ -282,75 +194,6 @@ class LiveCluster:
             self.transport.delays.pop(shard_id, None)
         else:
             self.transport.delays[shard_id] = seconds
-
-    # -- population -----------------------------------------------------------------
-
-    def seed_population(
-        self, count: int, revoked_fraction: float = 0.0
-    ) -> LivePopulation:
-        """Install synthetic claims replica-direct (no per-record RSA)."""
-        if not 0.0 <= revoked_fraction <= 1.0:
-            raise ValueError("revoked_fraction must be in [0, 1]")
-        rng = self.rngs.stream("population")
-        keypair = KeyPair.generate(bits=self.config.key_bits, rng=rng)
-        shared_hash = sha256_hex(f"{self.cluster_id}:bulk-shared".encode())
-        shared_signature = keypair.sign(shared_hash.encode("utf-8"))
-        shared_timestamp = self.tsa.issue(claim_digest(shared_hash, keypair.public))
-        revoked_mask = rng.uniform(size=count) < revoked_fraction
-        identifiers: List[PhotoIdentifier] = []
-        r = self.frontend.config.replication_factor
-        for i in range(count):
-            content_hash = sha256_hex(f"{self.cluster_id}:photo:{i}".encode())
-            serial = content_serial(content_hash)
-            identifier = PhotoIdentifier(self.cluster_id, serial)
-            revoked = bool(revoked_mask[i])
-            for shard_id in self.ring.replicas(identifier.to_compact(), r):
-                self.shards[shard_id].ledger.store.put(
-                    ClaimRecord(
-                        identifier=identifier,
-                        content_hash=content_hash,
-                        content_signature=shared_signature,
-                        public_key=keypair.public,
-                        timestamp=shared_timestamp,
-                        state=(
-                            RevocationState.REVOKED
-                            if revoked
-                            else RevocationState.NOT_REVOKED
-                        ),
-                        revocation_epoch=1 if revoked else 0,
-                    )
-                )
-            if revoked:
-                self.filterset.add(identifier.to_compact())
-            identifiers.append(identifier)
-        return LivePopulation(
-            identifiers=identifiers, revoked_mask=revoked_mask, owner=keypair
-        )
-
-    # -- chain head / filter export ---------------------------------------------------
-
-    def chain_head(self) -> str:
-        """Digest of every shard's event-chain head — the /bloom ETag.
-
-        Any acknowledged mutation advances at least one shard's head,
-        so the ETag changes iff the revocation set may have changed.
-        """
-        digest = blake2b(digest_size=16)
-        for shard_id in sorted(self.shards):
-            events = self.shards[shard_id].ledger.store.events
-            digest.update(
-                f"{shard_id}:{events.head_seq}:{events.head_hash};".encode()
-            )
-        return digest.hexdigest()
-
-    def revoked_compact_keys(self) -> List[bytes]:
-        """Union of revoked identifiers across replicas (deduplicated)."""
-        seen: Dict[int, bytes] = {}
-        for shard_id in sorted(self.shards):
-            store = self.shards[shard_id].ledger.store
-            for record in store.revoked_records():
-                seen[record.identifier.serial] = record.identifier.to_compact()
-        return [seen[serial] for serial in sorted(seen)]
 
     def export_bloom(self) -> Tuple[bytes, Dict[str, str]]:
         """Build the /bloom payload: filter bytes + reconstruction params."""

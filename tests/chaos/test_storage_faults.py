@@ -9,7 +9,7 @@ from repro.chaos import (
     run_chaos,
     run_durability_selftest,
 )
-from repro.cluster.simnet import ShardRecovery
+from repro.cluster import ShardRecovery
 
 SHARDS = ["shard-0", "shard-1", "shard-2", "shard-3"]
 

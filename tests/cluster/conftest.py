@@ -1,25 +1,15 @@
 """Shared fixtures for cluster tests: a synchronous local cluster."""
 
-import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusterDirectory,
-    ClusterFrontend,
-    ClusterShard,
-    FailureDetector,
-    HashRing,
-    LocalShardTransport,
-)
+from repro.cluster import ClusterConfig
+from repro.cluster import LocalCluster as LocalAssembly
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import KeyPair
-from repro.crypto.timestamp import TimestampAuthority
-from repro.netsim.simulator import ManualClock
 
 
-class LocalCluster:
-    """A full cluster on the in-process transport, for unit tests."""
+class LocalCluster(LocalAssembly):
+    """The local assembly plus one photo owner, for unit tests."""
 
     def __init__(
         self,
@@ -29,40 +19,14 @@ class LocalCluster:
         failure_threshold: int = 2,
         probation: float = 5.0,
     ):
-        rng = np.random.default_rng(seed)
-        self.clock = ManualClock()
-        self.tsa = TimestampAuthority(
-            keypair=KeyPair.generate(bits=512, rng=rng), clock=self.clock.now
-        )
-        shard_ids = [f"shard-{i}" for i in range(num_shards)]
-        self.shards = {
-            shard_id: ClusterShard(
-                shard_id,
-                "cluster",
-                self.tsa,
-                keypair=KeyPair.generate(bits=512, rng=rng),
-                clock=self.clock.now,
-            )
-            for shard_id in shard_ids
-        }
-        self.ring = HashRing(shard_ids)
-        self.transport = LocalShardTransport(self.shards)
-        self.detector = FailureDetector(
-            self.clock.now,
+        super().__init__(
+            num_shards,
+            config=config,
+            seed=seed,
             failure_threshold=failure_threshold,
             probation=probation,
         )
-        self.directory = ClusterDirectory(list(self.shards.values()))
-        self.frontend = ClusterFrontend(
-            "cluster",
-            self.ring,
-            self.transport,
-            self.tsa,
-            detector=self.detector,
-            config=config,
-            clock=self.clock.now,
-        )
-        self.owner = KeyPair.generate(bits=512, rng=rng)
+        self.owner = KeyPair.generate(bits=512, rng=self.rngs.stream("owner"))
 
     def claim_photo(self, label: str = "photo"):
         """Claim one synthetic photo; returns its identifier."""

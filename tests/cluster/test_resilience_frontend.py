@@ -7,9 +7,9 @@ reads, breakers, config validation) and the server-side repair half
 
 import pytest
 
-from repro.chaos import RevocationBloom
-from repro.cluster import AntiEntropySweeper, ClusterConfig
+from repro.cluster import AntiEntropySweeper, ClusterConfig, LearningBloom
 from repro.ledger.records import RevocationState
+from repro.resilience import Deadline
 
 from tests.cluster.conftest import LocalCluster
 
@@ -81,7 +81,7 @@ def test_degraded_read_reports_acked_revocation_with_all_replicas_dead():
     cluster = LocalCluster(
         config=ClusterConfig(replication_factor=3, degraded_reads=True)
     )
-    cluster.frontend.filterset = RevocationBloom(capacity=256)
+    cluster.frontend.filterset = LearningBloom(capacity=256)
     identifier = cluster.claim_photo("degraded-revoked")
     cluster.frontend.revoke(identifier, cluster.owner)  # acked => in filter
     for shard_id in cluster.frontend.replicas_for(identifier):
@@ -98,7 +98,7 @@ def test_degraded_read_clears_unrevoked_records_from_the_filter():
     cluster = LocalCluster(
         config=ClusterConfig(replication_factor=3, degraded_reads=True)
     )
-    cluster.frontend.filterset = RevocationBloom(capacity=256)
+    cluster.frontend.filterset = LearningBloom(capacity=256)
     identifier = cluster.claim_photo("degraded-clean")
     for shard_id in cluster.frontend.replicas_for(identifier):
         cluster.transport.kill(shard_id)
@@ -118,6 +118,24 @@ def test_degraded_read_without_any_filter_is_maximally_conservative():
     assert answer.degraded and answer.revoked
 
 
+# -- deadline attribution ------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget, cause", [(5e-5, "deadline"), (0.03, "quorum")])
+def test_quorum_failure_with_the_budget_spent_is_a_deadline_answer(budget, cause):
+    """Replica RPC timers and the backstop expire together: same verdict."""
+    cluster = LocalCluster(config=ClusterConfig(replication_factor=3))
+    identifier = cluster.claim_photo("spent")
+    for shard_id in cluster.frontend.replicas_for(identifier):
+        cluster.transport.kill(shard_id)
+    box = []
+    cluster.frontend.status_async(
+        identifier, box.append, deadline=Deadline.after(cluster.clock(), budget)
+    )
+    cluster.frontend.flush()
+    assert not box[0].ok and box[0].cause == cause
+
+
 # -- circuit breakers ----------------------------------------------------------
 
 
@@ -129,7 +147,7 @@ def test_open_breakers_divert_reads_to_the_degraded_path():
             degraded_reads=True,
         )
     )
-    cluster.frontend.filterset = RevocationBloom(capacity=256)
+    cluster.frontend.filterset = LearningBloom(capacity=256)
     identifier = cluster.claim_photo("breaker")
     replicas = cluster.frontend.replicas_for(identifier)
     for shard_id in replicas:

@@ -16,6 +16,16 @@ from repro.media.image import generate_photo
 from repro.media.watermark import WatermarkCodec
 
 
+def pytest_addoption(parser, pluginmanager):
+    # pyproject.toml sets a per-test `timeout`, which pytest-timeout (the
+    # dev extra) enforces.  Without the plugin, claim the key here so the
+    # ceiling stays written down and pytest does not warn about it.
+    if not pluginmanager.hasplugin("timeout"):
+        parser.addini(
+            "timeout", "per-test wall-clock ceiling in seconds (pytest-timeout)"
+        )
+
+
 @pytest.fixture(scope="session")
 def session_keypair() -> KeyPair:
     """One reusable 512-bit key pair (keygen costs ~30 ms)."""

@@ -192,6 +192,43 @@ def test_deadline_strict_read_is_504():
     asyncio.run(inner())
 
 
+def test_deadline_header_reaches_the_rpc_timer():
+    """X-Deadline-Ms shortens the shard RPC timeout; without it, rpc_timeout."""
+    rpc_timeout = re.compile(r"rpc timeout after ([0-9.]+)s")
+
+    async def inner():
+        async with serve(populate=4, revoked_fraction=1.0) as env:
+            timeouts = []
+            invoke = env.cluster.transport.invoke
+
+            def spy(shard_id, method, payload, callback, timeout=None):
+                def recorded(reply):
+                    timeouts.append(float(rpc_timeout.match(reply.error).group(1)))
+                    callback(reply)
+
+                invoke(shard_id, method, payload, recorded, timeout=timeout)
+
+            env.cluster.transport.invoke = spy
+            for shard_id in env.cluster.shards:
+                env.cluster.delay_shard(shard_id, 0.5)
+            first, second = (
+                i.to_string() for i in env.population.identifiers[:2]
+            )
+
+            await env.client.request(
+                "GET", f"/status/{first}", headers={"X-Deadline-Ms": "30"}
+            )
+            await asyncio.sleep(0.05)
+            assert timeouts and max(timeouts) <= 0.030
+
+            del timeouts[:]
+            await env.client.request("GET", f"/status/{second}")
+            assert timeouts[0] == env.cluster.config.rpc_timeout
+            assert max(timeouts) <= env.cluster.config.rpc_timeout
+
+    asyncio.run(inner())
+
+
 def test_deadline_degraded_read_answers_203():
     """Same expiry with degraded reads on: a 203 Bloom-backed answer."""
 
