@@ -13,10 +13,11 @@ shard load sub-linear in client load:
 * **Filter pre-check** — an optional proxy-style
   :class:`~repro.proxy.filterset.ProxyFilterSet`: a Bloom miss means
   *definitely not revoked* and the query never reaches a shard.
-* **Per-shard batching** — concurrent lookups routed to the same shard
-  coalesce into one ``status`` RPC (up to ``max_batch``, or whatever
-  accumulated within ``batch_window`` of sim time), amortizing the
-  per-request overhead exactly as the aggregator recheck path does.
+* **Per-shard batching** — lookups routed to the same shard during
+  one scheduler tick (one event-loop iteration on asyncio, one instant
+  in netsim: a 64-id ``POST /status``, or every connection readable in
+  that iteration) coalesce into one ``status`` RPC, sent when the tick
+  ends — up to ``max_batch`` per RPC, and no lookup waits on a timer.
 * **Backpressure** — at most ``max_inflight`` batch RPCs are
   outstanding; further batches queue at the frontend instead of
   piling onto a saturated shard, which keeps the cluster in the
@@ -26,6 +27,13 @@ Reads default to hedged quorum reads (all R replicas asked, completion
 at ``read_quorum``) so one dead replica costs nothing but a timeout
 that the failure detector turns into suspicion; ``read_quorum=1`` gives
 primary reads with explicit failover through surviving replicas.
+Every replica of the read set answers ``state`` + ``epoch``; one — the
+*signer*, the first the failure detector trusts in ring order — also
+signs, so an authoritative answer costs one signature, not one per
+replica, and still carries a proof from a replica at the winning
+epoch.  When the quorum arrives without such a proof (signer dead, slow
+or stale) the frontend fetches one from a quorum member at the winning
+epoch, once per attempt; a failed fetch is a failed attempt.
 
 **Resilience layer** (all knobs default *off*, preserving the PR-1
 semantics exactly): failovers and retries are spaced by a seeded-jitter
@@ -105,7 +113,6 @@ class ClusterConfig:
     read_quorum: Optional[int] = None
     hedged_reads: Optional[bool] = None  # default: quorum > 1
     max_batch: int = 32
-    batch_window: float = 0.002
     max_inflight: int = 16
     # -- resilience: deadlines / retries ------------------------------------
     request_deadline: Optional[float] = None  # per-status budget (seconds)
@@ -169,8 +176,6 @@ class ClusterConfig:
             raise ValueError("quorums must be at least 1")
         if cfg.max_batch < 1 or cfg.max_inflight < 1:
             raise ValueError("max_batch and max_inflight must be positive")
-        if cfg.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
         if cfg.request_deadline is not None and cfg.request_deadline <= 0:
             raise ValueError("request_deadline must be positive when set")
         if cfg.max_retries < 0:
@@ -234,6 +239,7 @@ class FrontendStats:
     batches_sent: int = 0
     batch_items: int = 0
     read_repairs: int = 0
+    proof_fetches: int = 0  # quorums that arrived without a proof
     failovers: int = 0
     retries: int = 0  # fresh read attempts after backoff
     degraded_answers: int = 0  # answered from the filter (quorum unreachable)
@@ -264,8 +270,9 @@ class ClusterFrontend:
     detector:
         Shared failure detector; created from ``clock`` when omitted.
     scheduler:
-        ``scheduler(delay_s, callback)`` for batch-window, backoff and
-        deadline timers (the simulator's ``schedule`` in netsim mode).
+        ``scheduler(delay_s, callback)`` for the end-of-tick batch send
+        (``delay_s == 0``), backoff and deadline timers (the simulator's
+        ``schedule`` in netsim mode).
         When None the frontend runs in synchronous mode: every public
         call flushes its batches before returning and backoff delays
         collapse to immediate continuations.
@@ -360,10 +367,9 @@ class ClusterFrontend:
         self._hint_timer_armed = False
         self.executor = QuorumExecutor(transport, detector=self.detector)
         self.stats = FrontendStats()
-        # Per-shard pending (serial, collector, deadline) batches.
+        # Per-shard pending (collector, deadline, signed) batches.
         self._queues: Dict[str, List[tuple]] = {}
         self._ready: List[str] = []  # FIFO of shards with sendable batches
-        self._timer_armed: set = set()
         self._inflight = 0
 
     # -- observation -------------------------------------------------------------
@@ -642,6 +648,12 @@ class ClusterFrontend:
     ) -> None:
         key = identifier.to_string()
         quorum = min(self.config.read_quorum, len(read_set))
+        # One replica signs.  Ring order starts at a different shard for
+        # different keys, so the signing load spreads with the ring.
+        signer = next(
+            (s for s in read_set if not self.detector.is_suspect(s)),
+            read_set[0],
+        )
         rspan = None
         if self.obs is not None and ctx.span is not None:
             rspan = self.obs.start(
@@ -690,16 +702,30 @@ class ClusterFrontend:
                 return
             callback(self._answer_from(key, outcome))
 
+        def _fetch_proof(shard_id: str, collector: StatusCollector) -> None:
+            # Takes the collector as an argument rather than closing
+            # over it: a closure would tie every read into a reference
+            # cycle for the garbage collector to find.
+            self.stats.proof_fetches += 1
+            if self.obs is not None:
+                self.obs.counter("frontend_proof_fetches_total").inc()
+                if ctx.span is not None:
+                    ctx.span.event("proof_fetch", shard=shard_id)
+            self._enqueue(shard_id, collector, ctx.deadline, signed=True)
+            self._maybe_flush()
+
         collector = StatusCollector(
             serial=identifier.serial,
             replicas=read_set,
             quorum=quorum,
             on_done=_on_done,
             on_stale=self._repair,
+            on_unproven=_fetch_proof,
         )
         for shard_id in read_set:
-            self.stats.shard_lookups += 1
-            self._enqueue(shard_id, identifier.serial, collector, ctx.deadline)
+            self._enqueue(
+                shard_id, collector, ctx.deadline, signed=shard_id == signer
+            )
         self._maybe_flush()
 
     def _retry_or_degrade(
@@ -1190,22 +1216,25 @@ class ClusterFrontend:
     def _enqueue(
         self,
         shard_id: str,
-        serial: int,
-        collector,
-        deadline: Optional[Deadline] = None,
+        collector: StatusCollector,
+        deadline: Optional[Deadline],
+        signed: bool,
     ) -> None:
+        """Queue one replica sub-query; it leaves when this tick ends."""
+        self.stats.shard_lookups += 1
         queue = self._queues.setdefault(shard_id, [])
-        queue.append((serial, collector, deadline))
-        if shard_id in self._ready or shard_id in self._timer_armed:
-            return
+        queue.append((collector, deadline, signed))
         if self._scheduler is None or len(queue) >= self.config.max_batch:
             self._mark_ready(shard_id)
-        else:
-            self._timer_armed.add(shard_id)
-            self._scheduler(self.config.batch_window, lambda: self._expire(shard_id))
+        elif len(queue) == 1:
+            # First lookup for this shard since its queue drained:
+            # whatever else arrives before the scheduler runs again
+            # rides in the same RPC.  A longer queue already has this
+            # callback pending, or is held back by ``max_inflight`` and
+            # leaves when a reply frees a slot.
+            self._scheduler(0, lambda: self._end_of_tick(shard_id))
 
-    def _expire(self, shard_id: str) -> None:
-        self._timer_armed.discard(shard_id)
+    def _end_of_tick(self, shard_id: str) -> None:
         if self._queues.get(shard_id):
             self._mark_ready(shard_id)
             self._pump()
@@ -1213,7 +1242,6 @@ class ClusterFrontend:
     def _mark_ready(self, shard_id: str) -> None:
         if shard_id not in self._ready:
             self._ready.append(shard_id)
-        self._timer_armed.discard(shard_id)
 
     def _maybe_flush(self) -> None:
         if self._scheduler is None:
@@ -1222,7 +1250,7 @@ class ClusterFrontend:
             self._pump()
 
     def flush(self) -> None:
-        """Force every pending batch out (subject to the window)."""
+        """Force every pending batch out (subject to ``max_inflight``)."""
         for shard_id, queue in self._queues.items():
             if queue:
                 self._mark_ready(shard_id)
@@ -1248,7 +1276,6 @@ class ClusterFrontend:
         self.stats.peak_inflight = max(self.stats.peak_inflight, self._inflight)
         self.stats.batches_sent += 1
         self.stats.batch_items += len(batch)
-        serials = [serial for serial, _, _ in batch]
         bspan = None
         if self.obs is not None:
             self.obs.counter("frontend_batches_total", shard=shard_id).inc()
@@ -1265,11 +1292,11 @@ class ClusterFrontend:
             self._inflight -= 1
             if reply.ok:
                 self._record_result(shard_id, True)
-                for (serial, collector, _), entry in zip(batch, reply.value):
+                for (collector, _, _), entry in zip(batch, reply.value):
                     collector.record(shard_id, entry)
             else:
                 self._record_result(shard_id, False)
-                for serial, collector, _ in batch:
+                for collector, _, _ in batch:
                     collector.record_error(shard_id, reply.error)
             self._pump()
 
@@ -1279,13 +1306,16 @@ class ClusterFrontend:
         now = self._clock()
         budgets = [
             deadline.remaining(now)
-            for _, _, deadline in batch
+            for _, deadline, _ in batch
             if deadline is not None
         ]
         self.transport.invoke(
             shard_id,
             "status",
-            {"serials": serials},
+            {
+                "serials": [collector.serial for collector, _, _ in batch],
+                "signed": [signed for _, _, signed in batch],
+            },
             _on_reply,
             timeout=min(budgets) if budgets else None,
         )

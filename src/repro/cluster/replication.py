@@ -11,7 +11,9 @@ the ring: a key's R replicas are peers, and the frontend coordinates.
   (:class:`StatusCollector`).  With W + R > R-total the read quorum is
   guaranteed to overlap the last write quorum, so the merged answer —
   highest ``revocation_epoch`` wins — reflects every acknowledged
-  revocation even while some replica is down or stale.
+  revocation even while some replica is down or stale.  Every replica
+  answers ``state`` + ``epoch``; one, the signer the reader names,
+  also signs, and the merged answer carries that one proof.
 * **Read repair**: when a quorum read observes replicas at different
   epochs, the collector names the stale ones and the frontend pushes
   the winning state back to them (``apply_state``), so divergence
@@ -298,11 +300,18 @@ class StatusOutcome:
 class StatusCollector:
     """Accumulates one key's per-replica status answers.
 
-    Completion fires at ``quorum`` good answers; the winner is the
-    answer with the highest ``revocation_epoch`` (write quorums
-    guarantee at least one read-quorum member saw the newest epoch).
-    Every answer observed *below* the winning epoch — before or after
-    completion — is reported through ``on_stale`` for read repair.
+    The verdict is fixed at ``quorum`` good answers: the highest
+    ``revocation_epoch`` among them wins (write quorums guarantee at
+    least one read-quorum member saw the newest epoch).  Completion
+    also needs a *proof* at that epoch, and only the replica the reader
+    named as signer sends one.  When the quorum holds none (signer
+    dead, slow or stale) the collector asks ``on_unproven(shard_id,
+    collector)`` — once — to fetch a signed answer from a quorum member
+    at the winning epoch; the first answer at that epoch carrying a
+    proof, the late signer's or the fetched one, completes the read,
+    and a fetch that fails fails the read.  Every answer observed
+    *below* the winning epoch — before or after completion — is
+    reported through ``on_stale`` for read repair.
     """
 
     def __init__(
@@ -312,6 +321,7 @@ class StatusCollector:
         quorum: int,
         on_done: Callable[[StatusOutcome], None],
         on_stale: Optional[Callable[[str, StatusOutcome], None]] = None,
+        on_unproven: Optional[Callable[[str, "StatusCollector"], None]] = None,
     ):
         if not 1 <= quorum <= len(replicas):
             raise ValueError(
@@ -322,8 +332,11 @@ class StatusCollector:
         self.quorum = quorum
         self._on_done = on_done
         self._on_stale = on_stale
+        self._on_unproven = on_unproven
         self._answers: Dict[str, Dict[str, Any]] = {}
         self._errors: Dict[str, str] = {}
+        self._verdict: Optional[StatusOutcome] = None  # fixed at quorum
+        self._asked: Optional[str] = None  # replica asked for the proof
         self.outcome: Optional[StatusOutcome] = None
 
     @property
@@ -338,46 +351,76 @@ class StatusCollector:
         if self.done:
             self._check_stale(shard_id, entry)
             return
-        self._answers[shard_id] = entry
-        if len(self._answers) >= self.quorum:
-            self._complete()
+        verdict = self._verdict
+        if verdict is None:
+            self._answers[shard_id] = entry
+            if len(self._answers) >= self.quorum:
+                self._decide()
+        elif entry["epoch"] == verdict.epoch and "proof" in entry:
+            self._publish(shard_id, entry)
+        elif shard_id == self._asked:
+            self._fail(
+                f"no proof at epoch {verdict.epoch}: {shard_id} has moved "
+                f"to epoch {entry['epoch']}"
+            )
+        elif entry["epoch"] < verdict.epoch:
+            verdict.stale_shards.append(shard_id)  # repaired on publish
 
     def record_error(self, shard_id: str, error: str) -> None:
         if self.done:
             return
+        if self._verdict is not None:
+            # The quorum is in; only losing the proof fetch can still
+            # fail the read.  The replica's own error text is left out:
+            # a wiped replica's "unknown serial" must not read as the
+            # quorum's verdict.
+            if shard_id == self._asked:
+                self._fail(
+                    f"no proof at epoch {self._verdict.epoch}: "
+                    f"fetch from {shard_id} failed"
+                )
+            return
         self._errors[shard_id] = error
         if len(self.expected) - len(self._errors) < self.quorum:
-            outcome = StatusOutcome(
-                serial=self.serial,
-                ok=False,
-                error=(
-                    f"status quorum {self.quorum}/{len(self.expected)} "
-                    f"unreachable: {sorted(self._errors.values())[0]}"
-                ),
+            self._fail(
+                f"status quorum {self.quorum}/{len(self.expected)} "
+                f"unreachable: {sorted(self._errors.values())[0]}"
             )
-            self.outcome = outcome
-            self._on_done(outcome)
 
-    def _complete(self) -> None:
-        winner_shard, winner = max(
-            self._answers.items(), key=lambda item: item[1]["epoch"]
-        )
-        outcome = StatusOutcome(
+    def _decide(self) -> None:
+        """Quorum reached: fix the verdict, then find or fetch its proof."""
+        answers = self._answers
+        epoch = max(entry["epoch"] for entry in answers.values())
+        self._verdict = StatusOutcome(
             serial=self.serial,
             ok=True,
-            proof=winner["proof"],
-            state=winner["state"],
-            epoch=winner["epoch"],
-            answered_by=winner_shard,
+            epoch=epoch,
+            stale_shards=[s for s, e in answers.items() if e["epoch"] < epoch],
         )
+        winners = [s for s, e in answers.items() if e["epoch"] == epoch]
+        proven = next((s for s in winners if "proof" in answers[s]), None)
+        if proven is not None:
+            self._publish(proven, answers[proven])
+        elif self._on_unproven is None:
+            self._fail(f"no proof at epoch {epoch}: no replica was asked to sign")
+        else:
+            self._asked = winners[0]
+            self._on_unproven(self._asked, self)
+
+    def _publish(self, shard_id: str, entry: Dict[str, Any]) -> None:
+        outcome = self._verdict
+        outcome.proof = entry["proof"]
+        outcome.state = entry["state"]
+        outcome.answered_by = shard_id
         self.outcome = outcome
-        for shard_id, entry in self._answers.items():
-            if entry["epoch"] < winner["epoch"]:
-                outcome.stale_shards.append(shard_id)
         self._on_done(outcome)
         if self._on_stale is not None:
-            for shard_id in outcome.stale_shards:
-                self._on_stale(shard_id, outcome)
+            for stale_id in outcome.stale_shards:
+                self._on_stale(stale_id, outcome)
+
+    def _fail(self, error: str) -> None:
+        self.outcome = StatusOutcome(serial=self.serial, ok=False, error=error)
+        self._on_done(self.outcome)
 
     def _check_stale(self, shard_id: str, entry: Dict[str, Any]) -> None:
         """A reply that arrived after completion may still need repair."""

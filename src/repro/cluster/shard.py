@@ -30,8 +30,9 @@ serves the in-process transport and the netsim RPC endpoints:
   flips then propagate to peers as ``apply_state``.
 * ``apply_state`` — follower/read-repair application, last-writer-wins
   on ``revocation_epoch``.
-* ``status`` — batched signed statuses, each carrying the record's
-  epoch so quorum readers can detect divergence.
+* ``status`` — batched statuses: every answer carries the record's
+  state and epoch so quorum readers can detect divergence, and the
+  serials the reader flagged also carry a signed proof.
 * ``digest`` / ``fetch_records`` / ``install_record`` — the
   anti-entropy surface: a cheap ``{serial: epoch}`` summary for
   reconciliation, full-record export from a fresh holder, and
@@ -304,22 +305,29 @@ class ClusterShard:
     # -- protocol: status -------------------------------------------------------------
 
     def status(self, payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-        """Batched signed statuses, each with the record's epoch."""
+        """Batched statuses: each record's state and epoch, signed on request.
+
+        ``payload['signed']`` runs parallel to ``payload['serials']``.
+        A quorum reader needs every replica's ``state`` + ``epoch`` to
+        pick the winner but only one signature to prove it, so it flags
+        the serials this replica should sign; those answers also carry
+        a ``proof`` (:meth:`Ledger.status`, the RSA signature — nearly
+        all of a status item's cost).
+        """
         answers: List[Dict[str, Any]] = []
-        for serial in payload["serials"]:
+        for serial, signed in zip(payload["serials"], payload["signed"]):
             record = self.ledger.store.get(serial)
             if record is None:
                 answers.append({"serial": serial, "error": "unknown serial"})
                 continue
-            proof = self.ledger.status(self._identifier(serial))
-            answers.append(
-                {
-                    "serial": serial,
-                    "proof": proof,
-                    "epoch": record.revocation_epoch,
-                    "state": record.state.value,
-                }
-            )
+            answer = {
+                "serial": serial,
+                "epoch": record.revocation_epoch,
+                "state": record.state.value,
+            }
+            if signed:
+                answer["proof"] = self.ledger.status(self._identifier(serial))
+            answers.append(answer)
         return answers
 
     # -- transport wiring -------------------------------------------------------------

@@ -46,7 +46,12 @@ class ShardCostModel:
 
     Defaults model a small key-value service: ~50 us fixed overhead per
     request plus ~120 us of signing/lookup per status item, i.e. a
-    single shard saturates around 6-8k status items/second.
+    single shard saturates around 6-8k status items/second.  Every
+    status item is charged that signed price, including the ones a
+    quorum read asks only ``state`` + ``epoch`` of: the model predates
+    one-signer reads and is kept as it was, so that a shift in the
+    simulated experiments' CSVs is the protocol's doing, not the
+    price list's.
     """
 
     request_overhead: float = 50e-6

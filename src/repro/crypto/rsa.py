@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,13 +208,20 @@ class RsaPrivateKey:
     def public(self) -> RsaPublicKey:
         return RsaPublicKey(n=self.n, e=self.e)
 
+    @cached_property
+    def _crt(self) -> Tuple[int, int, int]:
+        """``(d mod p-1, d mod q-1, q^-1 mod p)``: fixed per key, not per signature."""
+        return (
+            self.d % (self.p - 1),
+            self.d % (self.q - 1),
+            pow(self.q, -1, self.p),
+        )
+
     def sign_int(self, digest: int) -> int:
         """Sign a digest integer, returning the raw signature integer."""
         m = _pad_digest(digest, self.n)
         # CRT: compute m^d mod p and mod q, then recombine.
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        qinv = pow(self.q, -1, self.p)
+        dp, dq, qinv = self._crt
         sp = pow(m % self.p, dp, self.p)
         sq = pow(m % self.q, dq, self.q)
         h = (qinv * (sp - sq)) % self.p

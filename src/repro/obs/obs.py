@@ -25,12 +25,20 @@ __all__ = ["Observability"]
 
 
 class Observability:
-    """Metrics + tracing over one injected clock."""
+    """Metrics + tracing over one injected clock.
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    ``retain_spans`` is the tracer's finished-span ring size (None, the
+    default, keeps every span — see :class:`~repro.obs.tracing.Tracer`).
+    """
+
+    def __init__(
+        self,
+        clock: Optional[Callable[[], float]] = None,
+        retain_spans: Optional[int] = None,
+    ):
         self._clock = clock or (lambda: 0.0)
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(self._clock)
+        self.tracer = Tracer(self._clock, retain=retain_spans)
 
     def now(self) -> float:
         return self._clock()

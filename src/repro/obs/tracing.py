@@ -26,8 +26,9 @@ call chains with callback-driven ones:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "Tracer"]
 
@@ -109,14 +110,26 @@ class _SpanContext:
 
 
 class Tracer:
-    """Mints spans with sequential ids over one injected clock."""
+    """Mints spans with sequential ids over one injected clock.
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    ``retain`` bounds how many finished spans are kept: None (every
+    simulation, whose exports need the whole run) keeps all of them; a
+    long-running process passes a ring size and keeps only the most
+    recent, so its memory does not grow with the requests it served.
+    """
+
+    def __init__(
+        self,
+        clock: Optional[Callable[[], float]] = None,
+        retain: Optional[int] = None,
+    ):
+        if retain is not None and retain < 1:
+            raise ValueError("a span ring must retain at least one span")
         self._clock = clock or (lambda: 0.0)
         self._next_span_id = 1
         self._next_trace_id = 1
         self._stack: List[Span] = []
-        self._finished: List[Span] = []
+        self._finished: Deque[Span] = deque(maxlen=retain)
         self._open = 0
 
     def now(self) -> float:
@@ -172,7 +185,7 @@ class Tracer:
 
     @property
     def finished(self) -> List[Span]:
-        """Finished spans in completion order (the export order)."""
+        """Retained finished spans in completion order (the export order)."""
         return list(self._finished)
 
     @property

@@ -17,6 +17,11 @@ from typing import Optional, Tuple
 
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
 
+# Finished spans the served process keeps: the most recent few thousand
+# are what a debugger attached to a live server can use; keeping them
+# all grows the heap with every request served.
+SERVED_SPAN_RING = 4096
+
 __all__ = [
     "add_serve_arguments",
     "add_loadgen_arguments",
@@ -138,7 +143,7 @@ def run_serve(args: argparse.Namespace) -> int:
 
     async def _main() -> None:
         loop = asyncio.get_running_loop()
-        obs = Observability(clock=loop.time)
+        obs = Observability(clock=loop.time, retain_spans=SERVED_SPAN_RING)
         app = _build_app(args, obs)
         server = ServiceServer(app, host=args.host, port=args.port)
         host, port = await server.start()
@@ -176,7 +181,7 @@ async def _self_serve(
     from repro.service.protocol import HttpClient
 
     loop = asyncio.get_running_loop()
-    obs = Observability(clock=loop.time)
+    obs = Observability(clock=loop.time, retain_spans=SERVED_SPAN_RING)
     serve_defaults = argparse.Namespace(
         shards=4, replication=3, seed=args.seed, populate=64,
         revoked_fraction=0.2, deadline=0.25, shed_rate=None, strict=False,

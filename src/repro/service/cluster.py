@@ -129,7 +129,6 @@ class LiveClusterConfig:
     shed_rate: Optional[float] = None  # requests/second; None = no shedding
     shed_burst: int = 32
     degraded_reads: bool = True
-    batch_window: float = 0.002
     filter_capacity: int = 8192
 
     def cluster_config(self) -> ClusterConfig:
@@ -148,7 +147,6 @@ class LiveClusterConfig:
             shed_burst=self.shed_burst,
             degraded_reads=self.degraded_reads,
             hinted_handoff=True,
-            batch_window=self.batch_window,
         )
 
 
@@ -156,8 +154,9 @@ class LiveCluster(Cluster):
     """Shards + frontend wired to the running event loop.
 
     Must be constructed inside a running loop (the server's); the
-    frontend's scheduler is ``loop.call_later``, so batch windows,
-    backoff, deadline backstops and hint replay all ride real time.
+    frontend's scheduler is ``loop.call_later``, so backoff, deadline
+    backstops and hint replay ride real time and a batch leaves on the
+    loop iteration after the one that filled it.
     """
 
     def __init__(

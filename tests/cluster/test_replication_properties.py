@@ -11,12 +11,21 @@ Two properties carry the whole consistency story:
   regardless of delivery order or duplication, and the survivor is the
   highest epoch.  This is the property the chaos self-test breaks on
   purpose (see :mod:`repro.chaos.selftest`).
+
+A third holds the read path's economy to the first: a quorum read in
+which one replica signs reaches the verdict of one in which all do,
+under every reply order, and never answers without a proof.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ClusterConfig, ClusterShard
+from repro.cluster import (
+    ClusterConfig,
+    ClusterDirectory,
+    ClusterShard,
+    StatusCollector,
+)
 from repro.core.identifiers import PhotoIdentifier
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import KeyPair
@@ -119,10 +128,14 @@ def _shared_fixtures():
     return _FIXTURES
 
 
-def _fresh_replica(shard_id: str, serial: int) -> ClusterShard:
+def _fresh_replica(shard_id: str, serial: int, keypair=None) -> ClusterShard:
     f = _shared_fixtures()
     shard = ClusterShard(
-        shard_id, "lww", f["tsa"], keypair=f["keypair"], clock=f["clock"].now
+        shard_id,
+        "lww",
+        f["tsa"],
+        keypair=keypair or f["keypair"],
+        clock=f["clock"].now,
     )
     shard.ledger.store.put(
         ClaimRecord(
@@ -164,3 +177,160 @@ def test_lww_convergence_is_order_and_duplication_independent(interleaving):
     assert record_a.state == RevocationState(winner_state)
     # Duplicated deliveries were recognized as stale, not re-applied.
     assert replica_b.stale_applies_ignored >= len(messages)
+
+
+# -- the collector under every reply order --------------------------------------
+
+_SERIAL = 7
+_STATES = ["not_revoked", "revoked"]  # a replica's state at epoch e: e % 2
+
+
+def _replica_keys():
+    """One signing key per replica slot, generated once."""
+    f = _shared_fixtures()
+    if "replica_keys" not in f:
+        rng = np.random.default_rng(7)
+        f["replica_keys"] = [
+            KeyPair.generate(bits=512, rng=rng) for _ in range(MAX_SHARDS)
+        ]
+    return f["replica_keys"]
+
+
+def _replica_at(index: int, epoch: int) -> ClusterShard:
+    shard = _fresh_replica(f"s{index}", _SERIAL, keypair=_replica_keys()[index])
+    if epoch:
+        shard.apply_state(
+            {"serial": _SERIAL, "state": _STATES[epoch % 2], "epoch": epoch}
+        )
+    return shard
+
+
+@st.composite
+def read_scripts(draw):
+    """(quorum, per-replica (reply kind, epoch), arrival order, fetch script).
+
+    Every replica's reply to the read arrives, in any order; the ones
+    after the quorum are the late ones.  ``fetch`` scripts the proof
+    fetch, should the collector ask for one: how many further replies
+    land before its own, and whether it comes back signed, as an error,
+    or from a replica that has moved on to a newer epoch meanwhile.
+    """
+    n = draw(st.integers(1, MAX_SHARDS))
+    quorum = draw(st.integers(1, n))
+    replies = [
+        (
+            draw(st.sampled_from(["signed", "unsigned", "error"])),
+            draw(st.integers(0, 3)),
+        )
+        for _ in range(n)
+    ]
+    order = draw(st.permutations(range(n)))
+    fetch = (
+        draw(st.integers(0, n)),
+        draw(st.sampled_from(["signed", "error", "moved"])),
+    )
+    return quorum, replies, order, fetch
+
+
+def _all_signed_oracle(quorum, replies, order):
+    """The parent commit's collector: every replica signs, first quorum decides.
+
+    Returns ``(ok, epoch, stale)``; ``stale`` in the order the old
+    collector reported it (quorum members, then late replies).
+    """
+    n = len(replies)
+    answers, errors, decided, late_stale = {}, 0, None, []
+    for index in order:
+        kind, epoch = replies[index]
+        if decided is None:
+            if kind == "error":
+                errors += 1
+                if n - errors < quorum:
+                    return False, -1, []
+            else:
+                answers[index] = epoch
+                if len(answers) >= quorum:
+                    decided = max(answers.values())
+        elif kind != "error" and epoch < decided:
+            late_stale.append(index)
+    stale = [i for i, epoch in answers.items() if epoch < decided]
+    return True, decided, stale + late_stale
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=read_scripts())
+def test_collector_reaches_the_all_signed_verdict_under_any_reply_order(script):
+    quorum, replies, order, (fetch_after, fetch_kind) = script
+    shards = [_replica_at(i, epoch) for i, (_, epoch) in enumerate(replies)]
+    names = [shard.shard_id for shard in shards]
+    directory = ClusterDirectory(shards)
+    ok, epoch, stale = _all_signed_oracle(quorum, replies, order)
+    outcomes, repairs, fetches = [], [], []
+    collector = StatusCollector(
+        _SERIAL,
+        names,
+        quorum,
+        outcomes.append,
+        on_stale=lambda shard_id, outcome: repairs.append(shard_id),
+        on_unproven=lambda shard_id, asked: fetches.append((shard_id, asked)),
+    )
+
+    def answer(index, signed):
+        return shards[index].status(
+            {"serials": [_SERIAL], "signed": [signed]}
+        )[0]
+
+    def land_fetch():
+        asked = names.index(fetches[0][0])
+        if fetch_kind == "error":
+            collector.record_error(names[asked], "rpc timeout after 0.100s")
+            return
+        if fetch_kind == "moved":
+            newer = replies[asked][1] + 1
+            shards[asked].apply_state(
+                {"serial": _SERIAL, "state": _STATES[newer % 2], "epoch": newer}
+            )
+        collector.record(names[asked], answer(asked, True))
+
+    to_land = None  # replies still to arrive before the fetch's own
+    for index in order:
+        kind, _ = replies[index]
+        decided = len(outcomes)
+        if kind == "error":
+            collector.record_error(names[index], "shard down")
+        else:
+            collector.record(names[index], answer(index, kind == "signed"))
+        # A read the quorum can answer is never failed by a replica's
+        # reply or error -- only, below, by losing the proof fetch.
+        assert not ok or all(outcome.ok for outcome in outcomes[decided:])
+        if to_land is None:
+            to_land = fetch_after if fetches else None
+        elif to_land > 0:
+            to_land -= 1
+        if to_land == 0:
+            land_fetch()
+            to_land = -1
+    if to_land is not None and to_land > 0:
+        land_fetch()
+
+    assert len(outcomes) == 1  # on_done fires exactly once
+    assert len(fetches) <= 1  # at most one proof fetch per attempt
+    assert all(asked is collector for _, asked in fetches)
+    outcome = outcomes[0]
+    if not ok:
+        assert not outcome.ok and "unreachable" in outcome.error
+        assert not fetches
+        return
+    if not outcome.ok:
+        assert fetches and fetch_kind != "signed", outcome.error
+        return
+    assert outcome.epoch == epoch
+    assert outcome.state == _STATES[epoch % 2]
+    assert [names.index(s) for s in outcome.stale_shards] == stale
+    assert repairs == outcome.stale_shards
+    # The proof is one replica's own signature, made at the winning epoch.
+    assert directory.verify(outcome.proof)
+    assert outcome.proof.revoked == (outcome.state == "revoked")
+    signer = shards[names.index(outcome.answered_by)]
+    assert directory.shard_for(outcome.proof.ledger_fingerprint) is signer
+    assert signer.ledger.store.get(_SERIAL).revocation_epoch == epoch

@@ -272,11 +272,6 @@ def test_read_quorum_above_replication_factor_names_both_numbers():
         ClusterConfig(replication_factor=3, read_quorum=4).resolved()
 
 
-def test_negative_batch_window_is_rejected():
-    with pytest.raises(ValueError, match="batch_window must be non-negative"):
-        ClusterConfig(batch_window=-0.001).resolved()
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

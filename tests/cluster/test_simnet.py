@@ -71,11 +71,20 @@ def test_population_seeding_places_real_replicas():
 
 
 def test_batching_amortizes_shard_requests():
-    cluster = _small_cluster(config=ClusterConfig(replication_factor=3, batch_window=0.01))
+    cluster = _small_cluster()
     population = cluster.seed_population(100, revoked_fraction=0.2)
     sim = cluster.simulator
     done = []
-    # A burst arriving inside one batch window must coalesce.
+    sent = []  # (sim time, shard, batch size) of every status RPC
+    invoke = cluster.transport.invoke
+
+    def spy(shard_id, method, payload, callback, timeout=None):
+        if method == "status":
+            sent.append((sim.now, shard_id, len(payload["serials"])))
+        invoke(shard_id, method, payload, callback, timeout=timeout)
+
+    cluster.transport.invoke = spy
+    # A burst arriving at one instant must coalesce.
     for index in range(40):
         identifier = population.identifiers[index]
         sim.schedule(
@@ -84,8 +93,15 @@ def test_batching_amortizes_shard_requests():
     sim.run(until=10.0)
     stats = cluster.frontend.stats
     assert len(done) == 40
-    assert stats.batches_sent < stats.shard_lookups
-    assert stats.mean_batch_size > 2.0
+    # Three shards, replication 3: every shard hears of all 40 ids at
+    # the instant they arrived, in one RPC of 32 (max_batch) and one of
+    # 8.  What follows are proof fetches for reads whose signer was the
+    # last of the three to answer.
+    assert sorted(sent[:6]) == sorted(
+        (0.0005, f"shard-{i}", size) for i in range(3) for size in (32, 8)
+    )
+    assert sum(size for _, _, size in sent[6:]) == stats.proof_fetches
+    assert stats.shard_lookups == 120 + stats.proof_fetches
 
 
 def test_same_seed_same_trajectory():

@@ -74,6 +74,18 @@ class TestManualSpans:
         assert tracer.open_spans == 0
         assert tracer.by_name("op") == [span]
 
+    def test_retention_ring_keeps_only_the_most_recent_spans(self):
+        tracer = Tracer(retain=3)
+        for i in range(5):
+            tracer.start(f"op{i}").end()
+        assert [span.name for span in tracer.finished] == ["op2", "op3", "op4"]
+        assert len(tracer) == 3 and tracer.open_spans == 0
+        assert tracer.by_name("op0") == []
+        # Ids keep counting: a ring drops spans, it does not reuse them.
+        assert tracer.start("next").span_id == 6
+        with pytest.raises(ValueError):
+            Tracer(retain=0)
+
 
 class TestContextManagerSpans:
     def test_nested_with_blocks_parent_automatically(self):
