@@ -63,9 +63,7 @@ def resilience_config(policy: str, num_shards: int = 4) -> ClusterConfig:
         max_retries=3,
         max_failover_depth=2,
         backoff_base=0.01,
-        backoff_multiplier=2.0,
         backoff_cap=0.08,
-        backoff_jitter=0.5,
     )
     if policy == "retry":
         return ClusterConfig(**retry)

@@ -123,13 +123,10 @@ class ClusterConfig:
     # try all n replicas when the quorum is small.
     max_failover_depth: Optional[int] = None
     backoff_base: float = 0.005
-    backoff_multiplier: float = 2.0
     backoff_cap: float = 0.1
-    backoff_jitter: float = 0.5
     # -- resilience: circuit breakers / shedding ----------------------------
     breaker_threshold: Optional[int] = None  # None disables breakers
     breaker_reset_timeout: float = 1.0
-    breaker_half_open_probes: int = 1
     shed_rate: Optional[float] = None  # tokens/second; None disables
     shed_burst: int = 32
     # -- resilience: degraded reads / hinted handoff ------------------------
@@ -139,12 +136,7 @@ class ClusterConfig:
     max_hints_per_shard: int = 4096
 
     def backoff_policy(self) -> BackoffPolicy:
-        return BackoffPolicy(
-            base=self.backoff_base,
-            multiplier=self.backoff_multiplier,
-            cap=self.backoff_cap,
-            jitter=self.backoff_jitter,
-        )
+        return BackoffPolicy(base=self.backoff_base, cap=self.backoff_cap)
 
     def resolved(self) -> "ClusterConfig":
         r = self.replication_factor
@@ -182,13 +174,11 @@ class ClusterConfig:
             raise ValueError("max_retries must be non-negative")
         if cfg.max_failover_depth is not None and cfg.max_failover_depth < 0:
             raise ValueError("max_failover_depth must be non-negative")
-        cfg.backoff_policy()  # validates base/multiplier/cap/jitter
+        cfg.backoff_policy()  # validates base/cap
         if cfg.breaker_threshold is not None and cfg.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be at least 1 when set")
         if cfg.breaker_reset_timeout <= 0:
             raise ValueError("breaker_reset_timeout must be positive")
-        if cfg.breaker_half_open_probes < 1:
-            raise ValueError("breaker_half_open_probes must be at least 1")
         if cfg.shed_rate is not None and cfg.shed_rate <= 0:
             raise ValueError("shed_rate must be positive when set")
         if cfg.shed_burst < 1:
@@ -342,7 +332,6 @@ class ClusterFrontend:
                 self._clock,
                 failure_threshold=self.config.breaker_threshold,
                 reset_timeout=self.config.breaker_reset_timeout,
-                half_open_probes=self.config.breaker_half_open_probes,
                 on_transition=(
                     self._breaker_transition if obs is not None else None
                 ),

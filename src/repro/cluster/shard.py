@@ -227,15 +227,13 @@ class ClusterShard:
         if epoch <= record.revocation_epoch:
             self.stale_applies_ignored += 1
             return {"applied": False, "epoch": record.revocation_epoch}
-        apply_time = self.ledger.now()
         self.ledger.store.apply_flip(
             serial,
             RevocationState(payload["state"]),
             epoch,
             "apply_state",
-            apply_time,
+            self.ledger.now(),
         )
-        self.ledger.store.log_operation("apply_state", serial, apply_time)
         self.states_applied += 1
         return {"applied": True, "epoch": epoch}
 
@@ -290,15 +288,13 @@ class ClusterShard:
         if incoming.revocation_epoch <= existing.revocation_epoch:
             self.stale_applies_ignored += 1
             return {"installed": False, "epoch": existing.revocation_epoch}
-        install_time = self.ledger.now()
         self.ledger.store.apply_flip(
             serial,
             incoming.state,
             incoming.revocation_epoch,
             "install",
-            install_time,
+            self.ledger.now(),
         )
-        self.ledger.store.log_operation("install_record", serial, install_time)
         self.states_applied += 1
         return {"installed": True, "epoch": incoming.revocation_epoch}
 

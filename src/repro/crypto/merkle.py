@@ -11,7 +11,10 @@ batch of claims/revocations, and auditors verify
   rewriting history.
 
 This module implements an RFC 6962-style Merkle tree over arbitrary
-byte leaves, including both proof types, used by
+byte leaves, including both proof types.  The ledger's tree
+(:attr:`repro.ledger.storage.LedgerStore.merkle`) is a view of its
+event chain, not a second log: leaf *i* is the chain hash of the
+*i*-th event sealed since the chain's anchor.  It is used by
 :mod:`repro.ledger.probes` for honesty auditing.
 """
 

@@ -194,11 +194,7 @@ class Ledger:
             state=state,
             custodial=custodial,
         )
-        claim_time = self.now()
-        self.store.put(record, time=claim_time)
-        self.store.log_operation("claim", serial, claim_time)
-        if initially_revoked:
-            self.store.log_operation("revoke", serial, self.now())
+        self.store.put(record, time=self.now())
         self.claims_served += 1
         return record
 
@@ -227,7 +223,15 @@ class Ledger:
         """Issue a nonce the owner must sign to prove ownership."""
         record = self._require_record(identifier)
         nonce = secrets.token_bytes(16)
-        self._challenges[(record.identifier.serial, nonce)] = self.now()
+        now = self.now()
+        # A nonce whose flip never arrives is otherwise never removed.
+        # The dict is in issue order, so the expired ones lead it.
+        while self._challenges:
+            oldest = next(iter(self._challenges))
+            if now - self._challenges[oldest] <= self.config.challenge_ttl:
+                break
+            del self._challenges[oldest]
+        self._challenges[(record.identifier.serial, nonce)] = now
         return nonce
 
     def _consume_challenge(self, serial: int, nonce: bytes) -> None:
@@ -282,15 +286,13 @@ class Ledger:
         if record.state is RevocationState.PERMANENTLY_REVOKED:
             raise RevocationError("photo is permanently revoked")
         if record.state is RevocationState.NOT_REVOKED:
-            flip_time = self.now()
             self.store.apply_flip(
                 identifier.serial,
                 RevocationState.REVOKED,
                 record.revocation_epoch + 1,
                 "revoke",
-                flip_time,
+                self.now(),
             )
-            self.store.log_operation("revoke", identifier.serial, flip_time)
         self.revocations_served += 1
         return record
 
@@ -310,31 +312,25 @@ class Ledger:
                 "photo was permanently revoked by the appeals process"
             )
         if record.state is RevocationState.REVOKED:
-            flip_time = self.now()
             self.store.apply_flip(
                 identifier.serial,
                 RevocationState.NOT_REVOKED,
                 record.revocation_epoch + 1,
                 "unrevoke",
-                flip_time,
+                self.now(),
             )
-            self.store.log_operation("unrevoke", identifier.serial, flip_time)
         self.revocations_served += 1
         return record
 
     def permanently_revoke(self, identifier: PhotoIdentifier) -> ClaimRecord:
         """Appeals-process outcome: irreversible revocation of a copy."""
         record = self._require_record(identifier)
-        flip_time = self.now()
         self.store.apply_flip(
             identifier.serial,
             RevocationState.PERMANENTLY_REVOKED,
             record.revocation_epoch + 1,
             "permanent_revoke",
-            flip_time,
-        )
-        self.store.log_operation(
-            "permanent_revoke", identifier.serial, flip_time
+            self.now(),
         )
         return record
 

@@ -6,9 +6,11 @@ ensure that they are being answered correctly."
 
 :class:`HonestyProber` maintains canary claims whose true state it
 controls, flips them at random, and checks that the ledger's signed
-status answers match.  It also audits the ledger's Merkle transparency
-log for history rewrites.  Signed wrong answers are retained as
-portable evidence (the reputational mechanism the paper leans on).
+status answers match.  It also audits the ledger's event chain for
+history rewrites, through the Merkle view of it: the prober keeps the
+last ``(size, root)`` it saw and the next round's tree must extend it.
+Signed wrong answers are retained as portable evidence (the
+reputational mechanism the paper leans on).
 """
 
 from __future__ import annotations

@@ -112,18 +112,6 @@ class ClaimRecord:
             revocation_epoch=data["epoch"],
         )
 
-    def to_leaf_bytes(self) -> bytes:
-        """Canonical bytes for the Merkle transparency log."""
-        return hash_struct(
-            {
-                "identifier": self.identifier.to_string(),
-                "content_hash": self.content_hash,
-                "public_key": self.public_key.to_dict(),
-                "timestamp_time": self.timestamp.time,
-                "timestamp_serial": self.timestamp.serial,
-            }
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ClaimRecord({self.identifier}, state={self.state.value}, "

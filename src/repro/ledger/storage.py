@@ -1,4 +1,4 @@
-"""Ledger persistence: event-sourced record store plus operation log.
+"""Ledger persistence: event-sourced record store and its Merkle view.
 
 The records map is a *materialized view* of an append-only,
 hash-chained event log (:mod:`repro.ledger.events`): every mutation —
@@ -9,46 +9,29 @@ layer (:mod:`repro.ledger.durable`) persist each event as it is
 sealed; :meth:`restore` is the inverse, installing crash-recovered
 state and resuming the chain from the verified head.
 
-The legacy operation log (mirrored into a Merkle tree so auditors can
-verify history is never rewritten — section 5, malicious ledgers) is
-kept alongside: it records *operations* at ledger granularity, while
-the event log records *state transitions* at replica granularity.
+That chain is the only history.  The Merkle tree auditors check for
+rewrites (section 5, malicious ledgers) is a view of it: leaf *i* is
+the chain hash of the *i*-th event sealed since the chain's anchor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional
 
-from repro.crypto.hashing import hash_struct
 from repro.crypto.merkle import MerkleLog
-from repro.ledger.events import EventLog, LedgerEvent
+from repro.ledger.events import GENESIS_HASH, EventLog, LedgerEvent
 from repro.ledger.records import ClaimRecord, RevocationState
 
-__all__ = ["LedgerStore", "LoggedOperation"]
-
-
-@dataclass(frozen=True)
-class LoggedOperation:
-    """One entry in the append-only operation log."""
-
-    kind: str  # 'claim' | 'revoke' | 'unrevoke' | 'permanent_revoke'
-    serial: int
-    time: float
-
-    def to_leaf_bytes(self) -> bytes:
-        return hash_struct({"kind": self.kind, "serial": self.serial, "time": self.time})
+__all__ = ["LedgerStore"]
 
 
 class LedgerStore:
-    """Records, serial allocation, event chain, operation log."""
+    """Records, serial allocation, the event chain and its Merkle view."""
 
     def __init__(self):
         self._records: Dict[int, ClaimRecord] = {}
         self._next_serial = 1
-        self._operations: list[LoggedOperation] = []
-        self._merkle = MerkleLog()
-        self._events = EventLog()
+        self._anchor_chain(0, GENESIS_HASH)
         self._journal: Optional[Callable[[LedgerEvent], None]] = None
 
     # -- serials ---------------------------------------------------------------
@@ -80,16 +63,22 @@ class LedgerStore:
         """
         self._journal = journal
 
+    def _anchor_chain(self, anchor_seq: int, anchor_hash: bytes) -> None:
+        """Start the chain at an anchor, with an empty Merkle view of it."""
+        self._events = EventLog(anchor_seq=anchor_seq, anchor_hash=anchor_hash)
+        self._merkle = MerkleLog()
+
     def _seal(
         self, kind: str, serial: int, time: float, payload: dict
     ) -> LedgerEvent:
         """Append to the chain and journal the sealed event.
 
-        Called *after* the materialized view has been mutated, so a
-        journal that snapshots sees state consistent with the event's
-        sequence number.
+        The one place a mutation is recorded.  Called *after* the
+        materialized view has been mutated, so a journal that snapshots
+        sees state consistent with the event's sequence number.
         """
         event = self._events.append(kind, serial, time, payload)
+        self.log_operation(event)
         if self._journal is not None:
             self._journal(event)
         return event
@@ -143,16 +132,14 @@ class LedgerStore:
     def wipe(self) -> int:
         """Lose everything — a crash that takes the disk with it.
 
-        Records, operation log, Merkle mirror and event chain all reset
-        (they are one node's local state; peers keep theirs).  The
-        serial allocator is preserved so a restarted single-node ledger
-        cannot re-mint identifiers.  Returns the number of records lost.
+        Records and the event chain reset (they are one node's local
+        state; peers keep theirs).  The serial allocator is preserved
+        so a restarted single-node ledger cannot re-mint identifiers.
+        Returns the number of records lost.
         """
         lost = len(self._records)
         self._records.clear()
-        self._operations.clear()
-        self._merkle = MerkleLog()
-        self._events = EventLog()
+        self._anchor_chain(0, GENESIS_HASH)
         return lost
 
     def restore(
@@ -167,34 +154,32 @@ class LedgerStore:
         The records are adopted as-is (no events are sealed — they were
         already sealed before the crash); the chain resumes from the
         verified head so post-recovery mutations extend the proven
-        history.  The operation log restarts empty: it is an audit log
-        of what *this process* performed, not recovered state.
+        history.  The Merkle view covers what is sealed from that
+        anchor on; the history before it is on disk, proven by the
+        head hash.
         """
         self._records = dict(records)
         self._next_serial = max(self._next_serial, next_serial)
-        self._operations.clear()
-        self._merkle = MerkleLog()
-        self._events = EventLog(anchor_seq=head_seq, anchor_hash=head_hash)
+        self._anchor_chain(head_seq, head_hash)
 
     def revoked_records(self) -> Iterator[ClaimRecord]:
         for record in self.records():
             if record.is_revoked:
                 yield record
 
-    # -- operation log -----------------------------------------------------------
+    # -- Merkle view -------------------------------------------------------------
 
-    def log_operation(self, kind: str, serial: int, time: float) -> int:
-        """Append to the operation log; returns the log index."""
-        op = LoggedOperation(kind=kind, serial=serial, time=time)
-        self._operations.append(op)
-        return self._merkle.append(op.to_leaf_bytes())
+    def log_operation(self, event: LedgerEvent) -> None:
+        """Append a just-sealed event's chain hash as the next Merkle leaf.
 
-    @property
-    def operations(self) -> list[LoggedOperation]:
-        return list(self._operations)
+        Called by :meth:`_seal` and nothing else; the name is the one the
+        end-to-end benchmark's tracer wraps to time the Merkle hash path.
+        """
+        self._merkle.append(event.chain_hash)
 
     @property
     def merkle(self) -> MerkleLog:
+        """RFC 6962 tree over the chain hashes sealed since the anchor."""
         return self._merkle
 
     def counts(self) -> Dict[str, int]:
@@ -207,6 +192,5 @@ class LedgerStore:
             "revoked": revoked,
             "not_revoked": total - revoked,
             "custodial": custodial,
-            "operations": len(self._operations),
             "events": self._events.head_seq,
         }

@@ -138,9 +138,7 @@ class LiveClusterConfig:
             max_retries=self.max_retries,
             max_failover_depth=self.max_failover_depth,
             backoff_base=0.01,
-            backoff_multiplier=2.0,
             backoff_cap=0.08,
-            backoff_jitter=0.5,
             breaker_threshold=self.breaker_threshold,
             breaker_reset_timeout=self.breaker_reset_timeout,
             shed_rate=self.shed_rate,

@@ -125,7 +125,6 @@ def populate_ledger(
     shared_timestamp = ledger.timestamp_authority.issue(
         claim_digest(shared_hash, keypair.public)
     )
-    now = ledger.now()
     for i in range(count):
         serial = ledger.store.allocate_serial()
         identifier = PhotoIdentifier(ledger_id=ledger.ledger_id, serial=serial)
@@ -142,9 +141,6 @@ def populate_ledger(
             ),
         )
         ledger.store.put(record)
-        ledger.store.log_operation("claim", serial, now)
-        if revoked_mask[i]:
-            ledger.store.log_operation("revoke", serial, now)
         identifiers.append(identifier)
     ledger.claims_served += count
     return PhotoPopulation(

@@ -282,7 +282,6 @@ def test_read_quorum_above_replication_factor_names_both_numbers():
         dict(backoff_cap=0.001, backoff_base=0.01),
         dict(breaker_threshold=0),
         dict(breaker_reset_timeout=0.0),
-        dict(breaker_half_open_probes=0),
         dict(shed_rate=0.0),
         dict(shed_burst=0),
         dict(hint_replay_interval=0.0),

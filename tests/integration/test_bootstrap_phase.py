@@ -98,7 +98,7 @@ class TestBootstrapPipeline:
         irs, populations, proxy, _, clock, rng = bootstrap
         population = populations[1]
         # Pick an unrevoked photo and revoke it directly via the store
-        # (bulk population uses a shared key, so flip state directly).
+        # (bulk population uses a shared key, so no owner can sign).
         from repro.ledger.records import RevocationState
 
         idx = int(np.nonzero(~population.revoked_mask)[0][0])
@@ -107,8 +107,13 @@ class TestBootstrapPipeline:
         assert extension.check_identifier(identifier).display
 
         record = irs.ledgers[1].record(identifier)
-        record.state = RevocationState.REVOKED
-        irs.ledgers[1].store.log_operation("revoke", identifier.serial, clock.now())
+        irs.ledgers[1].store.apply_flip(
+            identifier.serial,
+            RevocationState.REVOKED,
+            record.revocation_epoch + 1,
+            "revoke",
+            clock.now(),
+        )
 
         # Next hourly cycle: ledger republishes, proxy refreshes.
         for ledger in irs.ledgers:

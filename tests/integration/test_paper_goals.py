@@ -65,8 +65,12 @@ class TestGoal1OwnerControl:
         # Nothing in the record or the revocation protocol names the
         # owner: the only owner-linked material is the public key.
         assert record.public_key.fingerprint == receipt.keypair.fingerprint
-        for op in irs.ledger.store.operations:
-            assert not hasattr(op, "owner")
+        events = irs.ledger.store.events.events
+        assert events
+        for event in events:
+            assert not hasattr(event, "owner")
+            assert "owner" not in event.payload
+            assert "owner" not in event.payload.get("record", {})
 
 
 class TestGoal2ViewerPrivacy:

@@ -74,7 +74,7 @@ class TestClaiming:
 
     def test_operations_logged(self, ledger, session_keypair):
         _claim(ledger, session_keypair)
-        kinds = [op.kind for op in ledger.store.operations]
+        kinds = [event.kind for event in ledger.store.events.events]
         assert kinds == ["claim"]
 
     def test_invalid_ledger_id(self, tsa):
@@ -162,8 +162,8 @@ class TestRevocation:
             ledger.revoke(record.identifier, fake_nonce, sig)
 
     def test_challenge_expiry(self, tsa, session_keypair):
-        # Consumed by: claim's operation log, make_challenge, and the
-        # expiry check inside revoke.
+        # Consumed by: claim's event, make_challenge, and the expiry
+        # check inside revoke.
         times = iter([1.0, 2.0, 1000.0, 1001.0, 1002.0])
         ledger = Ledger(
             "t", tsa, clock=lambda: next(times), config=LedgerConfig(challenge_ttl=10.0)
@@ -174,6 +174,24 @@ class TestRevocation:
         sig = session_keypair.sign_struct(payload)
         with pytest.raises(RevocationError):
             ledger.revoke(record.identifier, nonce, sig)
+
+    def test_abandoned_challenges_are_dropped_after_ttl(self, tsa, session_keypair):
+        now = [0.0]
+        ledger = Ledger(
+            "t", tsa, clock=lambda: now[0], config=LedgerConfig(challenge_ttl=10.0)
+        )
+        record = _claim(ledger, session_keypair)
+        for _ in range(5):  # challenges whose flip never arrives
+            ledger.make_challenge(record.identifier)
+        now[0] = 8.0
+        live = ledger.make_challenge(record.identifier)
+        assert len(ledger._challenges) == 6  # none has expired yet
+        now[0] = 12.0
+        ledger.make_challenge(record.identifier)
+        assert len(ledger._challenges) == 2  # the live one and the newest
+        payload = Ledger.ownership_payload("revoke", record.identifier, live)
+        ledger.revoke(record.identifier, live, session_keypair.sign_struct(payload))
+        assert ledger.record(record.identifier).is_revoked
 
     def test_action_mismatch_rejected(self, ledger, session_keypair):
         """A signature authorizing 'unrevoke' must not authorize 'revoke'."""

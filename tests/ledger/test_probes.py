@@ -7,6 +7,7 @@ from repro.attacks.malicious_ledger import LyingLedger, StonewallingLedger
 from repro.crypto.timestamp import TimestampAuthority
 from repro.ledger.ledger import Ledger
 from repro.ledger.probes import HonestyProber
+from tests.ledger.conftest import forge_history
 
 
 @pytest.fixture()
@@ -109,11 +110,10 @@ class TestMerkleAudit:
         prober = HonestyProber(ledger, np.random.default_rng(13))
         prober.plant_canaries(3)
         prober.run_round()  # records the current root
-        # The ledger rewrites its operation log.
-        from repro.crypto.merkle import _leaf_hash
-
-        ledger.store.merkle._leaves[0] = b"rewritten"
-        ledger.store.merkle._leaf_hashes[0] = _leaf_hash(b"rewritten")
+        # The ledger re-dates its first claim and re-seals the chain:
+        # every link verifies, only the remembered root disagrees.
+        forge_history(ledger.store, 0)
+        ledger.store.events.verify_chain()
         report = prober.run_round()
         assert any(v.kind == "history_rewrite" for v in report.violations)
 

@@ -75,29 +75,27 @@ class TestRecords:
         store.put(record_factory(1))
         store.put(record_factory(2, state=RevocationState.REVOKED))
         store.put(record_factory(3, custodial=True))
-        store.log_operation("claim", 1, 0.0)
         counts = store.counts()
         assert counts["total"] == 3
         assert counts["revoked"] == 1
         assert counts["not_revoked"] == 2
         assert counts["custodial"] == 1
-        assert counts["operations"] == 1
+        assert counts["events"] == 3
 
 
 class TestOperationLog:
-    def test_log_mirrors_into_merkle(self):
+    def test_log_mirrors_into_merkle(self, record_factory):
         store = LedgerStore()
-        index = store.log_operation("claim", 1, 10.0)
-        assert index == 0
-        assert store.merkle.size == 1
-        assert len(store.operations) == 1
-        op = store.operations[0]
-        assert (op.kind, op.serial, op.time) == ("claim", 1, 10.0)
+        store.put(record_factory(1), time=10.0)
+        assert store.merkle.size == len(store.events) == 1
+        event = store.events.events[0]
+        assert (event.kind, event.serial, event.time) == ("claim", 1, 10.0)
+        assert store.merkle.entry(0) == event.chain_hash
 
-    def test_merkle_inclusion_of_operations(self):
+    def test_merkle_inclusion_of_operations(self, record_factory):
         store = LedgerStore()
         for i in range(6):
-            store.log_operation("claim", i, float(i))
+            store.put(record_factory(i), time=float(i))
         root = store.merkle.root()
         proof = store.merkle.inclusion_proof(3)
-        assert proof.verify(store.operations[3].to_leaf_bytes(), root)
+        assert proof.verify(store.events.events[3].chain_hash, root)
