@@ -61,7 +61,6 @@ def resilience_config(policy: str, num_shards: int = 4) -> ClusterConfig:
         replication_factor=r,
         request_deadline=REFERENCE_DEADLINE,
         max_retries=3,
-        max_failover_depth=2,
         backoff_base=0.01,
         backoff_cap=0.08,
     )

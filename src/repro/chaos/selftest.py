@@ -94,14 +94,12 @@ class SelftestResult:
 
 
 def _run_scenario(seed: int, sabotage: bool) -> CheckReport:
-    # Primary reads (read_quorum=1, unhedged): the weakest read the
-    # config allows, which is what lets the resurrected primary
-    # answer alone — a quorum read would paper over the bug.
+    # First answer wins (read_quorum=1): the weakest read the config
+    # allows, which is what lets the resurrected primary answer
+    # alone — a quorum read would paper over the bug.
     cluster = LocalCluster(
         3,
-        config=ClusterConfig(
-            replication_factor=3, read_quorum=1, hedged_reads=False
-        ),
+        config=ClusterConfig(replication_factor=3, read_quorum=1),
         seed=seed,
         cluster_id="selftest",
     )

@@ -291,7 +291,7 @@ class Cluster:
             self.ring,
             self.transport,
             self.frontend.config.replication_factor,
-            on_result=self.frontend._record_result,
+            on_result=self.frontend.record_result,
             obs=self.obs,
         )
 
@@ -306,7 +306,7 @@ class Cluster:
         waiting for the next externally scheduled sweep.
         """
         sweeper = self.sweeper()
-        self.frontend._later(
+        self.frontend.later(
             0.05, lambda: sweeper.sweep_async(lambda report: None)
         )
 
@@ -425,7 +425,7 @@ class Cluster:
                     )
                 )
             if revoked:
-                self.frontend._note_revoked(identifier)
+                self.frontend.note_revoked(identifier)
             identifiers.append(identifier)
         return ClusterPopulation(
             identifiers=identifiers, revoked_mask=revoked_mask, owner=keypair

@@ -393,14 +393,14 @@ class ServiceApp:
             ) from exc
         if since < 0:
             raise ApiError("malformed", "'since' must be >= 0")
-        entries = [e for e in self._deltas if e["seq"] > since]
-        truncated = len(entries) > MAX_DELTA_PAGE
-        entries = entries[:MAX_DELTA_PAGE]
+        # ``seq`` is the 1-based index, so everything after ``since``
+        # is a slice, not a scan of the service's whole history.
+        head = len(self._deltas)
         return 200, {
             "since": since,
-            "head": len(self._deltas),
-            "entries": entries,
-            "truncated": truncated,
+            "head": head,
+            "entries": self._deltas[since:since + MAX_DELTA_PAGE],
+            "truncated": head - since > MAX_DELTA_PAGE,
             "error": None,
         }, {}
 

@@ -123,7 +123,6 @@ class LiveClusterConfig:
     request_deadline: float = 0.25  # the paper's §4.4 revocation-check budget
     rpc_timeout: float = 0.1
     max_retries: int = 2
-    max_failover_depth: int = 2
     breaker_threshold: int = 3
     breaker_reset_timeout: float = 0.4
     shed_rate: Optional[float] = None  # requests/second; None = no shedding
@@ -136,7 +135,6 @@ class LiveClusterConfig:
             replication_factor=min(self.replication_factor, self.num_shards),
             request_deadline=self.request_deadline,
             max_retries=self.max_retries,
-            max_failover_depth=self.max_failover_depth,
             backoff_base=0.01,
             backoff_cap=0.08,
             breaker_threshold=self.breaker_threshold,

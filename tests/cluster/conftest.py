@@ -18,6 +18,7 @@ class LocalCluster(LocalAssembly):
         seed: int = 0,
         failure_threshold: int = 2,
         probation: float = 5.0,
+        obs=None,
     ):
         super().__init__(
             num_shards,
@@ -25,6 +26,7 @@ class LocalCluster(LocalAssembly):
             seed=seed,
             failure_threshold=failure_threshold,
             probation=probation,
+            obs=obs,
         )
         self.owner = KeyPair.generate(bits=512, rng=self.rngs.stream("owner"))
 

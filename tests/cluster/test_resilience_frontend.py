@@ -1,8 +1,9 @@
 """The frontend's resilience layer on the synchronous local transport.
 
-Covers the client-side half (bounded failover, degraded fail-closed
-reads, breakers, config validation) and the server-side repair half
-(hinted handoff replay, anti-entropy re-replication after a wipe).
+Covers the client-side half (reads that outlive dead replicas,
+degraded fail-closed reads, breakers, config validation) and the
+server-side repair half (hinted handoff replay, anti-entropy
+re-replication after a wipe).
 """
 
 import pytest
@@ -18,52 +19,16 @@ def _status_unfiltered(cluster, identifier):
     """A status read that skips the Bloom pre-check (forces shard I/O)."""
     box = []
     cluster.frontend.status_async(identifier, box.append, use_filter=False)
-    cluster.frontend.flush()
     assert box, "status did not complete synchronously"
     return box[0]
 
 
-# -- bounded failover (the PR's bugfix satellite) ------------------------------
-
-
-def test_failover_depth_is_bounded():
-    """Primary reads stop hopping at ``max_failover_depth``."""
-    cluster = LocalCluster(
-        config=ClusterConfig(
-            replication_factor=3, read_quorum=1, max_failover_depth=1
-        )
-    )
-    identifier = cluster.claim_photo("depth")
-    for shard_id in cluster.frontend.replicas_for(identifier):
-        cluster.transport.kill(shard_id)
-    answer = cluster.frontend.status(identifier)
-    assert not answer.ok
-    assert answer.revoked  # legacy fail-safe verdict
-    # One primary + one failover hop: never the third replica.
-    assert cluster.frontend.stats.failovers == 1
-    assert cluster.frontend.stats.shard_lookups == 2
-
-
-def test_failover_depth_zero_means_no_failover():
-    cluster = LocalCluster(
-        config=ClusterConfig(
-            replication_factor=3, read_quorum=1, max_failover_depth=0
-        )
-    )
-    identifier = cluster.claim_photo("no-failover")
-    cluster.transport.kill(cluster.frontend.replicas_for(identifier)[0])
-    # The detector hasn't suspected anyone yet, so the primary is tried
-    # (and fails) with no second hop.
-    answer = cluster.frontend.status(identifier)
-    assert not answer.ok
-    assert cluster.frontend.stats.failovers == 0
+# -- reads survive dead replicas ------------------------------------------------
 
 
 def test_failover_still_finds_a_survivor():
     cluster = LocalCluster(
-        config=ClusterConfig(
-            replication_factor=3, read_quorum=1, max_failover_depth=2
-        )
+        config=ClusterConfig(replication_factor=3, read_quorum=1)
     )
     identifier = cluster.claim_photo("survivor")
     replicas = cluster.frontend.replicas_for(identifier)
@@ -132,7 +97,6 @@ def test_quorum_failure_with_the_budget_spent_is_a_deadline_answer(budget, cause
     cluster.frontend.status_async(
         identifier, box.append, deadline=Deadline.after(cluster.clock(), budget)
     )
-    cluster.frontend.flush()
     assert not box[0].ok and box[0].cause == cause
 
 
@@ -277,7 +241,6 @@ def test_read_quorum_above_replication_factor_names_both_numbers():
     [
         dict(request_deadline=0.0),
         dict(max_retries=-1),
-        dict(max_failover_depth=-1),
         dict(backoff_base=0.0),
         dict(backoff_cap=0.001, backoff_base=0.01),
         dict(breaker_threshold=0),

@@ -31,11 +31,19 @@ def baseline_path(tmp_path_factory):
 
 class TestCheckGate:
     def test_clean_check_passes(self, baseline_path, capsys):
-        code = main(
-            ["perf", "--check", "--baseline", str(baseline_path), *_FAST]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
+        # A wall-clock gate fed by 2-repeat samples: one sample taken
+        # while another process held the core must not fail the suite,
+        # so the clean pass is the best of three attempts.  The
+        # slowdown test below keeps a single attempt — a gate that
+        # needs luck to trip is no gate.
+        for _ in range(3):
+            code = main(
+                ["perf", "--check", "--baseline", str(baseline_path), *_FAST]
+            )
+            captured = capsys.readouterr()
+            if code == 0:
+                break
+        assert code == 0, captured.out
         assert "within the tolerance band" in captured.out
 
     def test_injected_slowdown_trips_the_gate(self, baseline_path, capsys):

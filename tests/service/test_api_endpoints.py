@@ -68,6 +68,30 @@ def test_claim_status_label_revoke_flow():
     asyncio.run(inner())
 
 
+def test_deltas_at_and_beyond_head_are_empty_pages():
+    async def inner():
+        async with serve(populate=3) as env:
+            ids = [i.to_string() for i in env.population.identifiers]
+            for claimed in ids:
+                r = await env.client.request(
+                    "POST", "/revocations", {"id": claimed}
+                )
+                assert r.status == 200
+            r = await env.client.request("GET", "/deltas?since=1")
+            page = r.json()
+            assert [e["seq"] for e in page["entries"]] == [2, 3]
+            assert [e["id"] for e in page["entries"]] == ids[1:]
+            assert page["head"] == 3 and page["truncated"] is False
+            for since in (3, 4, 10**9):
+                r = await env.client.request("GET", f"/deltas?since={since}")
+                assert r.status == 200
+                page = r.json()
+                assert page["entries"] == [] and page["truncated"] is False
+                assert page["head"] == 3 and page["since"] == since
+
+    asyncio.run(inner())
+
+
 def test_batch_status_preserves_order():
     async def inner():
         config = LiveClusterConfig(num_shards=3, replication_factor=2)

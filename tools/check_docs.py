@@ -13,9 +13,10 @@ Six checks, all exact:
    are skipped; a ``path#fragment`` link is checked for the path part.
 2. **Metric drift** — the union of metric names documented in
    ``docs/observability.md`` must equal the union of names emitted in
-   ``src/`` (``obs.counter("...")`` / ``gauge`` / ``histogram`` call
-   sites). Either direction of drift fails: an undocumented metric is
-   invisible to operators, a documented-but-gone metric is a lie.
+   ``src/`` (``obs.counter("...")`` / ``gauge`` / ``histogram`` /
+   ``read.note("...")`` call sites). Either direction of drift fails:
+   an undocumented metric is invisible to operators, a
+   documented-but-gone metric is a lie.
 3. **Lint-rule drift** — the union of rule ids documented in
    ``docs/lint.md`` must equal the union of ``@rule("...")``
    registrations under ``src/repro/analysis/``. Either direction
@@ -59,8 +60,10 @@ DOC_GLOBS = ("*.md", "docs/*.md", "benchmarks/*.md", "examples/*.md")
 #: dumps reference figures that were never vendored.
 LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
 
-#: An emission site: ``.counter("name"`` etc. on an obs/registry object.
-EMIT_RE = re.compile(r"\.(?:counter|gauge|histogram)\(\s*\"([a-z_]+)\"")
+#: An emission site: ``.counter("name"`` etc. on an obs/registry object,
+#: or ``.note("name"`` — an operation object's count-it-everywhere
+#: method (``repro.cluster.reads``), which takes the counter's name first.
+EMIT_RE = re.compile(r"\.(?:counter|gauge|histogram|note)\(\s*\"([a-z_]+)\"")
 
 #: A documented metric: a backticked name in a table row, e.g.
 #: ``| `frontend_queries_total` | counter | ...`` (labels stripped).
