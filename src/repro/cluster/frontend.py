@@ -155,7 +155,8 @@ class FrontendStats:
     batches_sent: int = 0
     batch_items: int = 0
     read_repairs: int = 0
-    proof_fetches: int = 0  # quorums that arrived without a proof
+    signed_reads: int = 0  # read attempts that named a signer (proof reads)
+    proof_fetches: int = 0  # proof reads whose quorum arrived without a proof
     failovers: int = 0  # revocations whose first coordinator failed the challenge
     retries: int = 0  # fresh read attempts after backoff
     degraded_answers: int = 0  # answered from the filter (quorum unreachable)
@@ -369,8 +370,16 @@ class ClusterFrontend:
         use_filter: bool = True,
         _filter_verdict: Optional[bool] = None,
         deadline: Optional[Deadline] = None,
+        proof: bool = True,
     ) -> None:
         """Admit one status lookup; ``callback`` fires exactly once.
+
+        ``proof`` says what the caller will consume.  True (the
+        default) is a *proof read*: a shard answer carries a
+        :class:`StatusProof` signed by a replica at the winning epoch.
+        False is a *verdict read* for callers that serve only
+        ``revoked``/``state``/``epoch`` (the HTTP service): the same
+        quorum, read repair and retries, no signature, ``.proof`` None.
 
         ``_filter_verdict`` lets :meth:`status_many_async` hand in a
         precomputed Bloom verdict from its vectorized pass so the
@@ -382,7 +391,7 @@ class ClusterFrontend:
         timeouts.  A deadline that has already expired is answered
         degraded immediately, without consuming a read.
         """
-        read = StatusRead(self, identifier, callback)
+        read = StatusRead(self, identifier, callback, proof)
         if use_filter and self.filterset is not None:
             might_be = (
                 _filter_verdict
@@ -426,6 +435,7 @@ class ClusterFrontend:
         callback: Callable[[int, ClusterAnswer], None],
         use_filter: bool = True,
         deadline: Optional[Deadline] = None,
+        proof: bool = True,
     ) -> None:
         """Queue a burst of status lookups with one vectorized filter pass.
 
@@ -455,6 +465,7 @@ class ClusterFrontend:
                     None if verdicts is None else bool(verdicts[index])
                 ),
                 deadline=deadline,
+                proof=proof,
             )
 
     # -- claims and revocations ----------------------------------------------------

@@ -4,13 +4,18 @@ Reads are hedged quorum reads: every replica the breakers admit is
 asked, and the read completes at ``read_quorum`` answers, so one dead
 replica costs nothing but a timeout that the failure detector turns
 into suspicion.  Every replica of the read set answers ``state`` +
-``epoch``; one — the *signer*, the first the failure detector trusts in
-ring order — also signs, so an authoritative answer costs one
-signature, not one per replica, and still carries a proof from a
-replica at the winning epoch.  When the quorum arrives without such a
-proof (signer dead, slow or stale) the read fetches one from a quorum
-member at the winning epoch, once per attempt; a failed fetch is a
-failed attempt.
+``epoch``, and the verdict is the ``state`` at the highest epoch of the
+quorum.  A caller that consumes only the verdict (``proof=False``: the
+HTTP service, whose wire format carries no proof) gets a *verdict
+read*, which ends there and costs no signature.  A caller that
+re-publishes or audits the answer (the default: validators,
+aggregators, proxies) gets a *proof read* — the same read with one
+more stage: one replica — the *signer*, the first the failure detector
+trusts in ring order — also signs, so the answer costs one signature,
+not one per replica, and carries a proof from a replica at the winning
+epoch.  When the quorum arrives without such a proof (signer dead, slow
+or stale) a proof read fetches one from a quorum member at the winning
+epoch, once per attempt; a failed fetch is a failed attempt.
 
 An attempt that cannot reach its quorum is retried afresh after a
 seeded-jitter backoff while ``max_retries`` and the request's deadline
@@ -30,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.identifiers import PhotoIdentifier
 from repro.ledger.proofs import StatusProof
+from repro.ledger.records import RevocationState
 from repro.cluster.replication import (
     MIN_RPC_BUDGET,
     ShardReply,
@@ -73,14 +79,16 @@ class StatusRead:
 
     Created by :meth:`ClusterFrontend.status_async`, which answers it
     straight away (filter miss, load shed, budget already spent) or
-    sets its ``deadline`` and calls :meth:`start`.  The collector of an
+    sets its ``deadline`` and calls :meth:`start`.  ``proof`` says
+    whether the caller will consume a signed proof or only the verdict
+    (see the module docstring).  The collector of an
     attempt is never stored here — it reaches :meth:`_fetch_proof` as
     an argument — so a read is not part of a reference cycle.
     """
 
     __slots__ = (
-        "frontend", "identifier", "callback", "op_id", "span", "rspan",
-        "deadline", "attempts", "answered",
+        "frontend", "identifier", "callback", "proof", "op_id", "span",
+        "rspan", "deadline", "attempts", "answered",
     )
 
     def __init__(
@@ -88,10 +96,12 @@ class StatusRead:
         frontend: "ClusterFrontend",
         identifier: PhotoIdentifier,
         callback: Callable[[ClusterAnswer], None],
+        proof: bool = True,
     ):
         self.frontend = frontend
         self.identifier = identifier
         self.callback = callback
+        self.proof = proof
         self.deadline: Optional[Deadline] = None
         self.attempts = 0  # fresh read attempts consumed (retries)
         self.answered = False
@@ -210,12 +220,15 @@ class StatusRead:
         if len(read_set) < quorum:
             self._retry_or_degrade("read quorum unreachable: breakers open")
             return
-        # One replica signs.  Ring order starts at a different shard for
-        # different keys, so the signing load spreads with the ring.
-        signer = next(
-            (s for s in read_set if not frontend.detector.is_suspect(s)),
-            read_set[0],
-        )
+        signer = None
+        if self.proof:
+            # One replica signs.  Ring order starts at a different shard
+            # for different keys, so the signing load spreads with the ring.
+            signer = next(
+                (s for s in read_set if not frontend.detector.is_suspect(s)),
+                read_set[0],
+            )
+            self.note("frontend_signed_reads_total", "signed_reads")
         obs = frontend.obs
         if obs is not None:
             self.rspan = obs.start(
@@ -230,7 +243,7 @@ class StatusRead:
             quorum=quorum,
             on_done=self._on_done,
             on_stale=self._repair,
-            on_unproven=self._fetch_proof,
+            on_unproven=self._fetch_proof if self.proof else None,
         )
         for shard_id in read_set:
             frontend.batcher.enqueue(
@@ -246,7 +259,7 @@ class StatusRead:
             self.answer(
                 ClusterAnswer(
                     identifier=self.identifier.to_string(),
-                    revoked=outcome.proof.revoked,
+                    revoked=RevocationState(outcome.state).is_revoked,
                     source="shard",
                     proof=outcome.proof,
                     state=outcome.state,

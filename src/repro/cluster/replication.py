@@ -12,8 +12,10 @@ the ring: a key's R replicas are peers, and the frontend coordinates.
   guaranteed to overlap the last write quorum, so the merged answer —
   highest ``revocation_epoch`` wins — reflects every acknowledged
   revocation even while some replica is down or stale.  Every replica
-  answers ``state`` + ``epoch``; one, the signer the reader names,
-  also signs, and the merged answer carries that one proof.
+  answers ``state`` + ``epoch``, and that is all a *verdict read*
+  needs: it completes at the quorum.  A *proof read* is the same read
+  with one more stage: one replica, the signer the reader names, also
+  signs, and the merged answer carries that one proof.
 * **Read repair**: when a quorum read observes replicas at different
   epochs, the collector names the stale ones and the frontend pushes
   the winning state back to them (``apply_state``), so divergence
@@ -289,10 +291,10 @@ class StatusOutcome:
 
     serial: int
     ok: bool
-    proof: Any = None  # winning StatusProof
+    proof: Any = None  # StatusProof at the winning epoch (proof reads only)
     state: Optional[str] = None
     epoch: int = -1
-    answered_by: Optional[str] = None  # shard whose proof won
+    answered_by: Optional[str] = None  # a replica at the winning epoch
     stale_shards: List[str] = field(default_factory=list)
     error: Optional[str] = None
 
@@ -302,16 +304,20 @@ class StatusCollector:
 
     The verdict is fixed at ``quorum`` good answers: the highest
     ``revocation_epoch`` among them wins (write quorums guarantee at
-    least one read-quorum member saw the newest epoch).  Completion
-    also needs a *proof* at that epoch, and only the replica the reader
-    named as signer sends one.  When the quorum holds none (signer
-    dead, slow or stale) the collector asks ``on_unproven(shard_id,
+    least one read-quorum member saw the newest epoch), and its
+    ``state`` is the answer.  A *verdict read* (no ``on_unproven``)
+    completes right there, ``answered_by`` the first quorum member at
+    that epoch.  A *proof read* passes ``on_unproven`` and also needs
+    a proof at the winning epoch, which only the replica the reader
+    named as signer sends.  When the quorum holds none (signer dead,
+    slow or stale) the collector asks ``on_unproven(shard_id,
     collector)`` — once — to fetch a signed answer from a quorum member
     at the winning epoch; the first answer at that epoch carrying a
     proof, the late signer's or the fetched one, completes the read,
     and a fetch that fails fails the read.  Every answer observed
     *below* the winning epoch — before or after completion — is
-    reported through ``on_stale`` for read repair.
+    reported through ``on_stale`` for read repair, on both kinds of
+    read.
     """
 
     def __init__(
@@ -388,7 +394,7 @@ class StatusCollector:
             )
 
     def _decide(self) -> None:
-        """Quorum reached: fix the verdict, then find or fetch its proof."""
+        """Quorum reached: fix the verdict; a proof read finds or fetches a proof."""
         answers = self._answers
         epoch = max(entry["epoch"] for entry in answers.values())
         self._verdict = StatusOutcome(
@@ -402,14 +408,14 @@ class StatusCollector:
         if proven is not None:
             self._publish(proven, answers[proven])
         elif self._on_unproven is None:
-            self._fail(f"no proof at epoch {epoch}: no replica was asked to sign")
+            self._publish(winners[0], answers[winners[0]])
         else:
             self._asked = winners[0]
             self._on_unproven(self._asked, self)
 
     def _publish(self, shard_id: str, entry: Dict[str, Any]) -> None:
         outcome = self._verdict
-        outcome.proof = entry["proof"]
+        outcome.proof = entry.get("proof")
         outcome.state = entry["state"]
         outcome.answered_by = shard_id
         self.outcome = outcome

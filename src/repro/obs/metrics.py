@@ -44,6 +44,8 @@ LabelItems = Tuple[Tuple[str, str], ...]
 
 
 def _label_items(labels: Dict[str, object]) -> LabelItems:
+    if not labels:
+        return ()  # most hot-path lookups are unlabelled
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -293,8 +293,10 @@ class ServiceApp:
             if not fut.done():
                 fut.set_result(answer)
 
+        # The wire format (_status_body) carries no proof: a verdict read.
         self.frontend.status_async(
-            identifier, _done, use_filter=use_filter, deadline=deadline
+            identifier, _done, use_filter=use_filter, deadline=deadline,
+            proof=False,
         )
         return fut
 
@@ -336,7 +338,9 @@ class ServiceApp:
                 if remaining == 0 and not fut.done():
                     fut.set_result(None)
 
-        self.frontend.status_many_async(identifiers, _done, deadline=deadline)
+        self.frontend.status_many_async(
+            identifiers, _done, deadline=deadline, proof=False
+        )
         await self._bounded(fut, deadline)
         results = []
         for answer in answers:

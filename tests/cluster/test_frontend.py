@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterFrontend, content_serial
+from repro.cluster import Cluster, ClusterConfig, ClusterFrontend, content_serial
 from repro.core.errors import ClaimError, LedgerUnavailableError, RevocationError
 from repro.crypto.hashing import sha256_hex
 from repro.obs import Observability
 
-from tests.cluster.conftest import LocalCluster
+from tests.cluster.conftest import HeldTransport, LocalCluster, signatures
 
 
 class TestClaims:
@@ -86,6 +86,75 @@ class TestStatus:
         assert cluster.frontend.stats.filter_short_circuits == 1
         # Validators bypass the filter and still get a signed proof.
         assert cluster.frontend.status_proof(identifier) is not None
+
+
+class TestVerdictReads:
+    """``proof=False``: the same quorum read, minus its last stage."""
+
+    # (replicas at epoch 1, dead replicas, the arrivals that make the
+    # quorum, whether a proof read must then fetch), the first three as
+    # ring-order indices; 0 is the replica a proof read names as signer.
+    SCENARIOS = {
+        "healthy": ((0, 1, 2), (), (0, 1), False),
+        "signer stale by one epoch": ((1, 2), (), (0, 1), True),
+        "signer dead": ((0, 1, 2), (0,), (0, 1, 2), True),
+        "signer slowest of three": ((0, 1), (), (1, 2), True),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("proof", [False, True])
+    def test_only_a_proof_read_names_a_signer_or_fetches(self, scenario, proof):
+        revoked_on, dead, first, fetches = self.SCENARIOS[scenario]
+        cluster = Cluster(
+            3, clock=lambda: 0.0, scheduler=None,
+            transport_factory=HeldTransport, seed=5,
+        )
+        identifier = cluster.seed_population(1).identifiers[0]
+        replicas = cluster.frontend.replicas_for(identifier)
+        for index in revoked_on:
+            cluster.shards[replicas[index]].apply_state(
+                {"serial": identifier.serial, "state": "revoked", "epoch": 1}
+            )
+        for index in dead:
+            cluster.kill_shard(replicas[index])
+        stale = [r for i, r in enumerate(replicas) if i not in revoked_on]
+        transport, stats = cluster.transport, cluster.frontend.stats
+        transport.hold = True
+
+        answers = []
+        cluster.frontend.status_async(identifier, answers.append, proof=proof)
+        assert transport.signed_flags() == [proof, False, False]
+        for index in first:
+            assert not answers
+            transport.deliver(replicas[index])
+        if proof and fetches:
+            # The quorum is in without a proof at epoch 1: one fetch,
+            # from a quorum member at that epoch, completes the read.
+            assert not answers
+            fetch = transport.held[-1]
+            assert fetch[2] == {"serials": [identifier.serial], "signed": [True]}
+            transport.land(fetch)
+        assert stats.signed_reads == int(proof)
+        assert stats.proof_fetches == int(proof and fetches)
+        (answer,) = answers
+        assert answer.ok and answer.source == "shard" and stats.retries == 0
+        assert (answer.revoked, answer.state, answer.epoch) == (True, "revoked", 1)
+        assert answer.answered_by in [
+            replicas[i] for i in first if i in revoked_on and i not in dead
+        ]
+        if proof:
+            assert cluster.directory.verify(answer.proof)
+            assert answer.proof.revoked
+        else:
+            assert answer.proof is None
+            assert signatures(cluster.shards.values()) == 0
+        # Stragglers land; whoever answered below epoch 1 is repaired.
+        while transport.held:
+            transport.land(transport.held[0])
+        assert stats.read_repairs == len(stale)
+        for shard_id in stale:
+            record = cluster.shards[shard_id].ledger.store.get(identifier.serial)
+            assert record.revocation_epoch == 1 and record.is_revoked
 
 
 class TestRevocation:

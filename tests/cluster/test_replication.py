@@ -103,6 +103,11 @@ def _entry(epoch, state="revoked"):
     return {"serial": 7, "proof": f"proof@{epoch}", "epoch": epoch, "state": state}
 
 
+def _bare(epoch, state="revoked"):
+    """What a replica that was not asked to sign answers."""
+    return {"serial": 7, "epoch": epoch, "state": state}
+
+
 class TestStatusCollector:
     def test_highest_epoch_wins(self):
         outcomes = []
@@ -154,6 +159,36 @@ class TestStatusCollector:
     def test_invalid_quorum_rejected(self):
         with pytest.raises(ValueError):
             StatusCollector(7, ["a"], 2, lambda o: None)
+
+    def test_verdict_read_completes_at_quorum_on_state_and_epoch_alone(self):
+        outcomes, repairs = [], []
+        collector = StatusCollector(
+            7, ["a", "b", "c"], 2, outcomes.append,
+            on_stale=lambda shard, o: repairs.append(shard),
+        )
+        collector.record("a", _bare(0, "not_revoked"))
+        assert not collector.done
+        collector.record("b", _bare(1))
+        (outcome,) = outcomes
+        assert outcome.ok and outcome.proof is None
+        assert (outcome.state, outcome.epoch) == ("revoked", 1)
+        assert outcome.answered_by == "b"  # the quorum member at epoch 1
+        assert repairs == ["a"]
+        # A late reply cannot change a published verdict, only be repaired.
+        collector.record("c", _bare(0, "not_revoked"))
+        assert len(outcomes) == 1 and repairs == ["a", "c"]
+
+    def test_proof_read_waits_for_a_proof_the_verdict_read_does_not_need(self):
+        outcomes, fetches = [], []
+        collector = StatusCollector(
+            7, ["a", "b", "c"], 2, outcomes.append,
+            on_unproven=lambda shard, asked: fetches.append(shard),
+        )
+        collector.record("a", _bare(1))
+        collector.record("b", _bare(1))
+        assert not outcomes and fetches == ["a"]
+        collector.record("a", _entry(1))
+        assert outcomes[0].ok and outcomes[0].proof == "proof@1"
 
 
 def test_shard_reply_ok():

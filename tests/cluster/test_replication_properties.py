@@ -14,7 +14,10 @@ Two properties carry the whole consistency story:
 
 A third holds the read path's economy to the first: a quorum read in
 which one replica signs reaches the verdict of one in which all do,
-under every reply order, and never answers without a proof.
+under every reply order, and never answers without a proof.  A fourth
+holds the verdict read (``proof=False``, nobody signs) to the proof
+read: same replicas, same arrival order, same ``(revoked, state,
+epoch)`` whenever the proof read answers at all.
 """
 
 import numpy as np
@@ -23,7 +26,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import (
     ClusterConfig,
     ClusterDirectory,
+    ClusterFrontend,
     ClusterShard,
+    HashRing,
     StatusCollector,
 )
 from repro.core.identifiers import PhotoIdentifier
@@ -33,7 +38,7 @@ from repro.crypto.timestamp import TimestampAuthority
 from repro.ledger.records import ClaimRecord, RevocationState, claim_digest
 from repro.netsim.simulator import ManualClock
 
-from tests.cluster.conftest import LocalCluster
+from tests.cluster.conftest import HeldTransport, LocalCluster, signatures
 
 MAX_SHARDS = 5
 
@@ -334,3 +339,95 @@ def test_collector_reaches_the_all_signed_verdict_under_any_reply_order(script):
     signer = shards[names.index(outcome.answered_by)]
     assert directory.shard_for(outcome.proof.ledger_fingerprint) is signer
     assert signer.ledger.store.get(_SERIAL).revocation_epoch == epoch
+
+
+# -- the verdict read against the proof read --------------------------------------
+
+
+@st.composite
+def read_races(draw):
+    """(quorum, per-replica (alive, epoch), arrival order, fetch script).
+
+    ``fetch`` scripts the proof fetch, should the proof read issue one:
+    how many further replies land before its own, and whether the
+    replica asked dies first.
+    """
+    n = draw(st.integers(1, MAX_SHARDS))
+    quorum = draw(st.integers(1, n))
+    replicas = [
+        (draw(st.booleans()), draw(st.integers(0, 3))) for _ in range(n)
+    ]
+    order = draw(st.permutations(range(n)))
+    fetch = (draw(st.integers(0, n)), draw(st.booleans()))
+    return quorum, replicas, order, fetch
+
+
+def _raced_read(quorum, replicas, order, fetch, proof):
+    """One read through a real frontend, replies landing in ``order``."""
+    fetch_after, fetch_dies = fetch
+    shards = [_replica_at(i, epoch) for i, (_, epoch) in enumerate(replicas)]
+    names = [shard.shard_id for shard in shards]
+    transport = HeldTransport({shard.shard_id: shard for shard in shards})
+    for name, (alive, _) in zip(names, replicas):
+        if not alive:
+            transport.kill(name)
+    frontend = ClusterFrontend(
+        "lww",
+        HashRing(names),
+        transport,
+        _shared_fixtures()["tsa"],
+        config=ClusterConfig(replication_factor=len(shards), read_quorum=quorum),
+    )
+    transport.hold = True
+    answers = []
+    frontend.status_async(
+        PhotoIdentifier("lww", _SERIAL), answers.append, proof=proof
+    )
+    sent = list(transport.held)
+    assert transport.signed_flags().count(True) == (1 if proof else 0)
+
+    def land_fetch():
+        """Land the proof fetch, if one is waiting."""
+        for call in transport.held:
+            if call[1] == "status" and call not in sent:
+                if fetch_dies:
+                    transport.kill(call[0])
+                transport.land(call)
+                return
+
+    to_land = None  # replies still to arrive before the fetch's own
+    for index in order:
+        transport.deliver(names[index])
+        if to_land is None:
+            to_land = fetch_after if frontend.stats.proof_fetches else None
+        elif to_land > 0:
+            to_land -= 1
+        if to_land == 0:
+            land_fetch()
+    land_fetch()
+    (answer,) = answers  # answered exactly once
+    return frontend, shards, answer
+
+
+@settings(max_examples=100, deadline=None)
+@given(race=read_races())
+def test_verdict_read_reaches_the_proof_read_verdict_without_a_signature(race):
+    quorum, replicas, order, fetch = race
+    frontend, shards, verdict = _raced_read(*race, proof=False)
+    assert frontend.stats.signed_reads == frontend.stats.proof_fetches == 0
+    assert signatures(shards) == 0
+    assert verdict.proof is None
+    # It answers whenever a quorum of replicas does: losing a signer or
+    # a proof fetch is not among the ways it can fail.
+    alive = sum(1 for is_alive, _ in replicas if is_alive)
+    assert verdict.ok == (alive >= quorum)
+
+    frontend, shards, proven = _raced_read(*race, proof=True)
+    if not proven.ok:
+        return
+    assert ClusterDirectory(shards).verify(proven.proof)
+    assert proven.proof.revoked == proven.revoked
+    assert verdict.ok
+    assert (verdict.revoked, verdict.state, verdict.epoch) == (
+        proven.revoked, proven.state, proven.epoch,
+    )

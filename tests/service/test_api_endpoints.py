@@ -202,3 +202,105 @@ def test_keep_alive_reuses_one_connection():
             assert connections == 1
 
     asyncio.run(inner())
+
+
+# -- verdict reads: the service signs nothing it does not serve ------------------
+
+STATUS_KEYS = [
+    "id", "revoked", "source", "state", "epoch", "answered_by", "degraded",
+    "error",
+]
+LABEL_KEYS = ["id", "metadata", "watermark_hex", "revoked", "error"]
+
+
+def _assert_authoritative(env, identifier, body):
+    assert list(body) == STATUS_KEYS  # the wire format, key for key
+    assert body["id"] == identifier.to_string()
+    assert (body["revoked"], body["state"], body["epoch"]) == (True, "revoked", 1)
+    assert body["source"] == "shard" and body["degraded"] is False
+    assert body["answered_by"] in env.cluster.placement(identifier.serial)
+    assert body["error"] is None
+
+
+def test_reads_of_revoked_ids_cost_no_signature(monkeypatch):
+    from repro.crypto.signatures import KeyPair
+
+    signatures = []
+    for method in ("sign", "sign_struct"):
+        original = getattr(KeyPair, method)
+
+        def counted(self, *args, _original=original, **kwargs):
+            signatures.append(self)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(KeyPair, method, counted)
+
+    async def inner():
+        async with serve(populate=8, revoked_fraction=1.0) as env:
+            identifiers = env.population.identifiers
+            ids = [i.to_string() for i in identifiers]
+            del signatures[:]  # set-up (TSA token, population) may sign
+            for identifier in identifiers:
+                r = await env.client.request(
+                    "GET", f"/status/{identifier.to_string()}"
+                )
+                assert r.status == 200
+                _assert_authoritative(env, identifier, r.json())
+            r = await env.client.request("POST", "/status", {"ids": ids})
+            assert r.status == 200
+            batch = r.json()
+            assert list(batch) == ["results", "error"] and batch["error"] is None
+            for identifier, body in zip(identifiers, batch["results"]):
+                _assert_authoritative(env, identifier, body)
+            r = await env.client.request("POST", "/labels", {"id": ids[0]})
+            assert r.status == 200
+            label = r.json()
+            assert list(label) == LABEL_KEYS and label["revoked"] is True
+
+            assert signatures == []
+            assert sum(
+                shard.ledger.status_queries_served
+                for shard in env.cluster.shards.values()
+            ) == 0
+            metrics = env.obs.metrics
+            assert metrics.value("frontend_queries_total") == 17
+            assert metrics.value("frontend_signed_reads_total") == 0
+            assert metrics.value("frontend_proof_fetches_total") == 0
+
+    asyncio.run(inner())
+
+
+def test_a_replica_killed_mid_run_costs_no_read_its_200():
+    async def inner():
+        async with serve(populate=16, revoked_fraction=1.0) as env:
+            identifiers = env.population.identifiers
+            ids = [i.to_string() for i in identifiers]
+            for claimed in ids[:8]:
+                r = await env.client.request("GET", f"/status/{claimed}")
+                assert r.status == 200
+            # For some ids the dead shard is first in ring order: the
+            # replica a proof read would have named as signer.
+            env.cluster.kill_shard("shard-0")
+            assert any(
+                env.cluster.placement(i.serial)[0] == "shard-0"
+                for i in identifiers
+            )
+            for identifier in identifiers:
+                r = await env.client.request(
+                    "GET", f"/status/{identifier.to_string()}"
+                )
+                assert r.status == 200
+                _assert_authoritative(env, identifier, r.json())
+                assert r.json()["answered_by"] != "shard-0"
+            r = await env.client.request("POST", "/status", {"ids": ids})
+            assert r.status == 200
+            for identifier, body in zip(identifiers, r.json()["results"]):
+                _assert_authoritative(env, identifier, body)
+            r = await env.client.request("POST", "/labels", {"id": ids[-1]})
+            assert r.status == 200 and r.json()["revoked"] is True
+            metrics = env.obs.metrics
+            assert metrics.value("frontend_proof_fetches_total") == 0
+            assert metrics.value("frontend_retries_total") == 0
+            assert metrics.value("frontend_degraded_answers_total") == 0
+
+    asyncio.run(inner())
