@@ -19,6 +19,7 @@ Security notes (deliberate, documented trade-offs of a simulation):
 
 from __future__ import annotations
 
+import hashlib
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
@@ -185,10 +186,9 @@ class RsaPublicKey:
         self._verify_split(items[:mid], results)
         self._verify_split(items[mid:], results)
 
+    @cached_property
     def fingerprint(self) -> str:
         """Short stable identifier for this key (hex SHA-256 prefix)."""
-        import hashlib
-
         material = self.n.to_bytes((self.bits + 7) // 8, "big")
         material += self.e.to_bytes(8, "big")
         return hashlib.sha256(material).hexdigest()[:16]

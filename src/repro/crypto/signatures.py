@@ -61,7 +61,7 @@ class PublicKey:
 
     @property
     def fingerprint(self) -> str:
-        return self._key.fingerprint()
+        return self._key.fingerprint
 
     @property
     def bits(self) -> int:

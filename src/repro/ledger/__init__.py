@@ -12,6 +12,9 @@ A ledger supports the four IRS operations on its side of the wire:
   export with hourly deltas (section 4.4), the appeals process for
   fraudulently re-claimed copies (sections 3.2 and 5), a Merkle
   transparency log, and owner-side honesty probes (section 5).
+
+:mod:`repro.ledger.appeals` compares photos and so imports the image
+stack; import it by name — a serving node never loads it from here.
 """
 
 from repro.ledger.records import ClaimRecord, RevocationState
@@ -24,7 +27,6 @@ from repro.ledger.registry import LedgerRegistry
 from repro.ledger.proofs import StatusProof
 from repro.ledger.export import FilterExporter, FilterSnapshot, coordinated_exporters
 from repro.ledger.economics import ServingCostModel, BootstrapScale
-from repro.ledger.appeals import AppealsProcess, Appeal, AppealDecision
 from repro.ledger.probes import HonestyProber, ProbeReport
 
 __all__ = [
@@ -46,9 +48,6 @@ __all__ = [
     "coordinated_exporters",
     "ServingCostModel",
     "BootstrapScale",
-    "AppealsProcess",
-    "Appeal",
-    "AppealDecision",
     "HonestyProber",
     "ProbeReport",
 ]

@@ -6,10 +6,11 @@ in-memory (the whole reproduction runs inside a deterministic
 simulation) but byte-faithful to how a real write-ahead log fails:
 
 * **Frames.**  Every event is one length-prefixed frame — a 4-byte
-  big-endian length, the event's canonical JSON, and an 8-byte blake2b
-  tag over those bytes.  A torn write leaves a frame shorter than its
-  header promises; a bit flip breaks the tag; both are *detected*, not
-  silently replayed.
+  big-endian length, the event's chain hash, its sealed bytes exactly
+  as the chain hashed them (never re-encoded), and an 8-byte blake2b
+  tag over everything after the length.  A torn write leaves a frame
+  shorter than its header promises; a bit flip breaks the tag; both
+  are *detected*, not silently replayed.
 * **Segments.**  Frames append to the current segment; a segment seals
   after ``segment_size`` events.  Each segment remembers the sequence
   number of its first event, so recovery can seek straight to the
@@ -34,10 +35,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.ledger.events import LedgerEvent, event_to_dict
+from repro.ledger.events import HASH_BYTES, LedgerEvent, canonical_json
 from repro.ledger.records import ClaimRecord
 
-__all__ = ["DurableStore", "Snapshot", "encode_frame", "snapshot_body"]
+__all__ = ["DurableStore", "Snapshot", "encode_frame", "read_frame", "snapshot_body"]
 
 #: blake2b tag length guarding each frame and snapshot body.
 _TAG_BYTES = 8
@@ -48,16 +49,29 @@ def _tag(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=_TAG_BYTES).digest()
 
 
-def _canonical_json(value: dict) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
-
-
 def encode_frame(event: LedgerEvent) -> bytes:
-    """One WAL frame: length + canonical JSON + blake2b tag."""
-    body = _canonical_json(event_to_dict(event))
+    """One WAL frame: length + chain hash + sealed bytes + blake2b tag."""
+    body = event.chain_hash + event.encoded
     return len(body).to_bytes(_LEN_BYTES, "big") + body + _tag(body)
+
+
+def read_frame(
+    data: bytes, position: int
+) -> Tuple[Optional[int], Optional[bytes], Optional[bytes]]:
+    """The frame at ``position``: ``(end offset, chain hash, sealed bytes)``.
+
+    A torn frame (the data stops before it does) has no end; a frame
+    whose tag does not verify has no hash and no bytes.
+    """
+    body_start = position + _LEN_BYTES
+    body_end = body_start + int.from_bytes(data[position:body_start], "big")
+    end = body_end + _TAG_BYTES
+    if end > len(data):
+        return None, None, None
+    body = data[body_start:body_end]
+    if _tag(body) != data[body_end:end]:
+        return end, None, None
+    return end, body[:HASH_BYTES], body[HASH_BYTES:]
 
 
 def snapshot_body(
@@ -131,7 +145,7 @@ class DurableStore:
         anchor_hash: bytes,
     ) -> None:
         """Persist a chain-anchored snapshot; oldest are pruned."""
-        body = _canonical_json(
+        body = canonical_json(
             snapshot_body(records, next_serial, anchor_seq, anchor_hash)
         )
         self._snapshots.append(
@@ -271,11 +285,9 @@ class DurableStore:
 def _count_frames(data: bytes) -> int:
     """Frames fully present in ``data`` (used after truncation)."""
     count, position = 0, 0
-    while position + _LEN_BYTES <= len(data):
-        length = int.from_bytes(data[position : position + _LEN_BYTES], "big")
-        end = position + _LEN_BYTES + length + _TAG_BYTES
-        if end > len(data):
+    while position < len(data):
+        position, _, _ = read_frame(data, position)
+        if position is None:
             break
         count += 1
-        position = end
     return count

@@ -20,8 +20,10 @@ Two event payload shapes exist:
   replay mutates the existing record.
 
 Payloads are JSON-able by construction (bytes are hex-encoded at the
-record layer), so the same structure feeds the canonical encoder for
-chain hashes and ``json.dumps`` for durable frames and snapshots.
+record layer).  An event is encoded once, at seal time, with
+:func:`canonical_json`; those bytes are what the chain hash covers,
+what the in-memory window keeps and what a durable frame stores — the
+history verified is byte for byte the history kept.
 """
 
 from __future__ import annotations
@@ -31,24 +33,26 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.crypto.hashing import canonical_encode
 from repro.ledger.records import ClaimRecord, RevocationState
 
 __all__ = [
     "GENESIS_HASH",
+    "HASH_BYTES",
     "EventLog",
     "EventLogError",
     "LedgerEvent",
+    "canonical_json",
     "chain_hash",
-    "event_to_dict",
-    "event_from_dict",
+    "event_from_bytes",
     "replay",
     "verify_events",
 ]
 
+HASH_BYTES = 32  # length of a chain hash
+
 #: The anchor every chain starts from (no predecessor to hash).
 GENESIS_HASH = hashlib.blake2b(
-    b"repro-ledger-eventlog-genesis", digest_size=32
+    b"repro-ledger-eventlog-genesis", digest_size=HASH_BYTES
 ).digest()
 
 #: Event kinds that carry a full record payload (replay upserts).
@@ -64,7 +68,14 @@ class EventLogError(Exception):
     """Raised on chain breaks, malformed events, or unreplayable logs."""
 
 
-@dataclass(frozen=True)
+def canonical_json(value: dict) -> bytes:
+    """The one byte encoding of event bodies and snapshots (sorted keys,
+    compact separators); raises on what JSON cannot carry."""
+    compact = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return compact.encode("utf-8")
+
+
+@dataclass(frozen=True, slots=True)
 class LedgerEvent:
     """One link in the hash chain.
 
@@ -79,57 +90,52 @@ class LedgerEvent:
     time:
         Ledger-local time of the mutation (injected clock; informative,
         but hashed so history cannot be silently re-dated).
-    payload:
-        JSON-able event body (full record or flip).
+    encoded:
+        The sealed bytes (:func:`canonical_json` of :meth:`body`); the
+        four fields above must equal the header they decode to.
     prev_hash:
         Chain hash of the predecessor (:data:`GENESIS_HASH` for seq 1).
     chain_hash:
-        blake2b over ``prev_hash + canonical_encode(body)``.
+        blake2b over ``prev_hash + encoded``.
     """
 
     seq: int
     kind: str
     serial: int
     time: float
-    payload: dict
+    encoded: bytes
     prev_hash: bytes
     chain_hash: bytes
 
     def body(self) -> dict:
-        """The hashed portion: everything but the chain fields."""
-        return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "serial": self.serial,
-            "time": self.time,
-            "payload": self.payload,
-        }
+        """The hashed portion, decoded: header fields plus ``payload``."""
+        return json.loads(self.encoded)
+
+    @property
+    def payload(self) -> dict:
+        """JSON-able event body (full record or flip), decoded on demand."""
+        return self.body()["payload"]
 
 
-def chain_hash(prev_hash: bytes, body: dict) -> bytes:
-    """blake2b link: predecessor hash + canonical body bytes."""
-    return hashlib.blake2b(
-        prev_hash + canonical_encode(body), digest_size=32
-    ).digest()
+def chain_hash(prev_hash: bytes, encoded: bytes) -> bytes:
+    """blake2b link: predecessor hash + the event's sealed bytes."""
+    return hashlib.blake2b(prev_hash + encoded, digest_size=HASH_BYTES).digest()
 
 
-def event_to_dict(event: LedgerEvent) -> dict:
-    """JSON-able form for durable frames (hashes hex-encoded)."""
-    body = event.body()
-    body["prev_hash"] = event.prev_hash.hex()
-    body["chain_hash"] = event.chain_hash.hex()
-    return body
-
-
-def event_from_dict(data: dict) -> LedgerEvent:
+def event_from_bytes(
+    encoded: bytes, prev_hash: bytes, sealed_hash: bytes
+) -> LedgerEvent:
+    """The event whose header is what ``encoded`` says it is (raises
+    ``ValueError``/``KeyError``/``TypeError`` if that is no event body)."""
+    body = json.loads(encoded)
     return LedgerEvent(
-        seq=data["seq"],
-        kind=data["kind"],
-        serial=data["serial"],
-        time=data["time"],
-        payload=data["payload"],
-        prev_hash=bytes.fromhex(data["prev_hash"]),
-        chain_hash=bytes.fromhex(data["chain_hash"]),
+        seq=body["seq"],
+        kind=body["kind"],
+        serial=body["serial"],
+        time=body["time"],
+        encoded=encoded,
+        prev_hash=prev_hash,
+        chain_hash=sealed_hash,
     )
 
 
@@ -157,34 +163,25 @@ class EventLog:
     ) -> LedgerEvent:
         """Seal one event onto the chain and return it.
 
-        Inputs are normalized to plain JSON types before hashing:
-        numpy scalars (e.g. ``np.float64`` simulation times) are float
-        subclasses whose ``repr`` differs from the plain float's, so
-        hashing them raw would seal a chain hash that no longer
-        re-derives after a JSON round-trip through the durable store.
+        The body is encoded here, once: a numpy float seals as the
+        float it decodes back to, and a payload JSON cannot carry (raw
+        ``bytes``, a numpy integer) raises before anything is sealed.
         """
-        seq = self._head_seq + 1
-        serial = int(serial)
-        time = float(time)
-        payload = json.loads(json.dumps(payload))
-        body = {
-            "seq": seq,
+        header = {
+            "seq": self._head_seq + 1,
             "kind": kind,
-            "serial": serial,
-            "time": time,
-            "payload": payload,
+            "serial": int(serial),
+            "time": float(time),
         }
+        encoded = canonical_json({**header, "payload": payload})
         event = LedgerEvent(
-            seq=seq,
-            kind=kind,
-            serial=serial,
-            time=time,
-            payload=payload,
+            **header,
+            encoded=encoded,
             prev_hash=self._head_hash,
-            chain_hash=chain_hash(self._head_hash, body),
+            chain_hash=chain_hash(self._head_hash, encoded),
         )
         self._events.append(event)
-        self._head_seq = seq
+        self._head_seq = event.seq
         self._head_hash = event.chain_hash
         return event
 
@@ -216,8 +213,9 @@ class EventLog:
         """Re-derive every hash in the window; returns the head hash.
 
         Raises :class:`EventLogError` at the first broken link — a
-        gapped sequence number, a mismatched predecessor hash, or a
-        chain hash that does not re-derive from the event body.
+        gapped sequence number, a mismatched predecessor hash, a chain
+        hash that does not re-derive from the sealed bytes, or header
+        fields that are not what those bytes decode to.
         """
         return verify_events(
             self._events, self._anchor_seq, self._anchor_hash
@@ -238,10 +236,11 @@ def verify_events(
             raise EventLogError(
                 f"chain break at seq {event.seq}: predecessor hash mismatch"
             )
-        derived = chain_hash(head_hash, event.body())
-        if derived != event.chain_hash:
+        derived = chain_hash(head_hash, event.encoded)
+        if event != event_from_bytes(event.encoded, head_hash, derived):
             raise EventLogError(
-                f"chain break at seq {event.seq}: hash does not re-derive"
+                f"chain break at seq {event.seq}: hash or header does not "
+                f"re-derive from the sealed bytes"
             )
         head_seq, head_hash = event.seq, event.chain_hash
     return head_hash

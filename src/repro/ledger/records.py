@@ -85,8 +85,8 @@ class ClaimRecord:
         """JSON-able form for event-log payloads and snapshots.
 
         Every field round-trips through :meth:`from_payload`; bytes are
-        hex-encoded so the same structure feeds both the canonical
-        encoder (chain hashes) and ``json.dumps`` (snapshots).
+        hex-encoded so the structure is plain JSON, which is how both
+        event bodies and snapshots are encoded.
         """
         return {
             "identifier": self.identifier.to_string(),

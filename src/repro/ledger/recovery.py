@@ -10,11 +10,12 @@ frame it cannot vouch for and names what it saw:
 ``torn_record``
     the final frame is shorter than its length header promises;
 ``corrupted_segment``
-    a frame's blake2b tag (or its JSON body) does not verify;
+    a frame's blake2b tag does not verify, or its body is not an event;
 ``truncated_segment``
     verified frames skip sequence numbers — a middle of the log is gone;
 ``chain_broken``
-    a frame decodes but its hash chain does not re-derive;
+    a frame decodes but its chain hash does not re-derive from the
+    stored bytes (hashed as found, never re-encoded);
 ``snapshot_corrupt``
     a snapshot failed its checksum and was skipped.
 
@@ -29,17 +30,16 @@ invariant the consistency checker enforces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import hash_struct
-from repro.ledger.durable import DurableStore, _LEN_BYTES, _TAG_BYTES, _tag
+from repro.ledger.durable import DurableStore, read_frame
 from repro.ledger.events import (
     GENESIS_HASH,
     LedgerEvent,
     chain_hash,
-    event_from_dict,
+    event_from_bytes,
     replay,
 )
 from repro.ledger.records import ClaimRecord
@@ -133,36 +133,23 @@ def _scan_tail(
     for local_index, data in enumerate(segments):
         position = 0
         while position < len(data):
-            frame_end = None
-            if position + _LEN_BYTES <= len(data):
-                length = int.from_bytes(
-                    data[position : position + _LEN_BYTES], "big"
-                )
-                frame_end = position + _LEN_BYTES + length + _TAG_BYTES
-            if frame_end is None or frame_end > len(data):
+            frame_end, stored_hash, encoded = read_frame(data, position)
+            if frame_end is None:
                 evidence.append("torn_record")
                 return tail, evidence, truncation
-            body = data[position + _LEN_BYTES : frame_end - _TAG_BYTES]
-            if _tag(body) != data[frame_end - _TAG_BYTES : frame_end]:
+            if encoded is None:
                 evidence.append("corrupted_segment")
                 return tail, evidence, truncation
             try:
-                event = event_from_dict(json.loads(body.decode("utf-8")))
-            except (
-                UnicodeDecodeError,
-                json.JSONDecodeError,
-                KeyError,
-                ValueError,
-            ):
+                event = event_from_bytes(encoded, head_hash, stored_hash)
+            except (ValueError, KeyError, TypeError):
                 evidence.append("corrupted_segment")
                 return tail, evidence, truncation
             if event.seq > head_seq:
                 if event.seq != head_seq + 1:
                     evidence.append("truncated_segment")
                     return tail, evidence, truncation
-                if event.prev_hash != head_hash or chain_hash(
-                    head_hash, event.body()
-                ) != event.chain_hash:
+                if chain_hash(head_hash, encoded) != stored_hash:
                     evidence.append("chain_broken")
                     return tail, evidence, truncation
                 tail.append(event)

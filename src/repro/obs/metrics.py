@@ -188,12 +188,14 @@ class MetricsRegistry:
         buckets: Optional[Iterable[float]] = None,
         **labels,
     ) -> Histogram:
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_LATENCY_BUCKETS
         seen = self._buckets.get(name)
-        if seen is not None and seen != tuple(float(b) for b in bounds):
-            raise ValueError(
-                f"histogram {name!r} already registered with buckets {seen}"
-            )
+        bounds = seen or DEFAULT_LATENCY_BUCKETS  # hot path: not re-examined
+        if buckets is not None:
+            bounds = tuple(float(b) for b in buckets)
+            if seen is not None and seen != bounds:
+                raise ValueError(
+                    f"histogram {name!r} already registered with buckets {seen}"
+                )
         metric = self._get(Histogram, name, labels, buckets=bounds)
         self._buckets[name] = metric.buckets
         return metric

@@ -1,5 +1,7 @@
 """Tests for the RSA primitive and the signature layer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,14 @@ class TestKeyPairApi:
     def test_fingerprint_stable_and_distinct(self, session_keypair, second_keypair):
         assert session_keypair.fingerprint == session_keypair.public.fingerprint
         assert session_keypair.fingerprint != second_keypair.fingerprint
+
+    def test_fingerprint_is_hashed_once_per_key(self, session_keypair):
+        key = PublicKey.from_dict(session_keypair.public.to_dict())
+        material = key._key.n.to_bytes((key.bits + 7) // 8, "big")
+        material += key._key.e.to_bytes(8, "big")
+        assert key.fingerprint == hashlib.sha256(material).hexdigest()[:16]
+        assert key.fingerprint is key.fingerprint  # cached on the key
+        assert key == session_keypair.public  # the cache is not a field
 
     def test_require_valid_raises(self, session_keypair):
         sig = session_keypair.sign(b"msg")

@@ -1,6 +1,7 @@
 """Unit tests for the hash-chained ledger event log."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from repro.ledger.events import (
     EventLog,
     EventLogError,
     chain_hash,
-    event_from_dict,
-    event_to_dict,
+    event_from_bytes,
     replay,
     verify_events,
 )
@@ -52,7 +52,7 @@ class TestChain:
         first = log.append("claim", 1, 0.0, _flip())
         assert first.seq == 1
         assert first.prev_hash == GENESIS_HASH
-        assert first.chain_hash == chain_hash(GENESIS_HASH, first.body())
+        assert first.chain_hash == chain_hash(GENESIS_HASH, first.encoded)
 
     def test_chain_is_contiguous_and_verifies(self):
         log = EventLog()
@@ -91,9 +91,7 @@ class TestChain:
     def test_verify_rejects_rewritten_body(self):
         log = EventLog()
         event = log.append("claim", 1, 0.0, _flip())
-        redated = event_from_dict(
-            {**event_to_dict(event), "time": 99.0}
-        )
+        redated = replace(event, time=99.0)
         with pytest.raises(EventLogError, match="does not re-derive"):
             verify_events([redated], 0, GENESIS_HASH)
 
@@ -101,30 +99,56 @@ class TestChain:
 class TestWireForm:
     def test_dict_round_trip(self):
         event = EventLog().append("revoke", 7, 1.5, _flip(epoch=3))
-        assert event_from_dict(event_to_dict(event)) == event
+        assert json.loads(event.encoded) == event.body() == {
+            "seq": 1,
+            "kind": "revoke",
+            "serial": 7,
+            "time": 1.5,
+            "payload": _flip(epoch=3),
+        }
+        assert event.payload == _flip(epoch=3)
+        assert (
+            event_from_bytes(event.encoded, event.prev_hash, event.chain_hash)
+            == event
+        )
 
     def test_numpy_scalars_normalized_before_hashing(self):
-        """np.float64 times must hash as the float they decode back to.
+        """np.float64 values must seal as the float they decode back to.
 
         numpy scalars are float subclasses whose ``repr`` differs from
-        the plain float's; sealing them raw would produce a chain hash
-        that fails to re-derive after a JSON round-trip through the
-        durable store (the exact bug chaos clock skews exposed).
+        the plain float's; sealing that ``repr`` would produce a chain
+        hash that fails to re-derive from the decoded event (the exact
+        bug chaos clock skews exposed).
         """
-        log = EventLog()
-        event = log.append(
+        event = EventLog().append(
             "apply_state",
             np.int64(5),
             np.float64(9.145407576097107),
-            {"state": "revoked", "epoch": np.float64(1) and 1},
+            {"state": "revoked", "epoch": 1, "skew": np.float64(0.25)},
+        )
+        plain = EventLog().append(
+            "apply_state",
+            5,
+            9.145407576097107,
+            {"state": "revoked", "epoch": 1, "skew": 0.25},
         )
         assert type(event.time) is float
         assert type(event.serial) is int
-        decoded = event_from_dict(
-            json.loads(json.dumps(event_to_dict(event)))
+        assert event.encoded == plain.encoded
+        assert event.chain_hash == plain.chain_hash
+        assert type(event.payload["skew"]) is float
+        decoded = event_from_bytes(
+            event.encoded, event.prev_hash, event.chain_hash
         )
         assert decoded == event
         assert verify_events([decoded], 0, GENESIS_HASH) == event.chain_hash
+
+    @pytest.mark.parametrize("value", [b"raw", np.int64(3)])
+    def test_payload_json_cannot_carry_raises_at_append(self, value):
+        log = EventLog()
+        with pytest.raises(TypeError):
+            log.append("apply_state", 1, 0.0, {"state": "revoked", "epoch": value})
+        assert log.head_seq == 0 and len(log) == 0
 
 
 class TestReplay:

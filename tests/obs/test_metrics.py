@@ -117,6 +117,15 @@ class TestRegistryIdentity:
         # Same buckets are fine (get-or-create).
         registry.histogram("lat", buckets=(1.0, 2.0))
 
+    def test_histogram_without_buckets_joins_the_family(self):
+        registry = MetricsRegistry()
+        first = registry.histogram("lat", buckets=(1, 2), shard="a")
+        assert registry.histogram("lat", shard="a") is first
+        assert registry.histogram("lat", shard="b").buckets == (1.0, 2.0)
+        assert registry.histogram("new").buckets == DEFAULT_LATENCY_BUCKETS
+        with pytest.raises(ValueError):
+            registry.histogram("new", buckets=(1.0,))
+
     def test_all_metrics_sorted_by_name_then_labels(self):
         registry = MetricsRegistry()
         registry.counter("b")
