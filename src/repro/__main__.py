@@ -390,6 +390,13 @@ _DEMOS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # A subcommand in a package of its own has that package imported — for
+    # its arguments and its ``run`` — only when it is the one named:
+    # ``serve`` stays up for days and carries neither linter nor perf harness.
+    named = argv[0] if argv else None
+    run = None
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="IRS reproduction demos (full examples live in examples/)",
@@ -539,45 +546,37 @@ def main(argv: list[str] | None = None) -> int:
         "lint",
         help="AST-based determinism & contract linter (the CI gate)",
     )
-    from repro.analysis.cli import add_lint_arguments
+    if named == "lint":
+        from repro.analysis.cli import add_lint_arguments, run_lint as run
 
-    add_lint_arguments(lint_parser)
+        add_lint_arguments(lint_parser)
     perf_parser = subparsers.add_parser(
         "perf",
         help="hot-path microbenchmarks: measure, report, gate (BENCH_hotpaths.json)",
     )
-    from repro.perf.cli import add_perf_arguments
+    if named == "perf":
+        from repro.perf.cli import add_perf_arguments, run_perf as run
 
-    add_perf_arguments(perf_parser)
-    from repro.service.cli import add_loadgen_arguments, add_serve_arguments
-
+        add_perf_arguments(perf_parser)
     serve_parser = subparsers.add_parser(
         "serve",
         help="asyncio HTTP/JSON API in front of a live cluster (docs/api.md)",
     )
-    add_serve_arguments(serve_parser)
+    if named == "serve":
+        from repro.service.cli import add_serve_arguments, run_serve as run
+
+        add_serve_arguments(serve_parser)
     loadgen_parser = subparsers.add_parser(
         "loadgen",
         help="seeded open-loop load against the service; gates on invariants",
     )
-    add_loadgen_arguments(loadgen_parser)
+    if named == "loadgen":
+        from repro.service.cli import add_loadgen_arguments, run_loadgen_cli as run
+
+        add_loadgen_arguments(loadgen_parser)
     args = parser.parse_args(argv)
-    if args.demo == "lint":
-        from repro.analysis.cli import run_lint
-
-        return run_lint(args)
-    if args.demo == "perf":
-        from repro.perf.cli import run_perf
-
-        return run_perf(args)
-    if args.demo == "serve":
-        from repro.service.cli import run_serve
-
-        return run_serve(args)
-    if args.demo == "loadgen":
-        from repro.service.cli import run_loadgen_cli
-
-        return run_loadgen_cli(args)
+    if run is not None:
+        return run(args)
     if args.demo == "cluster":
         _demo_cluster(args)
     elif args.demo == "chaos":

@@ -67,6 +67,9 @@ class StatusBatcher:
         self.max_batch = max_batch
         self.max_inflight = max_inflight
         self.obs = obs
+        self._batch_size = None if obs is None else obs.histogram(
+            "frontend_batch_size", buckets=(1, 2, 4, 8, 16, 32, 64)
+        )
         # Per-shard pending (item, serial, deadline, signed) lookups.
         self._queues: Dict[str, List[tuple]] = {}
         self._ready: List[str] = []  # FIFO of shards with sendable batches
@@ -140,9 +143,7 @@ class StatusBatcher:
         bspan = None
         if self.obs is not None:
             self.obs.counter("frontend_batches_total", shard=shard_id).inc()
-            self.obs.histogram(
-                "frontend_batch_size", buckets=(1, 2, 4, 8, 16, 32, 64)
-            ).observe(len(batch))
+            self._batch_size.observe(len(batch))
             bspan = self.obs.start(
                 "frontend.batch", shard=shard_id, items=len(batch)
             )

@@ -17,6 +17,7 @@ stripped but the watermark persisted).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.hashing import sha256_bytes
 
@@ -33,6 +34,7 @@ class IdentifierError(Exception):
     """Raised on malformed identifiers."""
 
 
+@lru_cache(maxsize=1024)  # a process names a handful of ledgers, ids by the million
 def ledger_tag(ledger_id: str) -> bytes:
     """4-byte tag identifying a ledger in compact encodings."""
     if not ledger_id:

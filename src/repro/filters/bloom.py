@@ -10,6 +10,12 @@ positions come from double hashing over two independent 64-bit halves
 of a blake2b digest -- the standard Kirsch–Mitzenmacher construction,
 which preserves the asymptotic false-positive rate of k independent
 hashes.
+
+Two read paths share those positions: one key (``key in bloom``) is k
+bit tests on Python ints that stop at the first clear bit, a batch
+(``query_many``) is one numpy pass.  Each is the other's differential
+oracle (``tests/perf/test_vectorized_vs_scalar.py``), and both are held
+to ``_positions``, the arithmetic ``add`` sets bits by.
 """
 
 from __future__ import annotations
@@ -167,7 +173,22 @@ class BloomFilter:
         self._count += len(keys)
 
     def __contains__(self, key: bytes) -> bool:
-        return bool(self._bits.get_many(self._positions(key)).all())
+        """One key's membership, on Python ints.
+
+        The positions are :meth:`_positions`' — ``(h1 + i*h2) mod 2**64
+        mod nbits``, the sum carried forward — tested one at a time up
+        to the first clear bit: for one key, several times cheaper than
+        building the position array.
+        """
+        h1, h2 = _hash_pair(key, self._salt)
+        nbits = self.nbits
+        word = self._bits.words.item  # BitArray keeps 64 bits to a word
+        for _ in range(self._num_hashes):
+            position = h1 % nbits
+            if not word(position >> 6) >> (position & 63) & 1:
+                return False
+            h1 = (h1 + h2) & 0xFFFFFFFFFFFFFFFF
+        return True
 
     def query_many(self, keys: Sequence[bytes]) -> np.ndarray:
         """Membership verdicts for many keys in one vectorized pass.
@@ -177,8 +198,8 @@ class BloomFilter:
         reference oracle (``tests/perf/test_vectorized_vs_scalar.py``);
         this path exists because the per-request membership check is
         the hottest loop a proxy or frontend runs (thousands of checks
-        per batch), and one flat bit-gather beats per-key dispatch by
-        well over the 5x the perf trajectory requires.
+        per batch), and one flat bit-gather beats a loop of scalar
+        probes several times over (``bloom_batch_membership``).
         """
         keys = list(keys)
         if not keys:

@@ -115,10 +115,12 @@ class Histogram:
         self.total = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.total += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (a batch answered
+        together shares one measurement)."""
+        self.counts[bisect.bisect_left(self.buckets, value)] += count
+        self.total += value * count
+        self.count += count
 
     @property
     def mean(self) -> float:

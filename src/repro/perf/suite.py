@@ -364,7 +364,7 @@ def default_suite() -> List[BenchCase]:
             baseline=_membership_oracle,
             ops=_membership_ops,
             checksum=_membership_checksum,
-            min_speedup=5.0,
+            min_speedup=1.5,
         ),
         BenchCase(
             name="xor_batch_membership",

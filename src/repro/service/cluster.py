@@ -181,7 +181,12 @@ class LiveCluster(Cluster):
         )
 
     def _schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        self._loop.call_later(max(delay, 0.0), fn)
+        if delay > 0.0:
+            self._loop.call_later(delay, fn)
+        else:
+            # The batcher's end-of-tick marker: the next loop iteration,
+            # behind everything this one admits, and no timer-heap entry.
+            self._loop.call_soon(fn)
 
     def delay_shard(self, shard_id: str, seconds: float) -> None:
         """Make one replica slow without killing it (deadline tests)."""
@@ -194,8 +199,7 @@ class LiveCluster(Cluster):
         """Build the /bloom payload: filter bytes + reconstruction params."""
         keys = self.revoked_compact_keys()
         bloom = BloomFilter.for_capacity(max(len(keys), 1024), 0.01)
-        for key in keys:
-            bloom.add(key)
+        bloom.add_many(keys)
         params = {
             "x-filter-bits": str(bloom.nbits),
             "x-filter-hashes": str(bloom.num_hashes),

@@ -32,9 +32,6 @@ class Route:
     handler: str  # ServiceApp method name
     summary: str
 
-    def segments(self) -> Tuple[str, ...]:
-        return tuple(self.pattern.strip("/").split("/"))
-
 
 ROUTES: Tuple[Route, ...] = (
     Route("POST", "/claims", "handle_claims",
@@ -58,6 +55,14 @@ ROUTES: Tuple[Route, ...] = (
 )
 
 
+def _segments(path: str) -> Tuple[str, ...]:
+    return tuple(path.strip("/").split("/"))
+
+
+# Each route beside its pattern's segments, split once rather than per request.
+_PATTERNS = tuple((route, _segments(route.pattern)) for route in ROUTES)
+
+
 def match_route(method: str, path: str) -> Tuple[Route, Dict[str, str]]:
     """Resolve ``(method, path)`` to ``(route, params)`` or raise.
 
@@ -65,10 +70,9 @@ def match_route(method: str, path: str) -> Tuple[Route, Dict[str, str]]:
     matches the path at all, and ``method_not_allowed`` when at least
     one does but none with this method.
     """
-    segments = tuple(path.strip("/").split("/"))
+    segments = _segments(path)
     path_matched = False
-    for route in ROUTES:
-        pattern = route.segments()
+    for route, pattern in _PATTERNS:
         if len(pattern) != len(segments):
             continue
         params: Optional[Dict[str, str]] = {}

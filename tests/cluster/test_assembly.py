@@ -259,9 +259,12 @@ async def _one_tick(make):
         assert [sent for sent, _, _ in log[:3]] == [issued] * 3
         assert 0.0 < answered[0] - issued < 0.002
     else:
+        # The end-of-tick marker is a ``call_soon`` of its own, behind
+        # whatever the admitting iteration had already queued.
         answered = loop.create_future()
-        cluster.frontend.status_async(together[0], answered.set_result)
         loop.call_soon(log.append, "next tick")
+        cluster.frontend.status_async(together[0], answered.set_result)
+        assert log == []
         loop.call_soon(loop.call_soon, log.append, "tick after")
         await asyncio.wait_for(answered, timeout=5.0)
         assert [entry if isinstance(entry, str) else "rpc" for entry in log] == [
@@ -272,3 +275,45 @@ async def _one_tick(make):
 @pytest.mark.parametrize("adapter", ["asyncio", "netsim"])
 def test_lookups_of_one_tick_share_an_rpc_and_none_waits_on_a_timer(adapter):
     asyncio.run(_one_tick(ADAPTERS[adapter]))
+
+
+def test_the_live_end_of_tick_marker_is_not_a_timer(monkeypatch):
+    async def inner():
+        cluster = ADAPTERS["asyncio"]()
+        population = cluster.seed_population(64, revoked_fraction=1.0)
+        first = population.identifiers[0]
+        second = next(
+            identifier
+            for identifier in population.identifiers[1:]
+            if cluster.placement(identifier.serial)
+            == cluster.placement(first.serial)
+        )
+        log = []
+        _spy_status_rpcs(cluster, log)
+        loop = asyncio.get_running_loop()
+        delays = []
+        call_later = loop.call_later
+
+        def counted(delay, *args):
+            delays.append(delay)
+            return call_later(delay, *args)
+
+        monkeypatch.setattr(loop, "call_later", counted)
+        # Two reads admitted in one loop iteration, each by its own call.
+        answers = [loop.create_future(), loop.create_future()]
+        cluster.frontend.status_async(first, answers[0].set_result, proof=False)
+        cluster.frontend.status_async(second, answers[1].set_result, proof=False)
+        for answer in await asyncio.wait_for(asyncio.gather(*answers), 5.0):
+            assert answer.ok and answer.revoked
+        # One RPC per shard carried both ...
+        assert sorted(shard for _, shard, _ in log) == sorted(
+            cluster.placement(first.serial)
+        )
+        assert all(
+            carried == [first.serial, second.serial] for _, _, carried in log
+        )
+        # ... and every timer armed waits for something (a deadline
+        # backstop per read, a timeout per RPC): none for the marker.
+        assert delays.count(0.1) == 3 and min(delays) > 0.0
+
+    asyncio.run(inner())

@@ -89,6 +89,17 @@ class TestCompactEncoding:
         with pytest.raises(IdentifierError):
             ledger_tag("")
 
+    def test_tag_is_the_sha256_prefix_however_often_it_is_asked_for(self):
+        import hashlib
+
+        for _ in range(3):  # the first call computes it, the rest recall it
+            for ledger_id in ("irs1", "ledger-0", "lédger"):
+                assert ledger_tag(ledger_id) == hashlib.sha256(
+                    ledger_id.encode("utf-8")
+                ).digest()[:4]
+        with pytest.raises(IdentifierError):  # a refusal is not remembered
+            ledger_tag("")
+
 
 @given(
     st.text(

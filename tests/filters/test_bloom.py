@@ -126,3 +126,59 @@ def test_property_union_is_superset(keys_a, keys_b):
     b.add_many(keys_b)
     merged = BloomFilter.union([a, b])
     assert all(k in merged for k in keys_a + keys_b)
+
+
+# -- scalar membership against the position oracle --------------------------------
+#
+# ``key in bloom`` walks the Kirsch–Mitzenmacher positions on Python
+# ints; ``_positions`` (wrapping uint64 numpy arithmetic, what ``add``
+# and ``query_many`` set and read) is the reference it must equal.
+
+
+def _oracle(bloom: BloomFilter, key: bytes) -> bool:
+    return bool(bloom.bits.get_many(bloom._positions(key)).all())
+
+
+def _filled(nbits: int, num_hashes: int, fill: float, seed: int) -> BloomFilter:
+    bloom = BloomFilter(nbits, num_hashes)
+    chosen = np.random.default_rng(seed).random(nbits) < fill
+    bloom.bits.set_many(np.flatnonzero(chosen))
+    return bloom
+
+
+_GEOMETRY = dict(
+    # 1, 63, 64, 65, ...: sizes around and off the 64-bit word boundary.
+    nbits=st.one_of(st.integers(1, 130), st.integers(131, 100_000)),
+    num_hashes=st.integers(1, 16),
+    fill=st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=st.lists(st.binary(max_size=24), min_size=1, max_size=40), **_GEOMETRY)
+def test_property_scalar_membership_equals_the_position_oracle(
+    keys, nbits, num_hashes, fill, seed
+):
+    bloom = _filled(nbits, num_hashes, fill, seed)
+    bloom.add_many(keys[::2])
+    for key in keys:
+        assert (key in bloom) == _oracle(bloom, key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h1=st.integers(0, 2**64 - 1),
+    h2=st.integers(0, 2**64 - 1),  # i * h2 wraps 2**64 for most draws
+    **_GEOMETRY,
+)
+def test_property_scalar_positions_wrap_like_uint64(
+    h1, h2, nbits, num_hashes, fill, seed
+):
+    from unittest import mock
+
+    from repro.filters import bloom as module
+
+    bloom = _filled(nbits, num_hashes, fill, seed)
+    with mock.patch.object(module, "_hash_pair", return_value=(h1, h2)):
+        assert (b"key" in bloom) == _oracle(bloom, b"key")

@@ -73,6 +73,18 @@ class TestHistogramBuckets:
         assert h.total == pytest.approx(11.5)
         assert h.mean == pytest.approx(11.5 / 4)
 
+    def test_a_weighted_observation_is_that_many_observations(self):
+        weighted = Histogram("lat", buckets=(1.0, 2.0))
+        repeated = Histogram("lat", buckets=(1.0, 2.0))
+        for value, count in ((0.5, 3), (1.0, 1), (1.5, 63), (9.0, 2)):
+            weighted.observe(value, count=count)
+            for _ in range(count):
+                repeated.observe(value)
+        assert weighted.counts == repeated.counts == [4, 63, 2]
+        assert weighted.count == repeated.count == 69
+        assert weighted.cumulative() == repeated.cumulative()
+        assert weighted.total == pytest.approx(repeated.total)
+
     def test_percentile_reports_bucket_upper_bound(self):
         h = Histogram("lat", buckets=(1.0, 2.0, 5.0))
         for v in (0.1, 0.2, 0.3, 4.0):

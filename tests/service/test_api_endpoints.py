@@ -1,7 +1,10 @@
 """End-to-end API tests over a real socket (one event loop per test)."""
 
 import asyncio
+import hashlib
+import json
 
+from repro.filters.bloom import BloomFilter
 from repro.service.cluster import LiveClusterConfig
 from tests.service.conftest import serve
 
@@ -108,6 +111,64 @@ def test_batch_status_preserves_order():
     asyncio.run(inner())
 
 
+def test_a_page_view_constructs_a_read_only_for_its_filter_hits(monkeypatch):
+    from repro.cluster.reads import StatusRead
+
+    reads = []
+    original = StatusRead.__init__
+
+    def counted(self, frontend, identifier, *args, **kwargs):
+        reads.append(identifier.to_string())
+        original(self, frontend, identifier, *args, **kwargs)
+
+    monkeypatch.setattr(StatusRead, "__init__", counted)
+
+    async def inner():
+        async with serve(populate=64, revoked_fraction=0.1) as env:
+            population = env.population
+            ids = [i.to_string() for i in population.identifiers]
+            r = await env.client.request("POST", "/status", {"ids": ids})
+            assert r.status == 200
+            page, hits = list(reads), []
+            expected = []
+            for index, claimed in enumerate(ids):
+                if population.revoked(index):
+                    # A hit is a single read: what GET /status/{id} serves
+                    # (whichever replica completed the quorum).
+                    hits.append(claimed)
+                    one = await env.client.request("GET", f"/status/{claimed}")
+                    served = r.json()["results"][index]["answered_by"]
+                    assert served in env.cluster.placement(
+                        population.identifiers[index].serial
+                    )
+                    expected.append(dict(one.json(), answered_by=served))
+                    assert one.json()["source"] == "shard"
+                else:
+                    expected.append({
+                        "id": claimed, "revoked": False, "source": "filter",
+                        "state": None, "epoch": -1, "answered_by": None,
+                        "degraded": False, "error": None,
+                    })
+            assert page == hits and 0 < len(hits) < 10
+            assert r.body == json.dumps(
+                {"results": expected, "error": None}
+            ).encode("utf-8")
+            # The bytes this population's page view had before a batch
+            # answered its misses together.
+            assert hashlib.sha256(r.body).hexdigest() == (
+                "8a65444bf444a7aa7108745a7093747a70595b45ae40e4f8ea11a157a0740d0e"
+            )
+            metrics = env.obs.metrics
+            assert metrics.value("frontend_queries_total") == 64 + len(hits)
+            assert metrics.value("frontend_filter_short_circuits_total") == 57
+            assert metrics.value("frontend_answers_total", source="filter") == 57
+            assert metrics.get("frontend_status_latency_seconds").count == (
+                64 + len(hits)
+            )
+
+    asyncio.run(inner())
+
+
 def test_bloom_etag_and_304_refresh():
     async def inner():
         async with serve(populate=16, revoked_fraction=0.5) as env:
@@ -117,6 +178,21 @@ def test_bloom_etag_and_304_refresh():
             assert int(r.headers["x-filter-keys"]) >= 1
             assert len(r.body) > 0
             assert r.headers["content-type"] == "application/octet-stream"
+
+            # The payload is the filter of the revoked ids, bit for bit
+            # what inserting their keys one at a time builds.
+            revoked = [
+                identifier.to_compact()
+                for index, identifier in enumerate(env.population.identifiers)
+                if env.population.revoked(index)
+            ]
+            assert int(r.headers["x-filter-keys"]) == len(revoked)
+            one_by_one = BloomFilter(
+                int(r.headers["x-filter-bits"]), int(r.headers["x-filter-hashes"])
+            )
+            for key in revoked:
+                one_by_one.add(key)
+            assert r.body == one_by_one.to_bytes()
 
             # Unchanged chain head -> 304, no body.
             r = await env.client.request(

@@ -60,6 +60,27 @@ def test_serving_loads_no_image_or_simulator_stack():
     assert _python(SERVE_CLOSURE.format(unwanted=UNWANTED)) == "[]"
 
 
+def test_the_serve_command_line_loads_neither_linter_nor_perf_harness():
+    """``python -m repro serve`` is the process that stays up: building
+    the argument parser must not import the packages of the subcommands
+    it is not running."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "serve", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "--populate" in result.stdout  # serve's own arguments are there
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    assert "repro.service.cli" in imported
+    assert [
+        name for name in imported
+        if name.startswith(("repro.analysis", "repro.perf"))
+    ] == []
+
+
 def test_appeals_still_bring_the_image_stack():
     """Appeals compare photos, so the module keeps its imports; it is
     only the ``repro.ledger`` package root that no longer drags it in."""
