@@ -2,8 +2,8 @@
 
 The paper sizes its bootstrap argument with "a standard Bloom filter
 (see more recent advances in [9, 15, 16])".  This ablation quantifies
-what switching to Xor (Graf & Lemire 2020) or Binary Fuse (2022)
-filters buys the same deployment: space at equal-or-better FPR, build
+what switching to a Binary Fuse filter (Graf & Lemire 2022) buys the
+same deployment: space at equal-or-better FPR, build
 cost (ledgers rebuild hourly), and query cost (the proxy hot path).
 """
 
@@ -13,7 +13,6 @@ import pytest
 from repro.filters.binary_fuse import BinaryFuseFilter
 from repro.filters.bloom import BloomFilter
 from repro.filters.sizing import load_reduction_factor
-from repro.filters.xor_filter import XorFilter
 from repro.metrics.reporting import Table
 
 NUM_KEYS = 50_000
@@ -29,9 +28,8 @@ def keys():
 def built(keys):
     bloom = BloomFilter.for_capacity(NUM_KEYS, 0.02)
     bloom.add_many(keys)
-    xor = XorFilter.build(keys)
     fuse = BinaryFuseFilter.build(keys)
-    return {"bloom (2% target)": bloom, "xor": xor, "binary fuse": fuse}
+    return {"bloom (2% target)": bloom, "binary fuse": fuse}
 
 
 def test_e11_space_and_fpr(built, report, benchmark):
@@ -59,17 +57,14 @@ def test_e11_space_and_fpr(built, report, benchmark):
     report(table)
 
     bloom_bpk, bloom_fpr = stats["bloom (2% target)"]
-    xor_bpk, xor_fpr = stats["xor"]
     fuse_bpk, fuse_fpr = stats["binary fuse"]
     # The advances' selling point: ~5x lower FPR at comparable space.
-    assert xor_fpr < bloom_fpr / 3
     assert fuse_fpr < bloom_fpr / 3
-    assert xor_bpk < 11.0
-    assert fuse_bpk < xor_bpk  # fuse beats xor on space at this scale
+    assert fuse_bpk < 11.0
     benchmark(lambda: BloomFilter.for_capacity(NUM_KEYS, 0.02))
 
 
-@pytest.mark.parametrize("family", ["bloom", "xor", "fuse"])
+@pytest.mark.parametrize("family", ["bloom", "fuse"])
 def test_e11_build_cost(keys, family, benchmark):
     """Hourly rebuild cost per family (ledger side)."""
     if family == "bloom":
@@ -77,9 +72,6 @@ def test_e11_build_cost(keys, family, benchmark):
             filt = BloomFilter.for_capacity(NUM_KEYS, 0.02)
             filt.add_many(keys)
             return filt
-    elif family == "xor":
-        def build():
-            return XorFilter.build(keys)
     else:
         def build():
             return BinaryFuseFilter.build(keys)
@@ -87,12 +79,11 @@ def test_e11_build_cost(keys, family, benchmark):
     assert result.num_keys if family != "bloom" else True
 
 
-@pytest.mark.parametrize("family", ["bloom", "xor", "fuse"])
+@pytest.mark.parametrize("family", ["bloom", "fuse"])
 def test_e11_query_cost(built, family, benchmark):
     """Proxy hot-path query cost per family."""
     filt = {
         "bloom": built["bloom (2% target)"],
-        "xor": built["xor"],
         "fuse": built["binary fuse"],
     }[family]
     probes = [f"probe-{i}".encode() for i in range(2_000)]
@@ -104,11 +95,11 @@ def test_e11_query_cost(built, family, benchmark):
 
 
 def test_e11_tradeoff_note(built, report, benchmark):
-    """What Bloom still wins: incremental insert and OR-merging.  The
-    static families must rebuild to add a key — relevant because the
+    """What Bloom still wins: incremental insert and OR-merging.  A
+    static filter must rebuild to add a key — relevant because the
     ledger's revoked set changes hourly."""
     table = Table(
-        headers=["capability", "bloom", "xor / binary fuse"],
+        headers=["capability", "bloom", "binary fuse"],
         title="E11b: qualitative trade-offs for the IRS deployment",
     )
     table.add("incremental insert", "yes", "no (rebuild)")
@@ -116,13 +107,14 @@ def test_e11_tradeoff_note(built, report, benchmark):
     table.add("delta-encodable updates", "yes (bit diffs)", "full rebuild ship")
     table.add("space @ ~0.4% FPR", "~12.8 bits/key", "~9.1-9.9 bits/key")
     report(table)
-    # The one quantitative check: to match xor's measured FPR, Bloom
-    # needs more space than xor uses.
+    # The one quantitative check: to match fuse's measured FPR, Bloom
+    # needs more space than fuse uses.
     rng = np.random.default_rng(12)
-    xor_fpr = built["xor"].measure_fpr(20_000, rng)
+    fuse = built["binary fuse"]
+    fuse_fpr = fuse.measure_fpr(20_000, rng)
     from repro.filters.sizing import bloom_bits_for_fpr
 
-    bloom_bits_needed = bloom_bits_for_fpr(NUM_KEYS, max(xor_fpr, 1e-4))
-    assert bloom_bits_needed / NUM_KEYS > 8.0 * built["xor"].nbytes / NUM_KEYS * 0.9
+    bloom_bits_needed = bloom_bits_for_fpr(NUM_KEYS, max(fuse_fpr, 1e-4))
+    assert bloom_bits_needed / NUM_KEYS > 8.0 * fuse.nbytes / NUM_KEYS * 0.9
 
-    benchmark(lambda: built["xor"].measure_fpr(2_000, rng))
+    benchmark(lambda: fuse.measure_fpr(2_000, rng))

@@ -10,7 +10,7 @@ Package map (see DESIGN.md for the full inventory):
   validate, plus one-call deployments.
 * :mod:`repro.crypto` -- per-photo key pairs, timestamps, Merkle logs,
   payment tokens.
-* :mod:`repro.filters` -- Bloom / counting / xor / binary-fuse filters,
+* :mod:`repro.filters` -- Bloom / binary-fuse filters,
   delta updates, analytic sizing.
 * :mod:`repro.media` -- synthetic photos, metadata, DCT codec,
   transforms, QIM watermarks, perceptual hashing.

@@ -16,7 +16,6 @@ Entry points: ``python -m repro lint`` and ``tools/lint.py`` (CI).
 Library surface: :func:`lint_paths` plus the dataclasses below.
 """
 
-from repro.analysis.baseline import Baseline, load_baseline, write_baseline
 from repro.analysis.engine import LintConfig, LintResult, lint_paths, repo_root
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, all_rules, rule
@@ -24,7 +23,6 @@ from repro.analysis.report import findings_to_jsonl, render_table
 from repro.analysis.suppress import Suppression, parse_suppressions
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "LintResult",
@@ -33,10 +31,8 @@ __all__ = [
     "all_rules",
     "findings_to_jsonl",
     "lint_paths",
-    "load_baseline",
     "parse_suppressions",
     "render_table",
     "repo_root",
     "rule",
-    "write_baseline",
 ]

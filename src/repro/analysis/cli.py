@@ -1,13 +1,12 @@
 """Command-line front end: ``python -m repro lint`` / ``tools/lint.py``.
 
-Configuration lives in ``[tool.repro_lint]`` in pyproject.toml and is
-read with :mod:`tomllib` where available (3.11+); on 3.10 the committed
-defaults baked into :class:`LintConfig` and this module apply, and the
-two are kept identical by ``tests/analysis/test_cli.py``.
+Configuration is the defaults of
+:class:`~repro.analysis.engine.LintConfig`; the default path list is
+:data:`DEFAULT_PATHS` below.
 
-Exit status: ``--strict`` exits 1 when any non-baselined,
-non-suppressed finding remains (the CI gate); without ``--strict`` the
-run is advisory and always exits 0 (the benchmarks/examples sweep).
+Exit status: ``--strict`` exits 1 when any non-suppressed finding
+remains (the CI gate); without ``--strict`` the run is advisory and
+always exits 0.
 Exit 2 means the run itself could not proceed — unknown rule id, or a
 missing/invalid layer contract under ``--program`` — which CI must
 treat as failure, never as "no findings".
@@ -18,87 +17,17 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.baseline import write_baseline
-from repro.analysis.engine import (
-    LintConfig,
-    LintResult,
-    lint_paths,
-    repo_root,
-    with_overrides,
-)
+from repro.analysis.engine import LintConfig, LintResult, lint_paths, repo_root
 from repro.analysis.program.contract import ContractError
-from repro.analysis.program.graph import ImportGraph, load_graph
 from repro.analysis.registry import all_program_rules, all_rules
 from repro.analysis.report import findings_to_jsonl, render_table
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
 
-#: committed defaults, mirrored in ``[tool.repro_lint]``.
+#: what a bare ``repro lint`` walks.
 DEFAULT_PATHS = ("src/repro",)
-DEFAULT_BASELINE = "tools/lint_baseline.json"
-
-_CONFIG_TUPLES = (
-    "allow_wall_clock",
-    "rpc_dirs",
-    "rpc_methods",
-    "obs_exempt_segments",
-    "envelope_roots",
-)
-
-_CONFIG_STRINGS = (
-    "contract_path",
-    "envelope_registry",
-    "routes_module",
-)
-
-
-def _load_pyproject_config(root: Path) -> dict:
-    """``[tool.repro_lint]`` as a dict; empty when absent or on 3.10."""
-    pyproject = root / "pyproject.toml"
-    if not pyproject.exists():
-        return {}
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10: defaults in code apply
-        return {}
-    with pyproject.open("rb") as handle:
-        data = tomllib.load(handle)
-    section = data.get("tool", {}).get("repro_lint", {})
-    return section if isinstance(section, dict) else {}
-
-
-def build_config(root: Path) -> LintConfig:
-    """LintConfig for ``root`` with the pyproject overlay applied."""
-    section = _load_pyproject_config(root)
-    overrides = {
-        key: tuple(section[key])
-        for key in _CONFIG_TUPLES
-        if isinstance(section.get(key), list)
-    }
-    overrides.update(
-        {
-            key: section[key]
-            for key in _CONFIG_STRINGS
-            if isinstance(section.get(key), str)
-        }
-    )
-    return with_overrides(LintConfig(root=root), **overrides)
-
-
-def configured_paths(root: Path) -> List[str]:
-    section = _load_pyproject_config(root)
-    paths = section.get("paths")
-    if isinstance(paths, list) and paths:
-        return [str(p) for p in paths]
-    return list(DEFAULT_PATHS)
-
-
-def configured_baseline(root: Path) -> str:
-    section = _load_pyproject_config(root)
-    baseline = section.get("baseline")
-    return str(baseline) if isinstance(baseline, str) else DEFAULT_BASELINE
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -106,13 +35,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--paths",
         nargs="+",
         metavar="PATH",
-        help="files or directories to lint (default: [tool.repro_lint] "
-        "paths, falling back to src/repro)",
+        help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit nonzero on any non-baselined, non-suppressed finding",
+        help="exit nonzero on any non-suppressed finding",
     )
     parser.add_argument(
         "--program",
@@ -121,33 +49,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "contract, async safety, error-envelope flow)",
     )
     parser.add_argument(
-        "--graph",
-        metavar="PATH",
-        help="import-graph artifact from a previous --write-graph run; "
-        "revalidated against file hashes and rebuilt if stale",
-    )
-    parser.add_argument(
-        "--write-graph",
-        metavar="PATH",
-        help="write the import-graph artifact after the run "
-        "(requires --program)",
-    )
-    parser.add_argument(
         "--format",
         choices=("table", "jsonl"),
         default="table",
         help="report format (default: table)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline JSON of grandfathered findings (default: "
-        f"{DEFAULT_BASELINE}; pass an empty string to disable)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file from this run's findings and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -163,7 +68,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also show baselined and suppressed findings in table output",
+        help="also show suppressed findings in table output",
     )
     parser.add_argument(
         "--root",
@@ -177,66 +82,19 @@ def _resolve(root: Path, value: str) -> Path:
     return path if path.is_absolute() else root / value
 
 
-def _load_graph_artifact(root: Path, value: str) -> Optional[ImportGraph]:
-    """Best-effort cache read: a missing/rotten artifact just rebuilds."""
-    path = _resolve(root, value)
-    try:
-        return load_graph(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"lint: ignoring graph artifact {value}: {exc}", file=sys.stderr)
-        return None
-
-
 def run_lint(args: argparse.Namespace) -> int:
     root = Path(args.root).resolve() if args.root else repo_root()
     if args.list_rules:
         for one_rule in (*all_rules(), *all_program_rules()):
             print(f"{one_rule.id}: {one_rule.summary}")
         return 0
-    config = build_config(root)
-    paths = [_resolve(root, p) for p in (args.paths or configured_paths(root))]
-    baseline_arg = (
-        args.baseline if args.baseline is not None else configured_baseline(root)
-    )
-    baseline_path: Optional[Path] = None
-    if baseline_arg:
-        baseline_path = _resolve(root, baseline_arg)
-    if args.write_graph and not args.program:
-        print("lint: --write-graph requires --program", file=sys.stderr)
-        return 2
-    graph = (
-        _load_graph_artifact(root, args.graph)
-        if args.graph and args.program
-        else None
-    )
+    paths = [_resolve(root, p) for p in (args.paths or DEFAULT_PATHS)]
     try:
-        if args.write_baseline:
-            if baseline_path is None:
-                print(
-                    "lint: --write-baseline needs a baseline path",
-                    file=sys.stderr,
-                )
-                return 2
-            result = lint_paths(
-                paths,
-                config=config,
-                select=args.select,
-                program=args.program,
-                graph=graph,
-            )
-            write_baseline(baseline_path, result.findings)
-            print(
-                f"lint: wrote {len(result.findings)} findings to "
-                f"{baseline_path.relative_to(root) if baseline_path.is_relative_to(root) else baseline_path}"
-            )
-            return 0
         result = lint_paths(
             paths,
-            config=config,
+            config=LintConfig(root=root),
             select=args.select,
-            baseline_path=baseline_path,
             program=args.program,
-            graph=graph,
         )
     except ContractError as exc:
         # Exit 2, not 1: the gate could not run, which is a different
@@ -246,13 +104,6 @@ def run_lint(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.write_graph:
-        if result.graph is None:
-            print("lint: no import graph was built", file=sys.stderr)
-            return 2
-        graph_out = _resolve(root, args.write_graph)
-        graph_out.parent.mkdir(parents=True, exist_ok=True)
-        graph_out.write_text(result.graph.to_json(), encoding="utf-8")
     _emit(result, args)
     if args.strict and not result.clean:
         return 1

@@ -1,4 +1,4 @@
-"""The lint engine: walk files, run rules, apply suppressions + baseline.
+"""The lint engine: walk files, run rules, apply suppressions.
 
 Determinism is a feature here, not a nicety — the JSONL report is a
 regression artifact exactly like the span export: files are visited in
@@ -9,15 +9,14 @@ and totally ordered, so the same tree produces the same bytes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import Baseline, load_baseline
 from repro.analysis.findings import Finding
 from repro.analysis.program.context import build_context
 from repro.analysis.program.contract import LayerContract, load_contract
-from repro.analysis.program.graph import ImportGraph, build_graph
+from repro.analysis.program.graph import build_graph
 from repro.analysis.registry import (
     INVALID_SUPPRESSION,
     PARSE_ERROR,
@@ -52,9 +51,9 @@ def repo_root(start: Optional[Path] = None) -> Path:
 class LintConfig:
     """Everything a run needs beyond the file list.
 
-    Defaults mirror ``[tool.repro_lint]`` in pyproject.toml; the CLI
-    overlays the committed config on top of these, so library callers
-    (tests) get identical behavior without reading TOML.
+    The defaults are the repository's configuration — the CLI runs
+    with them as they stand; the fixture tests ``dataclasses.replace``
+    single fields to point a rule at a fixture tree.
     """
 
     root: Path = field(default_factory=repo_root)
@@ -84,11 +83,8 @@ class LintResult:
     """One run's verdict, pre-partitioned for the reporters."""
 
     findings: List[Finding] = field(default_factory=list)  # actionable
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Tuple[Finding, Suppression]] = field(default_factory=list)
     files_checked: int = 0
-    #: import graph of the analyzed tree; set when program passes ran.
-    graph: Optional[ImportGraph] = None
 
     @property
     def clean(self) -> bool:
@@ -126,24 +122,17 @@ def lint_paths(
     paths: Sequence[Path],
     config: Optional[LintConfig] = None,
     select: Optional[Iterable[str]] = None,
-    baseline: Optional[Baseline] = None,
-    baseline_path: Optional[Path] = None,
     program: bool = False,
-    graph: Optional[ImportGraph] = None,
     contract: Optional[LayerContract] = None,
 ) -> LintResult:
     """Lint every ``*.py`` under ``paths``; returns a :class:`LintResult`.
 
     ``select`` restricts to a subset of rule ids (tests use this to
     exercise one rule against one fixture); naming a program rule in
-    ``select`` runs it whether or not ``program`` is set.  ``baseline``
-    (or a ``baseline_path`` to load one from) absorbs grandfathered
-    findings into :attr:`LintResult.baselined`.
+    ``select`` runs it whether or not ``program`` is set.
 
     ``program=True`` additionally runs every whole-program pass over
-    the same parsed modules.  ``graph`` is an optional cached import
-    graph (the CI artifact): it is revalidated against the file hashes
-    and silently rebuilt when stale.  ``contract`` injects a parsed
+    the same parsed modules.  ``contract`` injects a parsed
     layer contract; by default the committed one at
     ``config.contract_path`` is loaded when the layering pass runs,
     and a missing or invalid contract raises
@@ -158,10 +147,6 @@ def lint_paths(
     rules = all_rules(file_select)
     program_rules = all_program_rules(prog_select)
     known_ids = known_rule_ids()
-    if baseline is None:
-        baseline = (
-            load_baseline(baseline_path) if baseline_path else Baseline()
-        )
     result = LintResult()
     raw: List[Finding] = []
     modules: Dict[str, SourceModule] = {}
@@ -221,8 +206,7 @@ def lint_paths(
             else:
                 raw.append(finding)
     if program_rules:
-        if graph is None or not graph.matches(modules):
-            graph = build_graph(modules)
+        graph = build_graph(modules)
         if contract is None and any(
             one.id == _LAYER_RULE_ID for one in program_rules
         ):
@@ -239,9 +223,7 @@ def lint_paths(
                     result.suppressed.append((finding, suppression))
                 else:
                     raw.append(finding)
-        result.graph = graph
-    unique = sorted(set(raw), key=Finding.sort_key)
-    result.findings, result.baselined = baseline.split(unique)
+    result.findings = sorted(set(raw), key=Finding.sort_key)
     result.suppressed.sort(key=lambda pair: pair[0].sort_key())
     return result
 
@@ -256,8 +238,3 @@ def _matching_suppression(
         if suppression is not None and suppression.rule == finding.rule:
             return suppression
     return None
-
-
-def with_overrides(config: LintConfig, **overrides) -> LintConfig:
-    """Frozen-dataclass convenience for the CLI's TOML overlay."""
-    return replace(config, **overrides)

@@ -23,7 +23,6 @@ from repro.analysis.program.graph import (
     ImportEdge,
     ImportGraph,
     build_graph,
-    load_graph,
     module_name_for_rel,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "ImportEdge",
     "ImportGraph",
     "build_graph",
-    "load_graph",
     "module_name_for_rel",
 ]

@@ -1,11 +1,8 @@
-"""The whole-program import graph: modules, edges, and a cache artifact.
+"""The whole-program import graph: modules and edges.
 
 One :class:`ImportGraph` per analyzed tree.  Construction is a pure
 function of the parsed modules, independent of dict iteration order
-(``tests/analysis/test_program_graph.py`` holds this with hypothesis),
-and the serialized form is canonical JSON with per-file content
-hashes — so CI can build the graph once, carry it between steps, and
-revalidate it in O(files) instead of re-walking every AST.
+(``tests/analysis/test_program_graph.py`` holds this with hypothesis).
 
 Edge semantics, chosen to match how the repo actually imports:
 
@@ -22,8 +19,6 @@ Edge semantics, chosen to match how the repo actually imports:
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -34,10 +29,7 @@ __all__ = [
     "ImportGraph",
     "module_name_for_rel",
     "build_graph",
-    "load_graph",
 ]
-
-_ARTIFACT_VERSION = 1
 
 
 def module_name_for_rel(rel: str) -> str:
@@ -71,17 +63,6 @@ class ImportEdge:
     def sort_key(self) -> Tuple[str, str, int, int]:
         return (self.src, self.dst, self.line, self.col)
 
-    def to_dict(self) -> dict:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "lazy": self.lazy,
-            "typing_only": self.typing_only,
-        }
-
 
 @dataclass
 class ImportGraph:
@@ -89,7 +70,6 @@ class ImportGraph:
 
     modules: Dict[str, str] = field(default_factory=dict)  # name -> rel path
     edges: List[ImportEdge] = field(default_factory=list)  # sorted
-    hashes: Dict[str, str] = field(default_factory=dict)  # rel -> sha256
 
     def runtime_edges(self) -> List[ImportEdge]:
         """Edges with runtime coupling (everything but typing-only)."""
@@ -108,39 +88,6 @@ class ImportGraph:
             if edge.src in adjacency and edge.dst in self.modules:
                 adjacency[edge.src].add(edge.dst)
         return {name: sorted(dsts) for name, dsts in adjacency.items()}
-
-    # -- artifact ----------------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Canonical bytes: sorted keys, sorted rows, trailing newline."""
-        payload = {
-            "version": _ARTIFACT_VERSION,
-            "modules": {
-                name: {"path": rel, "sha256": self.hashes[rel]}
-                for name, rel in sorted(self.modules.items())
-            },
-            "edges": [
-                edge.to_dict()
-                for edge in sorted(self.edges, key=ImportEdge.sort_key)
-            ],
-        }
-        return (
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-
-    def matches(self, modules: Mapping[str, SourceModule]) -> bool:
-        """Does this graph describe exactly these module contents?"""
-        if set(self.modules.values()) != set(modules):
-            return False
-        return all(
-            self.hashes.get(rel) == _sha256(module.text)
-            for rel, module in modules.items()
-        )
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
 
 def _is_typing_guard(test: ast.AST) -> bool:
     parts = dotted_name(test)
@@ -196,10 +143,8 @@ def build_graph(modules: Mapping[str, SourceModule]) -> ImportGraph:
     depends on the mapping's iteration order.
     """
     names: Dict[str, str] = {}
-    hashes: Dict[str, str] = {}
     for rel in sorted(modules):
         names[module_name_for_rel(rel)] = rel
-        hashes[rel] = _sha256(modules[rel].text)
     raw: set = set()
     for rel in sorted(modules):
         module = modules[rel]
@@ -249,36 +194,4 @@ def build_graph(modules: Mapping[str, SourceModule]) -> ImportGraph:
     return ImportGraph(
         modules=names,
         edges=sorted(raw, key=ImportEdge.sort_key),
-        hashes=hashes,
-    )
-
-
-def load_graph(text: str) -> ImportGraph:
-    """Parse a serialized graph artifact; raises ValueError on rot."""
-    data = json.loads(text)
-    if data.get("version") != _ARTIFACT_VERSION:
-        raise ValueError(
-            f"unsupported import-graph artifact version {data.get('version')!r}"
-        )
-    modules: Dict[str, str] = {}
-    hashes: Dict[str, str] = {}
-    for name, entry in data.get("modules", {}).items():
-        modules[name] = entry["path"]
-        hashes[entry["path"]] = entry["sha256"]
-    edges = [
-        ImportEdge(
-            src=row["src"],
-            dst=row["dst"],
-            path=row["path"],
-            line=int(row["line"]),
-            col=int(row["col"]),
-            lazy=bool(row["lazy"]),
-            typing_only=bool(row["typing_only"]),
-        )
-        for row in data.get("edges", [])
-    ]
-    return ImportGraph(
-        modules=modules,
-        edges=sorted(edges, key=ImportEdge.sort_key),
-        hashes=hashes,
     )

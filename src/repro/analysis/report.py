@@ -38,18 +38,6 @@ def render_table(result: LintResult, verbose: bool = False) -> str:
                 finding.message,
             )
         parts.append(table.render())
-    if verbose and result.baselined:
-        table = Table(
-            headers=["location", "rule", "message"],
-            title="baselined (grandfathered; fix when touched)",
-        )
-        for finding in result.baselined:
-            table.add(
-                f"{finding.path}:{finding.line}:{finding.col}",
-                finding.rule,
-                finding.message,
-            )
-        parts.append(table.render())
     if verbose and result.suppressed:
         table = Table(
             headers=["location", "rule", "reason"],
@@ -69,7 +57,6 @@ def render_table(result: LintResult, verbose: bool = False) -> str:
 def render_summary(result: LintResult) -> str:
     counts: List[Tuple[str, int]] = [
         ("finding", len(result.findings)),
-        ("baselined", len(result.baselined)),
         ("suppressed", len(result.suppressed)),
     ]
     detail = ", ".join(

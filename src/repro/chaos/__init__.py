@@ -15,7 +15,7 @@ from repro.chaos.checker import (
     Violation,
     state_digest,
 )
-from repro.chaos.faults import LinkFaultProfile, heal_all_links, partition
+from repro.chaos.faults import LinkFaultProfile
 from repro.chaos.history import HistoryRecorder, Op
 from repro.chaos.plan import ChaosController, ChaosEvent, ChaosKnobs, ChaosPlan
 from repro.chaos.runner import ChaosReport, run_chaos
@@ -40,8 +40,6 @@ __all__ = [
     "Violation",
     "state_digest",
     "LinkFaultProfile",
-    "heal_all_links",
-    "partition",
     "HistoryRecorder",
     "Op",
     "ChaosController",

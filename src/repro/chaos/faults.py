@@ -1,21 +1,19 @@
 """Fault-injection primitives over the netsim fabric.
 
-Thin, group-aware helpers on top of the per-link fault surface that
-:class:`~repro.netsim.link.Link` exposes (loss, duplication, reorder,
-sever): a :class:`LinkFaultProfile` applies one message-level fault mix
-to every link of a network, and :func:`partition` severs exactly the
-links that cross a group boundary — the classic "split the cluster into
-islands" fault, healable as a unit.
+A thin helper on top of the per-link fault surface that
+:class:`~repro.netsim.link.Link` exposes (loss, duplication, reorder):
+a :class:`LinkFaultProfile` applies one message-level fault mix to
+every link of a network.  Partitions go through
+:meth:`~repro.cluster.simnet.SimulatedCluster.isolate_shards`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Sequence
 
-from repro.netsim.link import Link, Network
+from repro.netsim.link import Network
 
-__all__ = ["LinkFaultProfile", "partition", "heal_all_links"]
+__all__ = ["LinkFaultProfile"]
 
 
 @dataclass(frozen=True)
@@ -55,36 +53,3 @@ class LinkFaultProfile:
     def clear(network: Network) -> None:
         for link in network.links():
             link.set_faults(loss=0.0, duplicate=0.0, reorder=0.0)
-
-
-def partition(network: Network, groups: Sequence[Iterable[str]]) -> List[Link]:
-    """Sever every link joining nodes in *different* groups.
-
-    Nodes absent from every group keep all their links — a partition
-    plan only needs to name the islands it cares about.  Returns the
-    severed links so the caller can heal exactly this partition.
-    """
-    membership = {}
-    for index, group in enumerate(groups):
-        for name in group:
-            if name in membership:
-                raise ValueError(f"node {name!r} appears in two groups")
-            membership[name] = index
-    severed = []
-    for link in network.links():
-        side_a = membership.get(link.a)
-        side_b = membership.get(link.b)
-        if side_a is not None and side_b is not None and side_a != side_b:
-            link.sever()
-            severed.append(link)
-    return severed
-
-
-def heal_all_links(network: Network) -> int:
-    """Heal every severed link; returns how many were severed."""
-    healed = 0
-    for link in network.links():
-        if link.severed:
-            link.heal()
-            healed += 1
-    return healed

@@ -441,7 +441,7 @@ class ClusterFrontend:
         (indices into ``identifiers``; completion order is arbitrary),
         with the answers, stats and ``/metrics`` totals of one
         :meth:`status_async` per identifier.  One
-        :meth:`~repro.proxy.filterset.ProxyFilterSet.might_be_revoked_many`
+        :meth:`~repro.cluster.assembly.LearningBloom.might_be_revoked_many`
         pass covers the batch; each miss (~98 % of a page view, section
         4.3) is answered from it on the spot — never shed, never held to
         a deadline, never near a shard — and the misses are accounted

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterable, List, Sequence
 
 __all__ = ["HashRing", "RingError", "DEFAULT_VNODES"]
 
@@ -69,10 +67,6 @@ class HashRing:
         # Parallel sorted arrays: point position -> owning shard.
         self._points: List[int] = []
         self._owners: List[str] = []
-        # Precomputed lookup tables (built lazily, invalidated on
-        # membership changes): per-point distinct-owner order plus the
-        # numpy mirrors the batch placement path gathers from.
-        self._invalidate_tables()
         for shard_id in shard_ids:
             self.add(shard_id)
 
@@ -112,7 +106,6 @@ class HashRing:
                 index += 1
             self._points.insert(index, point)
             self._owners.insert(index, shard_id)
-        self._invalidate_tables()
 
     def remove(self, shard_id: str) -> None:
         """Leave the ring; only keys owned by ``shard_id`` change owners."""
@@ -126,57 +119,6 @@ class HashRing:
         ]
         self._points = [p for p, _ in keep]
         self._owners = [o for _, o in keep]
-        self._invalidate_tables()
-
-    # -- lookup tables ----------------------------------------------------------
-
-    def _invalidate_tables(self) -> None:
-        self._replica_table: Optional[List[tuple]] = None
-        self._points_array: Optional[np.ndarray] = None
-        self._names_cache: Dict[int, List[tuple]] = {}
-
-    def _names_for_count(self, count: int) -> List[tuple]:
-        """Per-row replica-name tuples truncated to ``count`` (cached)."""
-        cache = self._names_cache.get(count)
-        if cache is None:
-            cache = [row[:count] for row in self._replica_table]
-            self._names_cache[count] = cache
-        return cache
-
-    def _build_tables(self) -> None:
-        """Precompute the distinct-owner order after every ring point.
-
-        A replica walk from point ``i`` visits owners clockwise and
-        keeps the first occurrence of each shard.  Prepending point
-        ``i``'s owner to the (deduplicated) order of point ``i+1``
-        yields point ``i``'s order, so one backwards sweep costs
-        O(points x shards) instead of O(points^2) — cheap enough to
-        rebuild lazily after any membership change, and it turns every
-        ``replicas`` call into a bisect plus a tuple slice.
-        """
-        n = len(self._points)
-        table: List[tuple] = [()] * n
-        order: List[str] = []
-        # Two backwards passes: the first seeds the suffix with the
-        # wrap-around owners, the second finalizes every entry.
-        for _ in range(2):
-            for i in range(n - 1, -1, -1):
-                owner = self._owners[i]
-                if order and order[0] == owner:
-                    pass  # already the head: nothing moves
-                else:
-                    try:
-                        order.remove(owner)
-                    except ValueError:
-                        pass
-                    order.insert(0, owner)
-                table[i] = tuple(order)
-        self._replica_table = table
-        self._points_array = np.array(self._points, dtype=np.uint64)
-
-    def _table_index(self, key: bytes) -> int:
-        """The replica-table row for ``key`` (successor ring point)."""
-        return bisect.bisect_right(self._points, _position(key)) % len(self._points)
 
     # -- placement -------------------------------------------------------------
 
@@ -187,27 +129,15 @@ class HashRing:
     def replicas(self, key: bytes, count: int) -> List[str]:
         """The ``count`` distinct shards responsible for ``key``.
 
-        The first entry is the primary; the rest follow clockwise.
-        Served from the precomputed lookup table;
-        :meth:`_replicas_walk` is the reference oracle
-        (``tests/perf/test_vectorized_vs_scalar.py`` keeps them equal).
+        The first entry is the primary; the rest follow clockwise: the
+        walk keeps the first occurrence of each shard it meets.
         """
-        self._check_count(count)
-        if self._replica_table is None:
-            self._build_tables()
-        return list(self._names_for_count(count)[self._table_index(key)])
-
-    def _check_count(self, count: int) -> None:
         if count < 1:
             raise RingError("replica count must be at least 1")
         if count > len(self._shards):
             raise RingError(
                 f"cannot place {count} replicas on {len(self._shards)} shard(s)"
             )
-
-    def _replicas_walk(self, key: bytes, count: int) -> List[str]:
-        """Reference implementation: the clockwise distinct-owner walk."""
-        self._check_count(count)
         start = bisect.bisect_right(self._points, _position(key))
         chosen: List[str] = []
         seen = set()
@@ -221,36 +151,9 @@ class HashRing:
                     return chosen
         raise RingError("ring exhausted before placing all replicas")  # pragma: no cover
 
-    def replicas_many(self, keys: Sequence[bytes], count: int) -> List[List[str]]:
-        """Replica sets for many keys in one vectorized pass.
-
-        Row ``i`` equals ``self.replicas(keys[i], count)``.  Key
-        positions hash in one contiguous buffer, the successor search
-        is a single ``np.searchsorted``, and owners come from the
-        precomputed replica table — the shape a batching frontend wants
-        when routing thousands of status checks.
-        """
-        self._check_count(count)
-        if not keys:
-            return []
-        if self._replica_table is None:
-            self._build_tables()
-        blob = b"".join(
-            hashlib.blake2b(key, digest_size=_POINT_BYTES).digest() for key in keys
-        )
-        positions = np.frombuffer(blob, dtype=">u8")
-        rows = np.searchsorted(self._points_array, positions, side="right")
-        rows %= len(self._points)
-        names = self._names_for_count(count)
-        return [list(names[row]) for row in rows.tolist()]
-
-    def primary_many(self, keys: Sequence[bytes]) -> List[str]:
-        """Primary owners for many keys (vectorized)."""
-        return [row[0] for row in self.replicas_many(keys, 1)]
-
     def assignment(self, keys: Sequence[bytes]) -> Dict[bytes, str]:
         """Primary owner for every key (rebalancing analysis helper)."""
-        return dict(zip(keys, self.primary_many(list(keys))))
+        return {key: self.primary(key) for key in keys}
 
     # -- diagnostics ------------------------------------------------------------
 

@@ -23,7 +23,7 @@ import hashlib
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -129,62 +129,6 @@ class RsaPublicKey:
             return False
         recovered = pow(signature, self.e, self.n)
         return recovered == _pad_digest(digest, self.n)
-
-    def verify_batch_int(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> List[bool]:
-        """Per-pair verdicts for many ``(digest, signature)`` pairs.
-
-        Entry ``i`` equals ``self.verify_int(*pairs[i])`` (the scalar
-        method is the reference oracle).  The fast path is a *product
-        screen*: since ``(prod s_i)^e == prod (s_i^e) (mod n)``, one
-        modular exponentiation checks the whole batch against the
-        product of the padded digests — two modular multiplications per
-        signature amortized instead of a full ``pow`` each.  On screen
-        failure the batch splits in half recursively, so ``k`` bad
-        signatures cost ``O(k log(len/k))`` extra screens.
-
-        Caveat (why this stays a *screen*, not a proof): adversarially
-        crafted bad pairs can cancel inside the product.  The batch is
-        bitwise-equal to the scalar path for honestly-random corruption,
-        which is the failure model the replay suites exercise; code
-        gating trust on a single signature should call ``verify_int``.
-        """
-        pairs = list(pairs)
-        results = [False] * len(pairs)
-        in_range = [
-            (index, digest, signature)
-            for index, (digest, signature) in enumerate(pairs)
-            if 0 < signature < self.n
-        ]
-        self._verify_split(in_range, results)
-        return results
-
-    def _screen(self, items: Sequence[Tuple[int, int, int]]) -> bool:
-        """One-modexp product check over ``(index, digest, signature)``."""
-        sig_prod = 1
-        pad_prod = 1
-        for _, digest, signature in items:
-            sig_prod = sig_prod * signature % self.n
-            pad_prod = pad_prod * _pad_digest(digest, self.n) % self.n
-        return pow(sig_prod, self.e, self.n) == pad_prod
-
-    def _verify_split(
-        self, items: List[Tuple[int, int, int]], results: List[bool]
-    ) -> None:
-        """Binary-split recursion isolating failures under the screen."""
-        if not items:
-            return
-        if self._screen(items):
-            for index, _, _ in items:
-                results[index] = True
-            return
-        if len(items) == 1:
-            # A single-element screen *is* verify_int: s^e == pad(d).
-            return
-        mid = len(items) // 2
-        self._verify_split(items[:mid], results)
-        self._verify_split(items[mid:], results)
 
     @cached_property
     def fingerprint(self) -> str:

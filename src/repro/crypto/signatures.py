@@ -15,7 +15,7 @@ and this module provides exactly that object model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
@@ -70,20 +70,6 @@ class PublicKey:
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Return True iff ``signature`` is valid for ``message``."""
         return self._key.verify_int(sha256_int(message), signature.value)
-
-    def verify_batch(
-        self, items: Sequence[Tuple[bytes, Signature]]
-    ) -> List[bool]:
-        """Per-item verdicts for many ``(message, signature)`` pairs.
-
-        Entry ``i`` equals ``self.verify(*items[i])``; uses the RSA
-        product screen (:meth:`rsa.RsaPublicKey.verify_batch_int`) so a
-        ledger validating a batch of claim records pays ~two modular
-        multiplications per signature instead of a full exponentiation.
-        """
-        return self._key.verify_batch_int(
-            [(sha256_int(message), sig.value) for message, sig in items]
-        )
 
     def verify_struct(self, struct: Any, signature: Signature) -> bool:
         """Verify a signature over the canonical encoding of ``struct``."""

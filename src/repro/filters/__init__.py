@@ -11,12 +11,8 @@ This package implements the full filter toolbox:
 * :mod:`repro.filters.bitarray` -- numpy-backed bit array substrate.
 * :mod:`repro.filters.bloom` -- standard Bloom filter with union,
   serialization and analytic FPR estimation.
-* :mod:`repro.filters.counting` -- counting Bloom filter supporting
-  deletion (ledgers whose claim sets shrink).
-* :mod:`repro.filters.xor_filter` -- Xor filter (Graf & Lemire 2020),
-  one of the "recent advances" the paper cites [15].
 * :mod:`repro.filters.binary_fuse` -- Binary fuse filter (Graf & Lemire
-  2022) [16].
+  2022), one of the "recent advances" the paper cites [16].
 * :mod:`repro.filters.delta` -- delta encoding of filter updates.
 * :mod:`repro.filters.sizing` -- exact analytic size/FPR relationships
   used to reproduce the paper's 1 GB @ 1 B photos => 2% claim.
@@ -24,8 +20,6 @@ This package implements the full filter toolbox:
 
 from repro.filters.bitarray import BitArray
 from repro.filters.bloom import BloomFilter
-from repro.filters.counting import CountingBloomFilter
-from repro.filters.xor_filter import XorFilter
 from repro.filters.binary_fuse import BinaryFuseFilter
 from repro.filters.delta import FilterDelta, encode_delta, apply_delta
 from repro.filters.sizing import (
@@ -39,8 +33,6 @@ from repro.filters.sizing import (
 __all__ = [
     "BitArray",
     "BloomFilter",
-    "CountingBloomFilter",
-    "XorFilter",
     "BinaryFuseFilter",
     "FilterDelta",
     "encode_delta",

@@ -6,9 +6,9 @@ each key's three slots into a *window* of consecutive segments rather
 than three independent thirds, which makes peeling succeed at lower
 space overhead (~1.125x vs 1.23x for xor filters).
 
-This implementation keeps the segment-window construction and uses the
-same peeling machinery idea as :mod:`repro.filters.xor_filter`.  It is
-used in the E11 filter ablation bench alongside Bloom and Xor filters.
+This implementation keeps the segment-window construction and peels
+the key hypergraph as xor filters do.  It is used in the E11 filter
+ablation bench alongside the Bloom filter.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import hashlib
 from typing import Sequence
 
 import numpy as np
-
-from repro.filters.xor_filter import _hash_words
 
 __all__ = ["BinaryFuseFilter", "FuseConstructionError"]
 
@@ -183,28 +181,6 @@ class BinaryFuseFilter:
         fp = self._fingerprint_of(h)
         table = self._fingerprints
         return fp == (int(table[s0]) ^ int(table[s1]) ^ int(table[s2]))
-
-    def query_many(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Membership verdicts for many keys in one vectorized pass.
-
-        Entry ``i`` equals ``keys[i] in self`` (the scalar path is the
-        reference oracle).  Both filters share the keyed-blake2b hash
-        layout, so the batch hashing helper lives in
-        :mod:`repro.filters.xor_filter`; only the segment-window slot
-        arithmetic differs.
-        """
-        keys = list(keys)
-        if not keys:
-            return np.zeros(0, dtype=bool)
-        u32, fp_byte = _hash_words(keys, self._seed)
-        seg_len = self._segment_length
-        window = (u32[:, 0] % self._num_segments).astype(np.int64) * seg_len
-        s0 = window + (u32[:, 1] % seg_len).astype(np.int64)
-        s1 = window + seg_len + (u32[:, 2] % seg_len).astype(np.int64)
-        s2 = window + 2 * seg_len + ((u32[:, 3] & 0xFFFFFF) % seg_len).astype(np.int64)
-        fp = np.where(fp_byte == 0, np.uint8(0x5A), fp_byte)
-        table = self._fingerprints
-        return fp == (table[s0] ^ table[s1] ^ table[s2])
 
     def might_contain(self, key: bytes) -> bool:
         return key in self

@@ -55,9 +55,6 @@ GENESIS_HASH = hashlib.blake2b(
     b"repro-ledger-eventlog-genesis", digest_size=HASH_BYTES
 ).digest()
 
-#: Event kinds that carry a full record payload (replay upserts).
-FULL_RECORD_KINDS = frozenset({"claim", "install"})
-
 #: Event kinds that carry a ``{"state", "epoch"}`` flip payload.
 FLIP_KINDS = frozenset(
     {"revoke", "unrevoke", "permanent_revoke", "apply_state", "install"}

@@ -1,35 +1,5 @@
-"""Measurement and reporting helpers shared by tests and benches.
-
-The stats half needs numpy/scipy; the reporting half is pure Python
-and is imported by dependency-free paths (``repro.obs.export``, the
-``repro lint`` CLI).  Stats symbols are therefore resolved lazily so
-importing a reporting helper never drags scipy in.
-"""
+"""Plain-text table rendering shared by the CLI, benches and examples."""
 
 from repro.metrics.reporting import format_table, format_row, Table
 
-_STATS_EXPORTS = frozenset(
-    {"summarize", "percentile", "Summary", "confidence_interval_mean"}
-)
-
-__all__ = [
-    "summarize",
-    "percentile",
-    "Summary",
-    "confidence_interval_mean",
-    "format_table",
-    "format_row",
-    "Table",
-]
-
-
-def __getattr__(name: str):
-    if name in _STATS_EXPORTS:
-        from repro.metrics import stats
-
-        return getattr(stats, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)
+__all__ = ["format_table", "format_row", "Table"]

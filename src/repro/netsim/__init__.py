@@ -11,7 +11,6 @@ package provides the simulator those experiments run on:
   DNS-like resolver latencies [12, 26].
 * :mod:`repro.netsim.node` / :mod:`repro.netsim.link` -- topology.
 * :mod:`repro.netsim.transport` -- asynchronous request/response RPC.
-* :mod:`repro.netsim.trace` -- event recording and counters.
 
 Every IRS component takes a :class:`Clock` so identical code runs
 in-process (tests, prototype bench) and inside the simulator
@@ -39,7 +38,6 @@ from repro.netsim.latency import (
 from repro.netsim.node import Node
 from repro.netsim.link import Link, Network
 from repro.netsim.transport import RpcEndpoint, RpcError
-from repro.netsim.trace import TraceRecorder, Counter
 
 __all__ = [
     "Simulator",
@@ -61,6 +59,4 @@ __all__ = [
     "Network",
     "RpcEndpoint",
     "RpcError",
-    "TraceRecorder",
-    "Counter",
 ]

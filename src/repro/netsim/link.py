@@ -177,32 +177,6 @@ class Network:
 
     # -- delivery -----------------------------------------------------------------
 
-    # -- analysis ------------------------------------------------------------------
-
-    def to_networkx(self):
-        """The topology as a ``networkx.Graph`` for analysis.
-
-        Nodes carry no attributes; edges carry ``latency_mean_s``,
-        ``bandwidth_bps``, ``loss_probability`` and the live traffic
-        counters, so standard graph tooling (connectivity, shortest
-        latency paths, cut sets) applies directly.
-        """
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self._nodes)
-        for link in self._links.values():
-            graph.add_edge(
-                link.a,
-                link.b,
-                latency_mean_s=link.latency.mean(),
-                bandwidth_bps=link.bandwidth_bps,
-                loss_probability=link.loss_probability,
-                messages_carried=link.messages_carried,
-                bytes_carried=link.bytes_carried,
-            )
-        return graph
-
     def star(
         self,
         center: str,

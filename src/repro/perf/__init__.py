@@ -17,7 +17,7 @@ assumption the same way the chaos checker pins consistency:
   comparison CI gates on;
 * :mod:`repro.perf.suite` — the hot-path case registry;
 * :mod:`repro.perf.timing` — the *only* module in ``src/repro`` allowed
-  to read the host clock (see ``allow_wall_clock`` in pyproject.toml).
+  to read the host clock (see ``LintConfig.allow_wall_clock``).
 
 Timing numbers are machine-dependent and therefore informational; the
 CI gate compares *speedup ratios* (fast vs oracle on the same machine,

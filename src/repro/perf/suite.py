@@ -1,10 +1,13 @@
 """The hot-path case registry: what ``python -m repro perf`` measures.
 
-Every paired case pits a vectorized fast path against the scalar
-reference oracle it must equal (the differential tests in
-``tests/perf/test_vectorized_vs_scalar.py`` hold the same pairs equal
-under hypothesis-generated workloads; here the harness additionally
-locks each run's results by checksum before reporting a speedup).
+The paired cases are the fast paths production code calls — the Bloom
+batch probe, the packed Hamming scan, snapshot-anchored recovery — each
+against the scalar reference oracle it must equal (the differential
+tests in ``tests/perf/test_vectorized_vs_scalar.py`` hold the first two
+pairs equal under hypothesis-generated workloads; here the harness
+additionally locks each run's results by checksum before reporting a
+speedup).  The single-sided cases time the quorum round and the event
+log, which have no second implementation to race.
 
 ``min_speedup`` floors are deliberately far below the measured
 speedups — they are the "vectorization still exists on the slowest
@@ -54,26 +57,6 @@ def _bloom_setup(seed: int) -> Dict[str, Any]:
     return {"filter": bloom, "probes": probe_keys(members, seed + 1, 4096)}
 
 
-def _xor_setup(seed: int) -> Dict[str, Any]:
-    from repro.filters.xor_filter import XorFilter
-
-    members = member_keys(seed, 4096)
-    return {
-        "filter": XorFilter.build(members, seed=1),
-        "probes": probe_keys(members, seed + 1, 4096),
-    }
-
-
-def _fuse_setup(seed: int) -> Dict[str, Any]:
-    from repro.filters.binary_fuse import BinaryFuseFilter
-
-    members = member_keys(seed, 4096)
-    return {
-        "filter": BinaryFuseFilter.build(members, seed=1),
-        "probes": probe_keys(members, seed + 1, 4096),
-    }
-
-
 def _membership_fast(state: Dict[str, Any]) -> np.ndarray:
     return state["filter"].query_many(state["probes"])
 
@@ -121,60 +104,6 @@ def _hamming_checksum(state: Dict[str, Any], result: Any) -> str:
     # the digest never hinges on float formatting.
     counts = np.rint(np.asarray(result, dtype=np.float64) * 512).astype(np.int64)
     return _digest([counts.tobytes()])
-
-
-# -- consistent-hash ring placement ------------------------------------------
-
-
-_RING_COUNT = 3
-
-
-def _ring_setup(seed: int) -> Dict[str, Any]:
-    from repro.cluster.ring import HashRing
-
-    ring = HashRing([f"shard-{i}" for i in range(8)])
-    ring.replicas(b"warm", _RING_COUNT)  # build the lookup tables
-    return {"ring": ring, "keys": member_keys(seed, 2048)}
-
-
-def _ring_fast(state: Dict[str, Any]) -> List[List[str]]:
-    return state["ring"].replicas_many(state["keys"], _RING_COUNT)
-
-
-def _ring_oracle(state: Dict[str, Any]) -> List[List[str]]:
-    ring = state["ring"]
-    return [ring._replicas_walk(key, _RING_COUNT) for key in state["keys"]]
-
-
-def _ring_checksum(state: Dict[str, Any], result: Any) -> str:
-    return _digest(
-        ["|".join(row).encode("utf-8") + b"\n" for row in result]
-    )
-
-
-# -- batch signature verification --------------------------------------------
-
-
-def _signature_setup(seed: int) -> Dict[str, Any]:
-    from repro.crypto.signatures import KeyPair
-
-    keypair = KeyPair.generate(bits=512, rng=np.random.default_rng(seed))
-    messages = [b"perf-msg-%d" % i for i in range(64)]
-    items = [(message, keypair.sign(message)) for message in messages]
-    return {"public": keypair.public, "items": items}
-
-
-def _signature_fast(state: Dict[str, Any]) -> List[bool]:
-    return state["public"].verify_batch(state["items"])
-
-
-def _signature_oracle(state: Dict[str, Any]) -> List[bool]:
-    public = state["public"]
-    return [public.verify(message, sig) for message, sig in state["items"]]
-
-
-def _signature_ops(state: Dict[str, Any]) -> int:
-    return len(state["items"])
 
 
 # -- E17-shaped quorum round ---------------------------------------------------
@@ -367,26 +296,6 @@ def default_suite() -> List[BenchCase]:
             min_speedup=1.5,
         ),
         BenchCase(
-            name="xor_batch_membership",
-            description="XorFilter.query_many vs per-key __contains__",
-            setup=_xor_setup,
-            fast=_membership_fast,
-            baseline=_membership_oracle,
-            ops=_membership_ops,
-            checksum=_membership_checksum,
-            min_speedup=1.5,
-        ),
-        BenchCase(
-            name="fuse_batch_membership",
-            description="BinaryFuseFilter.query_many vs per-key __contains__",
-            setup=_fuse_setup,
-            fast=_membership_fast,
-            baseline=_membership_oracle,
-            ops=_membership_ops,
-            checksum=_membership_checksum,
-            min_speedup=1.5,
-        ),
-        BenchCase(
             name="hamming_distance",
             description="hamming_many popcount table vs RobustHash.distance",
             setup=_hamming_setup,
@@ -395,26 +304,6 @@ def default_suite() -> List[BenchCase]:
             ops=lambda state: len(state["hashes"]),
             checksum=_hamming_checksum,
             min_speedup=5.0,
-        ),
-        BenchCase(
-            name="ring_lookup",
-            description="HashRing.replicas_many table vs clockwise walk",
-            setup=_ring_setup,
-            fast=_ring_fast,
-            baseline=_ring_oracle,
-            ops=lambda state: len(state["keys"]),
-            checksum=_ring_checksum,
-            min_speedup=1.5,
-        ),
-        BenchCase(
-            name="signature_verify_batch",
-            description="RSA product-screen batch verify vs per-item verify",
-            setup=_signature_setup,
-            fast=_signature_fast,
-            baseline=_signature_oracle,
-            ops=_signature_ops,
-            checksum=lambda state, result: _bool_digest(result),
-            min_speedup=1.5,
         ),
         BenchCase(
             name="quorum_round",

@@ -3,8 +3,8 @@
 Everything else in the package runs on injected simulation time — the
 ``no-wall-clock`` lint rule enforces that — but a microbenchmark
 harness exists precisely to measure wall time, so this module is the
-single audited exemption (``allow_wall_clock`` in pyproject.toml lists
-exactly this file).  Keeping the exemption to one two-function module
+single audited exemption (``LintConfig.allow_wall_clock`` lists exactly
+this file).  Keeping the exemption to one two-function module
 means a grep for real-time leaks still has one obvious place to look.
 """
 

@@ -12,9 +12,7 @@ accounts every byte transferred, which is the E6 experiment's metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.filters.bloom import BloomFilter
 from repro.filters.delta import apply_delta
@@ -117,17 +115,3 @@ class ProxyFilterSet:
         if self._merged is None:
             return True
         return compact_identifier in self._merged
-
-    def might_be_revoked_many(
-        self, compact_identifiers: Sequence[bytes]
-    ) -> np.ndarray:
-        """Filter verdicts for a batch of compact identifiers.
-
-        Entry ``i`` equals ``self.might_be_revoked(compact_identifiers[i])``
-        (the scalar method is the oracle); the batch rides the merged
-        filter's vectorized :meth:`~repro.filters.bloom.BloomFilter.query_many`,
-        which is what a frontend fanning a burst of status checks wants.
-        """
-        if self._merged is None:
-            return np.ones(len(compact_identifiers), dtype=bool)
-        return self._merged.query_many(compact_identifiers)

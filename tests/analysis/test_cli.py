@@ -1,12 +1,9 @@
-"""CLI behavior: the strict gate, config overlay, and entry points."""
+"""CLI behavior: the strict gate and entry points."""
 
 import subprocess
 import sys
 
-import pytest
-
-from repro.analysis.cli import DEFAULT_BASELINE, DEFAULT_PATHS, main
-from repro.analysis.engine import LintConfig
+from repro.analysis.cli import main
 
 from tests.analysis.conftest import REPO_ROOT
 
@@ -39,8 +36,8 @@ def _violating_tree(tmp_path):
 
 class TestStrictGate:
     def test_repository_head_is_clean(self, capsys):
-        # The committed tree must pass its own gate with an empty
-        # baseline — the headline acceptance criterion.
+        # The committed tree must pass its own gate — the headline
+        # acceptance criterion.
         code = main(
             ["--root", str(REPO_ROOT), "--strict", "--format", "jsonl"]
         )
@@ -84,101 +81,12 @@ class TestStrictGate:
         assert code == 0
 
 
-class TestBaselineFlow:
-    def test_write_then_gate_then_disable(self, tmp_path, capsys):
-        _violating_tree(tmp_path)
-        baseline = tmp_path / "bl.json"
-        assert (
-            main(
-                [
-                    "--root",
-                    str(tmp_path),
-                    "--paths",
-                    "src",
-                    "--write-baseline",
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
-        assert baseline.exists()
-        # Grandfathered: the gate passes with the baseline applied...
-        assert (
-            main(
-                [
-                    "--root",
-                    str(tmp_path),
-                    "--paths",
-                    "src",
-                    "--strict",
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
-        # ...and fails when the baseline is explicitly disabled.
-        assert (
-            main(
-                [
-                    "--root",
-                    str(tmp_path),
-                    "--paths",
-                    "src",
-                    "--strict",
-                    "--baseline",
-                    "",
-                ]
-            )
-            == 1
-        )
-        capsys.readouterr()
-
-    def test_write_baseline_without_path_errors(self, tmp_path, capsys):
-        _violating_tree(tmp_path)
-        code = main(
-            [
-                "--root",
-                str(tmp_path),
-                "--paths",
-                "src",
-                "--write-baseline",
-                "--baseline",
-                "",
-            ]
-        )
-        assert code == 2
-        assert "baseline path" in capsys.readouterr().err
-
-
 class TestConfig:
     def test_list_rules_covers_the_registry(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in RULE_IDS:
             assert rule_id in out
-
-    def test_pyproject_section_matches_code_defaults(self):
-        # On 3.10 (no tomllib) the code defaults stand alone; this test
-        # pins the two sources together wherever TOML is readable.
-        tomllib = pytest.importorskip("tomllib")
-        with (REPO_ROOT / "pyproject.toml").open("rb") as handle:
-            section = tomllib.load(handle)["tool"]["repro_lint"]
-        defaults = LintConfig()
-        assert section["paths"] == list(DEFAULT_PATHS)
-        assert section["baseline"] == DEFAULT_BASELINE
-        assert tuple(section["allow_wall_clock"]) == defaults.allow_wall_clock
-        assert tuple(section["rpc_dirs"]) == defaults.rpc_dirs
-        assert tuple(section["rpc_methods"]) == defaults.rpc_methods
-        assert (
-            tuple(section["obs_exempt_segments"])
-            == defaults.obs_exempt_segments
-        )
-        assert section["contract_path"] == defaults.contract_path
-        assert section["envelope_registry"] == defaults.envelope_registry
-        assert tuple(section["envelope_roots"]) == defaults.envelope_roots
-        assert section["routes_module"] == defaults.routes_module
 
 
 class TestEntryPoints:

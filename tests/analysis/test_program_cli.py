@@ -1,4 +1,4 @@
-"""CLI behavior of --program: exit codes, formats, the graph artifact."""
+"""CLI behavior of --program: exit codes and formats."""
 
 import json
 
@@ -132,63 +132,3 @@ class TestFormats:
 
     def test_registry_matches_expected_ids(self):
         assert set(program_rule_ids()) == PROGRAM_RULE_IDS
-
-
-class TestGraphArtifact:
-    def test_write_then_reuse_is_identical(self, tmp_path, capsys):
-        artifact = tmp_path / "graph.json"
-        assert (
-            main(_miniprog("--write-graph", str(artifact), "--format", "jsonl"))
-            == 0
-        )
-        first_out = capsys.readouterr().out
-        first_bytes = artifact.read_text(encoding="utf-8")
-        # Second run consumes the artifact (hashes still match) and
-        # must produce the same findings and the same artifact bytes.
-        assert (
-            main(
-                _miniprog(
-                    "--graph",
-                    str(artifact),
-                    "--write-graph",
-                    str(artifact),
-                    "--format",
-                    "jsonl",
-                )
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == first_out
-        assert artifact.read_text(encoding="utf-8") == first_bytes
-
-    def test_stale_artifact_is_rebuilt(self, tmp_path, capsys):
-        artifact = tmp_path / "graph.json"
-        data = {"version": 1, "modules": {}, "edges": []}
-        artifact.write_text(json.dumps(data), encoding="utf-8")
-        # Empty module set can't match the fixture: silently rebuilt.
-        assert main(_miniprog("--graph", str(artifact), "--strict")) == 1
-        assert "import-cycle" in capsys.readouterr().out
-
-    def test_corrupt_artifact_is_ignored_with_a_note(self, tmp_path, capsys):
-        artifact = tmp_path / "graph.json"
-        artifact.write_text("not json", encoding="utf-8")
-        assert main(_miniprog("--graph", str(artifact), "--strict")) == 1
-        captured = capsys.readouterr()
-        assert "ignoring graph artifact" in captured.err
-        assert "import-cycle" in captured.out
-
-    def test_write_graph_requires_program(self, tmp_path, capsys):
-        artifact = tmp_path / "graph.json"
-        code = main(
-            [
-                "--root",
-                str(MINIPROG),
-                "--paths",
-                "src",
-                "--write-graph",
-                str(artifact),
-            ]
-        )
-        assert code == 2
-        assert "requires --program" in capsys.readouterr().err
-        assert not artifact.exists()

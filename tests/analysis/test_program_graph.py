@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.program.graph import (
     build_graph,
-    load_graph,
     module_name_for_rel,
 )
 from repro.analysis.source import parse_module
@@ -97,34 +96,11 @@ class TestDeterminism:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_order_independent(self, data, tmp_path_factory):
-        # The serialized graph must not depend on the order modules
-        # arrive in — dict insertion order is an implementation detail
-        # of the caller, never of the artifact.
+        # The graph must not depend on the order modules arrive in —
+        # dict insertion order is an implementation detail of the
+        # caller, never of the report built from the graph.
         tmp_path = tmp_path_factory.mktemp("graph")
         modules = _parse_tree(tmp_path)
         rels = data.draw(st.permutations(sorted(modules)))
         shuffled = {rel: modules[rel] for rel in rels}
-        assert build_graph(shuffled).to_json() == build_graph(modules).to_json()
-
-    def test_artifact_round_trips(self, tmp_path):
-        graph = build_graph(_parse_tree(tmp_path))
-        loaded = load_graph(graph.to_json())
-        assert loaded.to_json() == graph.to_json()
-        assert loaded.edges == graph.edges
-        assert loaded.modules == graph.modules
-
-    def test_artifact_version_rejected(self):
-        with pytest.raises(ValueError):
-            load_graph('{"version": 99, "modules": {}, "edges": []}\n')
-
-    def test_matches_detects_content_change(self, tmp_path):
-        modules = _parse_tree(tmp_path)
-        graph = build_graph(modules)
-        assert graph.matches(modules)
-        rel = "src/pkg/util.py"
-        path = tmp_path / rel
-        path.write_text("VALUE = 2\n", encoding="utf-8")
-        modules[rel] = parse_module(path, rel)
-        assert not graph.matches(modules)
-        del modules[rel]
-        assert not graph.matches(modules)
+        assert build_graph(shuffled) == build_graph(modules)

@@ -5,11 +5,12 @@ findings — locations, rule ids, and messages are part of the report
 contract, so these assert the full tuple, not just "something fired".
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import LintConfig, lint_paths, with_overrides
+from repro.analysis.engine import LintConfig, lint_paths
 from repro.analysis.program.contract import (
     ContractError,
     parse_contract,
@@ -88,7 +89,7 @@ class TestLayering:
 class TestAsyncSafety:
     @pytest.fixture
     def result(self):
-        config = with_overrides(
+        config = replace(
             LintConfig(root=BAD_ASYNC), routes_module="src/svc/routes.py"
         )
         return lint_paths(
@@ -138,7 +139,7 @@ class TestAsyncSafety:
 class TestEnvelopes:
     @pytest.fixture
     def result(self):
-        config = with_overrides(
+        config = replace(
             LintConfig(root=ENVPROG),
             envelope_registry="src/svc/errors.py",
             envelope_roots=("src/svc",),
@@ -169,7 +170,7 @@ class TestEnvelopes:
         (root / "src" / "errors.py").write_text(
             "ERROR_STATUS = dict(ok=200)\n", encoding="utf-8"
         )
-        config = with_overrides(
+        config = replace(
             LintConfig(root=root),
             envelope_registry="src/errors.py",
             envelope_roots=("src",),
@@ -266,12 +267,11 @@ class TestContractParsing:
 class TestRepositoryTree:
     def test_committed_tree_is_clean_under_program_analysis(self):
         # The headline acceptance criterion: every finding the new
-        # passes raise across src/repro was fixed, not baselined.
+        # passes raise across src/repro was fixed, not grandfathered.
         result = lint_paths(
             [REPO_ROOT / "src" / "repro"],
             config=LintConfig(root=REPO_ROOT),
             program=True,
         )
         assert result.findings == []
-        assert result.graph is not None
-        assert len(result.graph.modules) > 100
+        assert result.files_checked > 100

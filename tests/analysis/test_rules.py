@@ -96,10 +96,12 @@ class TestDeadlineDiscipline:
 
     def test_rule_only_applies_inside_rpc_dirs(self, lint_fixture, config):
         # The same calls outside an rpc_dirs segment are not RPC surface.
-        from repro.analysis.engine import lint_paths, with_overrides
+        from dataclasses import replace
+
+        from repro.analysis.engine import lint_paths
         from tests.analysis.conftest import FIXTURES
 
-        narrowed = with_overrides(config, rpc_dirs=("nonexistent",))
+        narrowed = replace(config, rpc_dirs=("nonexistent",))
         result = lint_paths(
             [FIXTURES / "cluster" / "bad_deadlines.py"],
             config=narrowed,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chaos.faults import LinkFaultProfile, heal_all_links, partition
+from repro.chaos.faults import LinkFaultProfile
 from repro.netsim.latency import lan_latency
 from repro.netsim.link import Network, NetworkError
 from repro.netsim.node import Node
@@ -102,40 +102,6 @@ class TestLinkFaults:
         assert link.loss_probability == 0.1
         assert link.duplicate_probability == 0.2
         assert link.reorder_probability == 0.3
-
-
-class TestPartition:
-    def test_partition_severs_only_cross_group_links(self):
-        sim, net = _network("a", "b", "c", "d")
-        ab = net.connect("a", "b", lan_latency())
-        ac = net.connect("a", "c", lan_latency())
-        ad = net.connect("a", "d", lan_latency())
-        cd = net.connect("c", "d", lan_latency())
-        severed = partition(net, [["a", "b"], ["c", "d"]])
-        assert set(severed) == {ac, ad}
-        assert not ab.severed and not cd.severed
-
-    def test_unlisted_nodes_keep_their_links(self):
-        sim, net = _network("a", "b", "c")
-        ab = net.connect("a", "b", lan_latency())
-        bc = net.connect("b", "c", lan_latency())
-        severed = partition(net, [["a"], ["b"]])
-        assert severed == [ab]
-        assert not bc.severed  # 'c' was in no group
-
-    def test_node_in_two_groups_rejected(self):
-        sim, net = _network("a", "b")
-        net.connect("a", "b", lan_latency())
-        with pytest.raises(ValueError):
-            partition(net, [["a"], ["a", "b"]])
-
-    def test_heal_all_links(self):
-        sim, net = _network("a", "b", "c")
-        net.connect("a", "b", lan_latency())
-        net.connect("a", "c", lan_latency())
-        partition(net, [["a"], ["b", "c"]])
-        assert heal_all_links(net) == 2
-        assert all(not link.severed for link in net.links())
 
 
 class TestLinkFaultProfile:

@@ -151,3 +151,31 @@ def test_property_ring_deterministic_under_seed(num_shards, seed):
         assert one.replicas(key, min(3, num_shards)) == two.replicas(
             key, min(3, num_shards)
         )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    num_shards=st.integers(min_value=4, max_value=9),
+    count=st.integers(min_value=1, max_value=3),
+    key=st.binary(min_size=1, max_size=24),
+)
+def test_property_replica_lists_are_prefixes_and_ignore_unrelated_shards(
+    num_shards, count, key
+):
+    """Property: a shorter replica list is a prefix of a longer one, and a
+    shard outside a key's list can leave or join without reordering it."""
+    ids = [f"s{i}" for i in range(num_shards)]
+    ring = HashRing(ids)
+    full = ring.replicas(key, num_shards)
+    assert sorted(full) == ids  # every shard once: all distinct
+    for j in range(1, num_shards + 1):
+        assert ring.replicas(key, j) == full[:j]
+    chosen = full[:count]
+    bystander = full[-1]  # count <= 3 < num_shards: never among `chosen`
+    ring.remove(bystander)
+    assert ring.replicas(key, count) == chosen
+    ring.add(bystander)
+    assert ring.replicas(key, num_shards) == full
+    ring.add("newcomer")
+    widened = ring.replicas(key, num_shards + 1)
+    assert [shard for shard in widened if shard != "newcomer"] == full

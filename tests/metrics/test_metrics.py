@@ -1,61 +1,8 @@
-"""Tests for summary statistics and table reporting."""
+"""Tests for table reporting."""
 
-import numpy as np
 import pytest
 
 from repro.metrics.reporting import Table, format_row, format_table
-from repro.metrics.stats import confidence_interval_mean, percentile, summarize
-
-
-class TestSummarize:
-    def test_basic_summary(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert summary.count == 5
-        assert summary.mean == 3.0
-        assert summary.p50 == 3.0
-        assert summary.minimum == 1.0
-        assert summary.maximum == 5.0
-
-    def test_single_value(self):
-        summary = summarize([7.0])
-        assert summary.std == 0.0
-        assert summary.mean == 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_as_dict(self):
-        assert summarize([1.0, 2.0]).as_dict()["count"] == 2
-
-    def test_percentile_helper(self):
-        values = list(range(101))
-        assert percentile(values, 50) == 50.0
-        assert percentile(values, 99) == pytest.approx(99.0)
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-
-class TestConfidenceInterval:
-    def test_contains_mean(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(10.0, 2.0, size=100)
-        low, high = confidence_interval_mean(values)
-        assert low < values.mean() < high
-
-    def test_tightens_with_samples(self):
-        rng = np.random.default_rng(2)
-        small = rng.normal(0, 1, size=10)
-        large = rng.normal(0, 1, size=1000)
-        s_low, s_high = confidence_interval_mean(small)
-        l_low, l_high = confidence_interval_mean(large)
-        assert (l_high - l_low) < (s_high - s_low)
-
-    def test_degenerate_cases(self):
-        with pytest.raises(ValueError):
-            confidence_interval_mean([1.0])
-        low, high = confidence_interval_mean([5.0, 5.0, 5.0])
-        assert low == high == 5.0
 
 
 class TestReporting:

@@ -7,7 +7,6 @@ from repro.netsim.latency import ConstantLatency
 from repro.netsim.link import Link, Network, NetworkError
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import Counter, TraceRecorder
 from repro.netsim.transport import RpcEndpoint, RpcResult
 
 
@@ -144,32 +143,3 @@ class TestRpc:
         sim.run()
         assert sorted(results) == list(range(10))
         assert endpoint.requests_served == 10
-
-
-class TestTraceRecorder:
-    def test_samples_and_summary(self):
-        recorder = TraceRecorder()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            recorder.sample("latency", v)
-        summary = recorder.summary("latency")
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["max"] == 4.0
-
-    def test_empty_summary(self):
-        assert TraceRecorder().summary("nothing") == {"count": 0}
-
-    def test_events_filter(self):
-        recorder = TraceRecorder()
-        recorder.record(1.0, "arrive", node="a")
-        recorder.record(2.0, "depart", node="a")
-        assert len(recorder.events_named("arrive")) == 1
-
-    def test_counter(self):
-        counter = Counter()
-        counter.increment("queries")
-        counter.increment("queries", 4)
-        assert counter.get("queries") == 5
-        assert counter.get("absent") == 0
-        with pytest.raises(ValueError):
-            counter.increment("neg", -1)

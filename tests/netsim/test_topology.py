@@ -1,6 +1,5 @@
-"""Tests for topology helpers and the networkx view."""
+"""Tests for topology helpers."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -42,40 +41,3 @@ class TestStarHelper:
             net.deliver(leaf, "proxy", received.append, leaf)
         sim.run()
         assert sorted(received) == sorted(leaves)
-
-
-class TestNetworkxView:
-    def test_graph_shape(self, star_network):
-        _, net, leaves = star_network
-        graph = net.to_networkx()
-        assert graph.number_of_nodes() == 6
-        assert graph.number_of_edges() == 5
-        assert nx.is_connected(graph)
-        # Star: the proxy is the single articulation point.
-        assert set(nx.articulation_points(graph)) == {"proxy"}
-
-    def test_edge_attributes(self, star_network):
-        sim, net, leaves = star_network
-        net.deliver(leaves[0], "proxy", lambda: None, size_bytes=100)
-        sim.run()
-        graph = net.to_networkx()
-        edge = graph.edges["proxy", leaves[0]]
-        assert edge["latency_mean_s"] == pytest.approx(0.01)
-        assert edge["messages_carried"] == 1
-        assert edge["bytes_carried"] == 100
-
-    def test_latency_weighted_paths(self):
-        """Shortest-latency routing analysis over a two-tier topology."""
-        sim = Simulator()
-        net = Network(sim, np.random.default_rng(2))
-        for name in ("browser", "proxy-fast", "proxy-slow", "ledger"):
-            net.add_node(Node(name, sim))
-        net.connect("browser", "proxy-fast", ConstantLatency(0.005))
-        net.connect("browser", "proxy-slow", ConstantLatency(0.050))
-        net.connect("proxy-fast", "ledger", ConstantLatency(0.020))
-        net.connect("proxy-slow", "ledger", ConstantLatency(0.020))
-        graph = net.to_networkx()
-        path = nx.shortest_path(
-            graph, "browser", "ledger", weight="latency_mean_s"
-        )
-        assert path == ["browser", "proxy-fast", "ledger"]

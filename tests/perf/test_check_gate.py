@@ -96,7 +96,7 @@ class TestComparePolicy:
 
     def test_checksum_drift_is_a_correctness_failure(self, report):
         drifted = self._clone(report)
-        drifted["cases"]["ring_lookup"]["checksum"] = "0" * 64
+        drifted["cases"]["quorum_round"]["checksum"] = "0" * 64
         assert any(
             "correctness drift" in failure
             for failure in compare_to_baseline(drifted, report)

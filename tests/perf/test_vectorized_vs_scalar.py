@@ -11,10 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.ring import HashRing
-from repro.filters.binary_fuse import BinaryFuseFilter
 from repro.filters.bloom import BloomFilter
-from repro.filters.xor_filter import XorFilter
 from repro.media.perceptual import RobustHash, hamming_many, pack_signatures
 
 keys_strategy = st.lists(
@@ -29,11 +26,7 @@ def _build_bloom(members):
     return bloom
 
 
-FILTER_BUILDERS = {
-    "bloom": _build_bloom,
-    "xor": lambda members: XorFilter.build(members, seed=1),
-    "fuse": lambda members: BinaryFuseFilter.build(members, seed=1),
-}
+FILTER_BUILDERS = {"bloom": _build_bloom}
 
 
 class TestBatchMembership:
@@ -100,77 +93,3 @@ class TestHammingDistance:
         packed = pack_signatures([ones, zeros])
         assert list(hamming_many(ones, packed)) == [0.0, 1.0]
         assert list(hamming_many(zeros, packed)) == [1.0, 0.0]
-
-
-class TestRingLookup:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        num_shards=st.integers(min_value=1, max_value=9),
-        count=st.integers(min_value=1, max_value=4),
-        keys=st.lists(st.binary(min_size=0, max_size=16), max_size=32),
-    )
-    def test_table_and_batch_match_walk(self, num_shards, count, keys):
-        count = min(count, num_shards)  # placement needs count <= shards
-        ring = HashRing([f"shard-{i}" for i in range(num_shards)])
-        walked = [ring._replicas_walk(key, count) for key in keys]
-        assert [ring.replicas(key, count) for key in keys] == walked
-        assert ring.replicas_many(keys, count) == walked
-
-    def test_overcommitted_count_rejected_even_for_empty_batch(self):
-        from repro.cluster.ring import RingError
-
-        ring = HashRing(["shard-0"])
-        with pytest.raises(RingError):
-            ring.replicas_many([], 2)
-
-    def test_tables_rebuilt_after_membership_change(self):
-        ring = HashRing(["shard-0", "shard-1", "shard-2"])
-        keys = [f"key-{i}".encode() for i in range(64)]
-        ring.replicas_many(keys, 2)  # build + cache the tables
-        ring.add("shard-3")
-        ring.remove("shard-0")
-        assert ring.replicas_many(keys, 2) == [
-            ring._replicas_walk(key, 2) for key in keys
-        ]
-
-    def test_empty_key_batch(self):
-        ring = HashRing(["shard-0"])
-        assert ring.replicas_many([], 1) == []
-
-
-class TestBatchSignatureVerify:
-    @pytest.fixture(scope="class")
-    def keypair(self):
-        from repro.crypto.signatures import KeyPair
-
-        return KeyPair.generate(bits=512, rng=np.random.default_rng(7))
-
-    def test_all_valid_batch(self, keypair):
-        items = [
-            (message, keypair.sign(message))
-            for message in (b"a", b"b", b"c", b"d", b"e")
-        ]
-        assert keypair.public.verify_batch(items) == [True] * len(items)
-
-    def test_corruption_isolated_to_corrupted_indices(self, keypair):
-        from dataclasses import replace
-
-        messages = [f"msg-{i}".encode() for i in range(16)]
-        items = [(message, keypair.sign(message)) for message in messages]
-        items[3] = (messages[3], replace(items[3][1], value=items[3][1].value ^ 1))
-        items[7] = (messages[7], replace(items[7][1], value=0))
-        items[11] = (messages[12], items[11][1])  # signature of wrong message
-        modulus = keypair.public.to_dict()["n"]
-        items[15] = (
-            messages[15],
-            replace(items[15][1], value=items[15][1].value + modulus),
-        )
-        batch = keypair.public.verify_batch(items)
-        scalar = [
-            keypair.public.verify(message, sig) for message, sig in items
-        ]
-        assert batch == scalar
-        assert [i for i, ok in enumerate(batch) if not ok] == [3, 7, 11, 15]
-
-    def test_empty_batch(self, keypair):
-        assert keypair.public.verify_batch([]) == []

@@ -32,7 +32,6 @@ print(sorted(
 
 UNWANTED = (
     "scipy",
-    "networkx",
     "unittest",
     "repro.media",
     "repro.browser",

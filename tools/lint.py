@@ -10,9 +10,9 @@ Usage (the CI gate):
 
     python tools/lint.py --strict
 
-Advisory sweep over non-gated trees:
+The second gated tree (examples and the simulator benches):
 
-    python tools/lint.py --paths benchmarks examples
+    python tools/lint.py --strict --paths examples benchmarks/conftest.py benchmarks/bench_*.py
 """
 
 from __future__ import annotations
