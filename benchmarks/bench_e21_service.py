@@ -22,7 +22,7 @@ import pytest
 from repro.metrics.reporting import Table
 from repro.obs import Observability
 from repro.service.app import ServiceApp, ServiceServer
-from repro.service.cluster import LiveCluster, LiveClusterConfig
+from repro.service.cluster import LiveCluster
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
 
 STATUS_BUDGET_MS = 250.0  # §4.4: revocation checks
@@ -38,7 +38,7 @@ async def _drive(
     """Serve on an ephemeral port and run one seeded open-loop burst."""
     loop = asyncio.get_running_loop()
     obs = Observability(clock=loop.time)
-    cluster = LiveCluster(config=LiveClusterConfig(seed=seed), obs=obs)
+    cluster = LiveCluster(seed=seed, obs=obs)
     app = ServiceApp(cluster=cluster, obs=obs)
     population = cluster.seed_population(128, revoked_fraction=0.2)
     app.adopt_population(population)

@@ -51,6 +51,58 @@ def _demo_adoption() -> None:
         )
 
 
+_REPLAYS = "replay byte-identically"
+_THROUGH_FRONTEND = "to drive through the frontend"
+_THROUGH_FAULTS = "driven through the fault windows"
+
+
+def _verdict(check, ok_text: str, label: str = "  consistency") -> None:
+    """Print a checker's verdict under ``label``; exit 1 on any violation."""
+    if check.ok:
+        print(f"{label}: OK — {ok_text}")
+        return
+    print(f"{label}: {check.by_invariant()}")
+    indent = " " * (len(label) - len(label.lstrip()) + 2)
+    for violation in check.violations:
+        print(f"{indent}[{violation.invariant}] serial={violation.serial}: "
+              f"{violation.detail}")
+    raise SystemExit(1)
+
+
+def _common(
+    parser: argparse.ArgumentParser,
+    seed: str | None = None,
+    shards: bool = False,
+    intensity: float | None = None,
+    queries: str | None = None,
+) -> None:
+    """Declare the flags subcommands share — those asked for, in this order.
+
+    ``seed`` says what identical seeds do, ``intensity`` is its default,
+    ``queries`` says how the status checks are driven.
+    """
+    if seed is not None:
+        parser.add_argument(
+            "--seed", type=int, default=0,
+            help=f"root seed; identical seeds {seed} (default 0)",
+        )
+    if shards:
+        parser.add_argument(
+            "--shards", type=int, default=4, help="number of shards (default 4)"
+        )
+    if intensity is not None:
+        parser.add_argument(
+            "--intensity", type=float, default=intensity,
+            help="fault intensity in [0, 1]; 0 disables all faults "
+            f"(default {intensity})",
+        )
+    if queries is not None:
+        parser.add_argument(
+            "--queries", type=int, default=400,
+            help=f"status checks {queries} (default 400)",
+        )
+
+
 def _demo_cluster(args: argparse.Namespace) -> None:
     from repro.cluster import ClusterConfig, SimulatedCluster
     from repro.perf.workloads import burst_indices
@@ -188,15 +240,11 @@ def _demo_recover(args: argparse.Namespace) -> None:
         f"{report.revokes_acked}/{report.revokes_attempted} "
         f"revocations acknowledged"
     )
-    if report.check.ok:
-        print("  durability: OK — recovered state equals replayed log, "
-              "every injected corruption detected")
-    else:
-        print(f"  durability: {report.check.by_invariant()}")
-        for violation in report.check.violations:
-            print(f"    [{violation.invariant}] serial={violation.serial}: "
-                  f"{violation.detail}")
-        raise SystemExit(1)
+    _verdict(
+        report.check,
+        "recovered state equals replayed log, every injected corruption detected",
+        label="  durability",
+    )
 
 
 def _demo_chaos(args: argparse.Namespace) -> None:
@@ -250,14 +298,7 @@ def _demo_chaos(args: argparse.Namespace) -> None:
           f"suspicions: {report.suspicions}, "
           f"records lost to wipes: {report.records_lost}")
     print(f"  state digest: {report.digest[:16]}")
-    if report.check.ok:
-        print("  consistency: OK — no invariant violations")
-    else:
-        print(f"  consistency: {report.check.by_invariant()}")
-        for violation in report.check.violations:
-            print(f"    [{violation.invariant}] serial={violation.serial}: "
-                  f"{violation.detail}")
-        raise SystemExit(1)
+    _verdict(report.check, "no invariant violations")
 
 
 def _demo_resilience(args: argparse.Namespace) -> None:
@@ -314,14 +355,7 @@ def _demo_resilience(args: argparse.Namespace) -> None:
             f"  anti-entropy: {report.sweep.serials_scanned} serials scanned, "
             f"{report.sweep.records_pushed} records re-replicated"
         )
-    if report.check.ok:
-        print("  consistency: OK — no invariant violations, no fail-open")
-    else:
-        print(f"  consistency: {report.check.by_invariant()}")
-        for violation in report.check.violations:
-            print(f"    [{violation.invariant}] serial={violation.serial}: "
-                  f"{violation.detail}")
-        raise SystemExit(1)
+    _verdict(report.check, "no invariant violations, no fail-open")
 
 
 def _demo_obs(args: argparse.Namespace) -> None:
@@ -368,18 +402,12 @@ def _demo_obs(args: argparse.Namespace) -> None:
         with open(args.prometheus, "w", encoding="utf-8") as fh:
             fh.write(report.obs.export_prometheus())
         print(f"  metrics written to {args.prometheus}")
-    check = report.check
-    if check.ok:
-        print(
-            f"consistency: OK — {check.spans_checked} spans cross-validated "
-            "against the client-visible history"
-        )
-    else:
-        print(f"consistency: {check.by_invariant()}")
-        for violation in check.violations:
-            print(f"  [{violation.invariant}] serial={violation.serial}: "
-                  f"{violation.detail}")
-        raise SystemExit(1)
+    _verdict(
+        report.check,
+        f"{report.check.spans_checked} spans cross-validated "
+        "against the client-visible history",
+        label="consistency",
+    )
 
 
 _DEMOS = {
@@ -408,17 +436,12 @@ def main(argv: list[str] | None = None) -> int:
         "cluster",
         help="sharded, replicated ledger cluster under simulated load",
     )
-    cluster_parser.add_argument(
-        "--shards", type=int, default=4, help="number of shards (default 4)"
-    )
+    _common(cluster_parser, shards=True)
     cluster_parser.add_argument(
         "--replication", type=int, default=3,
         help="replicas per record, capped at the shard count (default 3)",
     )
-    cluster_parser.add_argument(
-        "--queries", type=int, default=400,
-        help="status checks to drive through the frontend (default 400)",
-    )
+    _common(cluster_parser, queries=_THROUGH_FRONTEND)
     cluster_parser.add_argument(
         "--kill-shard", action="store_true",
         help="crash one replica mid-run to exercise quorum failover",
@@ -427,20 +450,9 @@ def main(argv: list[str] | None = None) -> int:
         "chaos",
         help="deterministic fault injection + consistency check on the cluster",
     )
-    chaos_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed; identical seeds replay byte-identically (default 0)",
-    )
-    chaos_parser.add_argument(
-        "--shards", type=int, default=4, help="number of shards (default 4)"
-    )
-    chaos_parser.add_argument(
-        "--intensity", type=float, default=0.5,
-        help="fault intensity in [0, 1]; 0 disables all faults (default 0.5)",
-    )
-    chaos_parser.add_argument(
-        "--queries", type=int, default=400,
-        help="status checks driven through the fault windows (default 400)",
+    _common(
+        chaos_parser, seed=_REPLAYS, shards=True, intensity=0.5,
+        queries=_THROUGH_FAULTS,
     )
     chaos_parser.add_argument(
         "--selftest", action="store_true",
@@ -457,13 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         help="storage-fault chaos: crash-recovery with damaged disks, "
         "gated on the durability invariants",
     )
-    recover_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed; identical seeds replay byte-identically (default 0)",
-    )
-    recover_parser.add_argument(
-        "--shards", type=int, default=4, help="number of shards (default 4)"
-    )
+    _common(recover_parser, seed=_REPLAYS, shards=True)
     recover_parser.add_argument(
         "--intensity", type=float, default=0.7,
         help="fault intensity in [0, 1] (default 0.7)",
@@ -486,41 +492,20 @@ def main(argv: list[str] | None = None) -> int:
         help="chaos run under a resilience policy (deadlines, breakers, "
         "degraded reads, hinted handoff)",
     )
-    resilience_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed; identical seeds replay byte-identically (default 0)",
-    )
-    resilience_parser.add_argument(
-        "--shards", type=int, default=4, help="number of shards (default 4)"
-    )
-    resilience_parser.add_argument(
-        "--intensity", type=float, default=0.6,
-        help="fault intensity in [0, 1]; 0 disables all faults (default 0.6)",
-    )
+    _common(resilience_parser, seed=_REPLAYS, shards=True, intensity=0.6)
     resilience_parser.add_argument(
         "--policy", default="full", metavar="POLICY",
         help="resilience tier: none | retry | full (default full)",
     )
-    resilience_parser.add_argument(
-        "--queries", type=int, default=400,
-        help="status checks driven through the fault windows (default 400)",
-    )
+    _common(resilience_parser, queries=_THROUGH_FAULTS)
     obs_parser = subparsers.add_parser(
         "obs",
         help="traced cluster workload: per-stage latency breakdown, "
         "metrics tables, deterministic span export",
     )
-    obs_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed; identical seeds export byte-identical spans "
-        "(default 0)",
-    )
-    obs_parser.add_argument(
-        "--shards", type=int, default=4, help="number of shards (default 4)"
-    )
-    obs_parser.add_argument(
-        "--queries", type=int, default=400,
-        help="status checks to drive through the frontend (default 400)",
+    _common(
+        obs_parser, seed="export byte-identical spans", shards=True,
+        queries=_THROUGH_FRONTEND,
     )
     obs_parser.add_argument(
         "--revocations", type=int, default=12,

@@ -17,7 +17,7 @@ serves everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.identifiers import PhotoIdentifier

@@ -24,7 +24,7 @@ from typing import Optional
 from repro.aggregator.aggregator import ContentAggregator, HostedPhoto
 from repro.aggregator.hashdb import RobustHashDatabase
 from repro.core.identifiers import PhotoIdentifier
-from repro.core.labeling import LabelState, label_photo, read_label
+from repro.core.labeling import LabelState, read_label
 from repro.core.owner import OwnerToolkit
 from repro.ledger.ledger import Ledger
 from repro.media.image import Photo

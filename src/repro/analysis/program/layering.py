@@ -20,11 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List
 
 from repro.analysis.findings import Finding
-from repro.analysis.program.contract import (
-    ENTRY_KIND,
-    LAYER_KIND,
-    SIDE_KIND,
-)
+from repro.analysis.program.contract import ENTRY_KIND, SIDE_KIND
 from repro.analysis.registry import program_rule
 
 CYCLE_RULE_ID = "import-cycle"

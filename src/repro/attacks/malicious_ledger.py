@@ -19,15 +19,13 @@ Both are detected by :class:`repro.ledger.probes.HonestyProber`
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.identifiers import PhotoIdentifier
 from repro.crypto.signatures import Signature
 from repro.ledger.ledger import Ledger
 from repro.ledger.proofs import StatusProof
-from repro.ledger.records import ClaimRecord, RevocationState
+from repro.ledger.records import ClaimRecord
 
 __all__ = ["LyingLedger", "StonewallingLedger"]
 

@@ -15,10 +15,8 @@ evidence spreads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.ledger.probes import ProbeReport
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["SiteRating", "SiteIndicator", "SiteReputation"]

@@ -49,7 +49,7 @@ POLICIES = ("none", "retry", "full")
 # Every policy is measured against the same answer-latency bar, whether
 # or not its config enforces one — that is what makes "answered within
 # deadline" comparable across the sweep.
-REFERENCE_DEADLINE = 0.25
+REFERENCE_DEADLINE = ClusterConfig.full().request_deadline
 
 
 def resilience_config(policy: str, num_shards: int = 4) -> ClusterConfig:
@@ -57,24 +57,12 @@ def resilience_config(policy: str, num_shards: int = 4) -> ClusterConfig:
     r = min(3, num_shards)
     if policy == "none":
         return ClusterConfig(replication_factor=r)
-    retry = dict(
-        replication_factor=r,
-        request_deadline=REFERENCE_DEADLINE,
-        max_retries=3,
-        backoff_base=0.01,
-        backoff_cap=0.08,
-    )
     if policy == "retry":
-        return ClusterConfig(**retry)
-    if policy == "full":
-        return ClusterConfig(
-            **retry,
-            breaker_threshold=3,
-            breaker_reset_timeout=0.4,
-            degraded_reads=True,
-            hinted_handoff=True,
-            hint_replay_interval=0.2,
+        return ClusterConfig.full(
+            r, breaker_threshold=None, degraded_reads=False, hinted_handoff=False
         )
+    if policy == "full":
+        return ClusterConfig.full(r)
     raise ValueError(f"unknown resilience policy {policy!r} (want {POLICIES})")
 
 

@@ -53,7 +53,7 @@ from repro.cluster.frontend import (
     ClusterFrontend,
     FrontendStats,
 )
-from repro.cluster.health import FailureDetector, ShardHealth
+from repro.cluster.health import FailureDetector
 from repro.cluster.assembly import (
     Cluster,
     ClusterPopulation,
@@ -91,7 +91,6 @@ __all__ = [
     "ClusterFrontend",
     "FrontendStats",
     "FailureDetector",
-    "ShardHealth",
     "Cluster",
     "ClusterPopulation",
     "LearningBloom",

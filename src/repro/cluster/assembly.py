@@ -57,6 +57,10 @@ __all__ = [
     "ShardRecovery",
 ]
 
+# RSA modulus of every key an assembly generates (TSA, shards, seeded
+# owners): small for speed, and seeded, so runs reproduce.
+KEY_BITS = 512
+
 
 class LearningBloom:
     """A frontend-side Bloom filter of revoked identifiers.
@@ -69,8 +73,8 @@ class LearningBloom:
     by the sizing formula and by the checker's ``fail_open`` invariant.
     """
 
-    def __init__(self, capacity: int = 8192, target_fpr: float = 0.01):
-        self._filter = BloomFilter.for_capacity(capacity, target_fpr)
+    def __init__(self, capacity: int = 8192):
+        self._filter = BloomFilter.for_capacity(capacity, 0.01)
         self.added = 0
 
     def might_be_revoked(self, compact_identifier: bytes) -> bool:
@@ -130,7 +134,7 @@ class Cluster:
     Parameters
     ----------
     num_shards / config:
-        Ring size and replication/batching configuration.
+        Ring size and replication/resilience configuration.
     clock / scheduler:
         The time base (``clock() -> seconds``) and its timer
         (``scheduler(delay_s, callback)``); ``scheduler=None`` is the
@@ -163,7 +167,6 @@ class Cluster:
         config: Optional[ClusterConfig] = None,
         seed: int = 0,
         cluster_id: str = "cluster",
-        key_bits: int = 512,
         failure_threshold: int = 3,
         probation: float = 10.0,
         filterset=None,
@@ -176,11 +179,10 @@ class Cluster:
             raise ValueError("need at least one shard")
         self.cluster_id = cluster_id
         self.clock = clock
-        self.key_bits = key_bits
         self.obs = obs
         self.rngs = RngRegistry(seed=seed)
         self.tsa = TimestampAuthority(
-            keypair=KeyPair.generate(bits=key_bits, rng=self.rngs.stream("tsa")),
+            keypair=KeyPair.generate(bits=KEY_BITS, rng=self.rngs.stream("tsa")),
             clock=clock,
         )
         self.shards: Dict[str, ClusterShard] = {}
@@ -195,7 +197,7 @@ class Cluster:
                 cluster_id,
                 self.tsa,
                 keypair=KeyPair.generate(
-                    bits=key_bits, rng=self.rngs.stream(f"key:{shard_id}")
+                    bits=KEY_BITS, rng=self.rngs.stream(f"key:{shard_id}")
                 ),
                 clock=shard_clock(shard_id) if shard_clock else clock,
                 durable=self.disks.get(shard_id),
@@ -396,7 +398,7 @@ class Cluster:
         if not 0.0 <= revoked_fraction <= 1.0:
             raise ValueError("revoked_fraction must be in [0, 1]")
         rng = self.rngs.stream("population")
-        keypair = KeyPair.generate(bits=self.key_bits, rng=rng)
+        keypair = KeyPair.generate(bits=KEY_BITS, rng=rng)
         shared_hash = sha256_hex(f"{self.cluster_id}:bulk-shared".encode())
         shared_signature = keypair.sign(shared_hash.encode("utf-8"))
         shared_timestamp = self.tsa.issue(claim_digest(shared_hash, keypair.public))

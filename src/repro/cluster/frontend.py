@@ -72,7 +72,7 @@ class ClusterError(Exception):
 
 @dataclass
 class ClusterConfig:
-    """Replication, batching and resilience knobs.
+    """Replication and resilience knobs.
 
     ``write_quorum``/``read_quorum`` default to majorities of
     ``replication_factor``, which guarantees read-write overlap; set
@@ -82,14 +82,14 @@ class ClusterConfig:
 
     The resilience knobs all default to off: no deadline, no fresh
     retries, breakers and shedding disabled, strict (non-degraded)
-    answers, no hinted handoff.
+    answers, no hinted handoff; :meth:`full` is all of them on, at the
+    values E19 measured.  Batch size, in-flight window and hint-queue
+    bound are constants of ``StatusBatcher`` and ``HintQueue``.
     """
 
     replication_factor: int = 3
     write_quorum: Optional[int] = None
     read_quorum: Optional[int] = None
-    max_batch: int = 32
-    max_inflight: int = 16
     # -- resilience: deadlines / retries ------------------------------------
     request_deadline: Optional[float] = None  # per-status budget (seconds)
     max_retries: int = 0  # fresh read attempts after the first
@@ -104,7 +104,30 @@ class ClusterConfig:
     degraded_reads: bool = False
     hinted_handoff: bool = False
     hint_replay_interval: float = 0.25
-    max_hints_per_shard: int = 4096
+
+    @classmethod
+    def full(cls, replication_factor: int = 3, **overrides) -> "ClusterConfig":
+        """E19's ``full`` policy: what the experiment measured and ``serve`` runs.
+
+        A revocation check answered inside 250 ms (section 4.4) whatever
+        the replicas do: three fresh attempts with 10-80 ms backoff,
+        breakers that trip at three failures and probe after 0.4 s,
+        Bloom-backed answers when no quorum is reachable, and missed
+        writes replayed every 0.2 s.  ``overrides`` replace single fields.
+        """
+        policy = dict(
+            replication_factor=replication_factor,
+            request_deadline=0.25,
+            max_retries=3,
+            backoff_base=0.01,
+            backoff_cap=0.08,
+            breaker_threshold=3,
+            breaker_reset_timeout=0.4,
+            degraded_reads=True,
+            hinted_handoff=True,
+            hint_replay_interval=0.2,
+        )
+        return cls(**{**policy, **overrides})
 
     def backoff_policy(self) -> BackoffPolicy:
         return BackoffPolicy(base=self.backoff_base, cap=self.backoff_cap)
@@ -131,8 +154,6 @@ class ClusterConfig:
             )
         if cfg.write_quorum < 1 or cfg.read_quorum < 1:
             raise ValueError("quorums must be at least 1")
-        if cfg.max_batch < 1 or cfg.max_inflight < 1:
-            raise ValueError("max_batch and max_inflight must be positive")
         if cfg.request_deadline is not None and cfg.request_deadline <= 0:
             raise ValueError("request_deadline must be positive when set")
         if cfg.max_retries < 0:
@@ -148,8 +169,6 @@ class ClusterConfig:
             raise ValueError("shed_burst must admit at least one request")
         if cfg.hint_replay_interval <= 0:
             raise ValueError("hint_replay_interval must be positive")
-        if cfg.max_hints_per_shard < 1:
-            raise ValueError("max_hints_per_shard must be at least 1")
         return cfg
 
 
@@ -283,23 +302,18 @@ class ClusterFrontend:
             # Replay attempts are breaker-gated (~one per reset window
             # while a shard is down), so the attempt cap must cover a
             # realistic outage, not just transient blips.
-            self.hints = HintQueue(
-                self.clock,
-                max_per_shard=self.config.max_hints_per_shard,
-                max_attempts=6,
-                obs=obs,
+            self.hints = HintQueue(self.clock, max_attempts=6, obs=obs)
+            self.hints.drive(
+                transport,
+                partial(self.later, watchdog=True),
+                self.config.hint_replay_interval,
+                self.breaker_allows,
+                self.record_result,
             )
-        self._hint_timer_armed = False
-        self.executor = QuorumExecutor(transport, detector=self.detector)
+        self.executor = QuorumExecutor(transport, on_result=self.record_result)
         self.stats = FrontendStats()
         self.batcher = StatusBatcher(
-            transport,
-            self.clock,
-            scheduler,
-            self.stats,
-            self.record_result,
-            max_batch=self.config.max_batch,
-            max_inflight=self.config.max_inflight,
+            transport, self.clock, scheduler, self.stats, self.record_result,
             obs=obs,
         )
 
@@ -335,11 +349,8 @@ class ClusterFrontend:
     # -- health fan-out ----------------------------------------------------------
 
     def record_result(self, shard_id: str, ok: bool) -> None:
-        """One observation feeds both the detector and the breakers."""
-        if ok:
-            self.detector.record_success(shard_id)
-        else:
-            self.detector.record_failure(shard_id)
+        """The one entry for an RPC outcome: the detector, then the breakers."""
+        self.detector.record(shard_id, ok)
         if self.breakers is not None:
             self.breakers.record(shard_id, ok)
 
@@ -554,42 +565,6 @@ class ClusterFrontend:
         add = getattr(self.filterset, "add", None)
         if add is not None:
             add(identifier.to_compact())
-
-    # -- hinted handoff ---------------------------------------------------------------
-
-    def arm_hint_timer(self) -> None:
-        if (
-            self.hints is None
-            or self._hint_timer_armed
-            or self.hints.pending() == 0
-        ):
-            return
-        self._hint_timer_armed = True
-        self.later(
-            self.config.hint_replay_interval, self._hint_tick, watchdog=True
-        )
-
-    def _hint_tick(self) -> None:
-        self._hint_timer_armed = False
-        self.replay_hints()
-        self.arm_hint_timer()
-
-    def replay_hints(self) -> None:
-        """Try to redeliver queued hints to every hinted shard now.
-
-        Normally driven by the replay timer; exposed for tests and for
-        sync-mode callers that want to drain after a revive.  Shards
-        with an open breaker are skipped — the breaker's own half-open
-        probe is the cheaper liveness test.
-        """
-        if self.hints is None:
-            return
-        for shard_id in self.hints.shards_with_hints():
-            if not self.breaker_allows(shard_id):
-                continue
-            self.hints.replay(
-                shard_id, self.transport, on_result=self.record_result
-            )
 
     # -- synchronous conveniences (in-process transports only) ---------------------
 

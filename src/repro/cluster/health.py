@@ -1,14 +1,14 @@
-"""Failure detection: timeout-based suspicion and recovery probation.
+"""Failure detection: the circuit breaker read as advice.
 
 The cluster has no heartbeat plane; evidence of shard health is the
-request traffic itself.  Every RPC outcome is reported here: a
-completed call clears a shard, a timeout or transport error counts
-against it.  After ``failure_threshold`` *consecutive* failures a shard
-becomes suspect, and routing (frontend and quorum executor) stops
-sending it primary traffic.  Suspicion is not permanent: after
-``probation`` seconds of sim/wall time the detector lets one request
-through again (half-open, circuit-breaker style), so a recovered or
-wrongly accused shard rejoins without operator action.
+request traffic itself, and every RPC outcome is reported here.  The
+state machine is :mod:`repro.resilience.breaker`'s — ``failure_threshold``
+*consecutive* failures open an episode of suspicion, after ``probation``
+seconds one request is let through again (and once per window after
+that, until an outcome clears or extends the episode), a success ends
+it.  What differs is the reading: a frontend's own breakers *refuse* a
+target, while a suspect is only ranked last — it still receives hedged
+reads, it is just not chosen to sign or to coordinate.
 
 Timeout-based suspicion is deliberately conservative — a slow shard and
 a dead shard look identical from the frontend, which is exactly the
@@ -17,41 +17,15 @@ ambiguity quorum reads are built to absorb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Iterable, List, Set
 
-__all__ = ["FailureDetector", "ShardHealth"]
+from repro.resilience.breaker import BreakerBoard, BreakerState
 
-
-@dataclass
-class ShardHealth:
-    """Per-shard evidence ledger."""
-
-    consecutive_failures: int = 0
-    total_failures: int = 0
-    total_successes: int = 0
-    suspected_at: float = field(default=float("nan"))
-    last_probe_at: float = field(default=float("nan"))
-
-    @property
-    def suspected(self) -> bool:
-        return self.suspected_at == self.suspected_at  # not NaN
+__all__ = ["FailureDetector"]
 
 
 class FailureDetector:
-    """Consecutive-timeout suspicion with half-open probation.
-
-    Parameters
-    ----------
-    clock:
-        Time source (sim clock in netsim mode, any monotonic callable
-        otherwise).
-    failure_threshold:
-        Consecutive failures before a shard is suspected.
-    probation:
-        Seconds a suspect waits before the detector admits one probe
-        request to test recovery.
-    """
+    """Consecutive-failure suspicion, one probe per probation window, on any clock."""
 
     def __init__(
         self,
@@ -63,76 +37,33 @@ class FailureDetector:
             raise ValueError("failure threshold must be at least 1")
         if probation <= 0:
             raise ValueError("probation must be positive")
-        self._clock = clock
-        self.failure_threshold = int(failure_threshold)
-        self.probation = float(probation)
-        self._health: Dict[str, ShardHealth] = {}
-        self.suspicions_raised = 0
-        self.recoveries = 0
-        self.probes_admitted = 0
+        self._board = BreakerBoard(
+            clock, failure_threshold, probation, on_transition=self._transition
+        )
+        self._episodes: Set[str] = set()  # shards from first trip to reclose
+        self.suspicions_raised = 0  # episodes, however many probes each fails
 
-    def _entry(self, shard_id: str) -> ShardHealth:
-        if shard_id not in self._health:
-            self._health[shard_id] = ShardHealth()
-        return self._health[shard_id]
-
-    # -- evidence ---------------------------------------------------------------
-
-    def record_success(self, shard_id: str) -> None:
-        entry = self._entry(shard_id)
-        if entry.suspected:
-            self.recoveries += 1
-            entry.suspected_at = float("nan")
-            entry.last_probe_at = float("nan")
-        entry.consecutive_failures = 0
-        entry.total_successes += 1
-
-    def record_failure(self, shard_id: str) -> None:
-        entry = self._entry(shard_id)
-        entry.consecutive_failures += 1
-        entry.total_failures += 1
-        if (
-            not entry.suspected
-            and entry.consecutive_failures >= self.failure_threshold
-        ):
-            entry.suspected_at = self._clock()
+    def _transition(self, shard_id: str, state: BreakerState) -> None:
+        if state is BreakerState.CLOSED:
+            self._episodes.discard(shard_id)
+        elif shard_id not in self._episodes:
+            self._episodes.add(shard_id)
             self.suspicions_raised += 1
 
-    # -- verdicts ----------------------------------------------------------------
+    def record(self, shard_id: str, ok: bool) -> None:
+        """One RPC outcome: a success ends an episode, a failure counts."""
+        self._board.record(shard_id, ok)
 
     def is_suspect(self, shard_id: str) -> bool:
         """True while a shard should receive no routine traffic.
 
-        A suspect past its probation window is allowed one probe: the
-        first ``is_suspect`` call after the window returns False (and
-        arms the next window), so exactly one request flows through
-        until its outcome is reported.
+        A False for a shard in an episode is its probe admission.
         """
-        entry = self._health.get(shard_id)
-        if entry is None or not entry.suspected:
-            return False
-        now = self._clock()
-        since = entry.last_probe_at if entry.last_probe_at == entry.last_probe_at else entry.suspected_at
-        if now - since >= self.probation:
-            entry.last_probe_at = now
-            self.probes_admitted += 1
-            return False
-        return True
+        return shard_id in self._episodes and not self._board.allow(shard_id)
 
     def live(self, shard_ids: Iterable[str]) -> List[str]:
         """The subset of ``shard_ids`` currently trusted, in input order."""
         return [s for s in shard_ids if not self.is_suspect(s)]
 
     def suspects(self) -> List[str]:
-        return sorted(
-            shard for shard, entry in self._health.items() if entry.suspected
-        )
-
-    def health(self, shard_id: str) -> ShardHealth:
-        return self._entry(shard_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FailureDetector(threshold={self.failure_threshold}, "
-            f"suspects={self.suspects()})"
-        )
+        return sorted(self._episodes)

@@ -200,26 +200,22 @@ class QuorumExecutor:
     """Fans a write out to a replica group; completes at quorum.
 
     The callback fires as soon as the outcome is decided — ``quorum``
-    acks (success) or enough failures that success is impossible.  Late
-    replies are still recorded with the failure detector, so a slow
-    shard's eventual answer updates its health even after the write
-    completed without it.
+    acks (success) or enough failures that success is impossible.
+    ``on_result(shard_id, ok)`` is told of every reply, late ones
+    included, so a slow shard's eventual answer updates its health even
+    after the write completed without it.
     """
 
-    def __init__(self, transport: ShardTransport, detector=None):
+    def __init__(
+        self,
+        transport: ShardTransport,
+        on_result: Optional[Callable[[str, bool], None]] = None,
+    ):
         self._transport = transport
-        self._detector = detector
+        self._on_result = on_result
         self.writes_started = 0
         self.writes_succeeded = 0
         self.writes_failed = 0
-
-    def _note(self, reply: ShardReply) -> None:
-        if self._detector is None:
-            return
-        if reply.ok:
-            self._detector.record_success(reply.shard_id)
-        else:
-            self._detector.record_failure(reply.shard_id)
 
     def execute(
         self,
@@ -258,7 +254,8 @@ class QuorumExecutor:
             callback(result)
 
         def _on_reply(reply: ShardReply) -> None:
-            self._note(reply)
+            if self._on_result is not None:
+                self._on_result(reply.shard_id, reply.ok)
             if on_reply is not None:
                 on_reply(reply)
             if reply.ok:
@@ -474,6 +471,10 @@ class HintQueue:
       dropped for the anti-entropy sweep to restore.
     * ``drained_at`` records the moment the queue last became empty
       after holding hints: the E19 "handoff drain time" measurement.
+    * *When* hints are replayed is decided here too: a coordinator
+      calls :meth:`drive` once, and from then on recording a hint arms
+      one timer that replays every hinted shard and re-arms itself
+      while anything is pending.
     """
 
     def __init__(
@@ -493,18 +494,64 @@ class HintQueue:
         self.max_attempts = int(max_attempts)
         self._hints: Dict[str, List[Hint]] = {}
         self._replaying: set = set()
+        self._later: Optional[Callable] = None  # the timer drive() was given
+        self._armed = False
         self.hints_queued = 0
         self.hints_replayed = 0
         self.hints_dropped = 0
         self.hints_coalesced = 0
         self.drained_at: Optional[float] = None
 
+    # -- the replay timer ---------------------------------------------------------
+
+    def drive(
+        self,
+        transport: ShardTransport,
+        later: Callable[[float, Callable[[], None]], None],
+        interval: float,
+        allows: Callable[[str], bool],
+        on_result: Callable[[str, bool], None],
+    ) -> None:
+        """Replay over ``transport`` every ``interval`` while hints are pending.
+
+        ``later(delay, fn)`` is the coordinator's timer (one that never
+        fires in synchronous mode, where :meth:`replay_all` is called by
+        hand).  Shards ``allows(shard_id)`` refuses are skipped — an
+        open breaker's own half-open probe is the cheaper liveness
+        test — and ``on_result(shard_id, ok)`` reports every delivery
+        to health tracking.
+        """
+        self._transport = transport
+        self._later = later
+        self._interval = interval
+        self._allows = allows
+        self._on_result = on_result
+
+    def _arm(self) -> None:
+        if self._later is None or self._armed or self.pending() == 0:
+            return
+        self._armed = True
+        self._later(self._interval, self._tick)
+
+    def _tick(self) -> None:
+        self._armed = False
+        self.replay_all()
+        self._arm()
+
+    def replay_all(self) -> None:
+        """Try to redeliver queued hints to every hinted shard now."""
+        for shard_id in self.shards_with_hints():
+            if self._allows(shard_id):
+                self.replay(
+                    shard_id, self._transport, on_result=self._on_result
+                )
+
     # -- recording ---------------------------------------------------------------
 
     def record(
         self, shard_id: str, method: str, payload: Dict[str, Any], epoch: int = 0
     ) -> None:
-        """Queue one missed write for ``shard_id``."""
+        """Queue one missed write for ``shard_id``; arm the replay timer."""
         queue = self._hints.setdefault(shard_id, [])
         serial = payload.get("serial")
         for hint in queue:
@@ -518,6 +565,7 @@ class HintQueue:
                     hint.payload = dict(payload)
                     hint.epoch = epoch
                     hint.attempts = 0
+                self._arm()
                 return
         if len(queue) >= self.max_per_shard:
             queue.pop(0)
@@ -535,6 +583,7 @@ class HintQueue:
         if self.obs is not None:
             self.obs.counter("hints_queued_total", shard=shard_id).inc()
             self.obs.gauge("hints_pending").set(self.pending())
+        self._arm()
 
     def _note_dropped(self, shard_id: str) -> None:
         self.hints_dropped += 1

@@ -365,8 +365,5 @@ class ClusterDirectory:
         shard = self._by_fingerprint.get(proof.ledger_fingerprint)
         return shard is not None and proof.verify(shard.public_key)
 
-    def shard_for(self, fingerprint: str) -> Optional[ClusterShard]:
-        return self._by_fingerprint.get(fingerprint)
-
     def __len__(self) -> int:
         return len(self._by_fingerprint)

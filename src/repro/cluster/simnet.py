@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.netsim.latency import LatencyModel, lan_latency
+from repro.netsim.latency import lan_latency
 from repro.netsim.link import Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator, SkewedClock
@@ -81,15 +81,11 @@ class NetsimShardTransport:
         endpoints: Dict[str, RpcEndpoint],
         timeout: float,
         retries: int = 0,
-        request_bytes: int = 256,
-        response_bytes: int = 512,
     ):
         self._frontend_node = frontend_node
         self._endpoints = endpoints
         self.timeout = timeout
         self.retries = retries
-        self.request_bytes = request_bytes
-        self.response_bytes = response_bytes
         self.calls = 0
 
     def shard_ids(self) -> List[str]:
@@ -127,8 +123,8 @@ class NetsimShardTransport:
             method,
             payload,
             _on_result,
-            request_bytes=self.request_bytes,
-            response_bytes=self.response_bytes,
+            request_bytes=256,
+            response_bytes=512,
             timeout=clamp_rpc_timeout(self.timeout, timeout),
             retries=self.retries,
         )
@@ -140,16 +136,10 @@ class SimulatedCluster(Cluster):
     Parameters
     ----------
     num_shards / config:
-        Ring size and replication/batching configuration.
+        Ring size and replication/resilience configuration.
     seed:
         Root seed; everything (keys, latencies, workloads drawing from
         :attr:`rngs`) derives from it.
-    shard_latency:
-        Frontend<->shard one-way link latency (LAN by default: the
-        cluster is one operator's deployment).
-    cost_model:
-        Shard occupancy per request; None disables the capacity model
-        (infinite shard concurrency).
     rpc_timeout / rpc_retries:
         Transport-level failure semantics; the timeout bounds how long
         a dead replica can stall a quorum.
@@ -161,6 +151,11 @@ class SimulatedCluster(Cluster):
         The obs clock is created here, not passed in, so spans and the
         event schedule can never disagree about the time base.  Default
         False: ``self.obs is None`` and nothing is instrumented.
+
+    Frontend<->shard links have LAN latency (the cluster is one
+    operator's deployment), shards are priced by
+    :class:`ShardCostModel`, and the failure detector suspects after 2
+    consecutive timeouts and probes every 5 s.
     """
 
     def __init__(
@@ -169,13 +164,8 @@ class SimulatedCluster(Cluster):
         config: Optional[ClusterConfig] = None,
         seed: int = 0,
         cluster_id: str = "cluster",
-        shard_latency: Optional[LatencyModel] = None,
-        cost_model: Optional[ShardCostModel] = ShardCostModel(),
         rpc_timeout: float = 0.25,
         rpc_retries: int = 0,
-        key_bits: int = 512,
-        failure_threshold: int = 2,
-        probation: float = 5.0,
         filterset=None,
         instrument: bool = False,
         durable: bool = True,
@@ -183,7 +173,7 @@ class SimulatedCluster(Cluster):
     ):
         self.simulator = Simulator()
         clock = self.simulator.clock().now
-        self.cost_model = cost_model
+        cost_model = ShardCostModel()
         self.frontend_name = "frontend"
         self.endpoints: Dict[str, RpcEndpoint] = {}
         # Per-shard clocks: same simulated time base, individually
@@ -197,15 +187,11 @@ class SimulatedCluster(Cluster):
         def wire(shards: Dict[str, ClusterShard]) -> NetsimShardTransport:
             self.network = Network(self.simulator, self.rngs.stream("net"))
             self.network.add_node(Node(self.frontend_name, self.simulator))
-            latency = shard_latency or lan_latency()
+            latency = lan_latency()
             for shard_id, shard in shards.items():
                 node = self.network.add_node(Node(shard_id, self.simulator))
                 self.network.connect(self.frontend_name, shard_id, latency)
-                endpoint = RpcEndpoint(
-                    node,
-                    self.network,
-                    cost_fn=(cost_model.cost if cost_model is not None else None),
-                )
+                endpoint = RpcEndpoint(node, self.network, cost_fn=cost_model.cost)
                 for method, handler in shard.rpc_handlers().items():
                     if instrument:
                         handler = self._traced_handler(shard_id, method, handler)
@@ -226,9 +212,8 @@ class SimulatedCluster(Cluster):
             config=config,
             seed=seed,
             cluster_id=cluster_id,
-            key_bits=key_bits,
-            failure_threshold=failure_threshold,
-            probation=probation,
+            failure_threshold=2,
+            probation=5.0,
             filterset=filterset,
             obs=Observability(clock) if instrument else None,
             durable=durable,

@@ -3,8 +3,9 @@
 Both end in a quorum write over the record's replica group
 (:class:`~repro.cluster.replication.QuorumExecutor`), and both watch
 every individual replica reply of that fan-out: a replica the write
-missed gets a *hint* (``hinted_handoff``) which the frontend's replay
-timer redelivers when the replica heals.
+missed gets a *hint* (``hinted_handoff``), which the
+:class:`~repro.cluster.replication.HintQueue` redelivers when the
+replica heals.
 """
 
 from __future__ import annotations
@@ -43,22 +44,19 @@ class _Write:
     def on_replica_reply(self, reply: ShardReply) -> None:
         """Per-reply observer of the quorum fan-out.
 
-        Feeds the breakers (the executor already feeds the detector) and
-        queues a hint for every replica the write missed — including
+        Queues a hint for every replica the write missed — including
         stragglers that fail *after* the quorum verdict, which is why
         this hangs off ``on_reply`` rather than the quorum callback.
+        (Health tracking hears of the reply from the executor.)
         """
-        frontend = self.frontend
-        if frontend.breakers is not None:
-            frontend.breakers.record(reply.shard_id, reply.ok)
-        if frontend.hints is not None and not reply.ok:
-            frontend.hints.record(
+        hints = self.frontend.hints
+        if hints is not None and not reply.ok:
+            hints.record(
                 reply.shard_id,
                 self.method,
                 self.payload,
                 epoch=self.payload.get("epoch", 0),  # a claim is epoch 0
             )
-            frontend.arm_hint_timer()
 
 
 class ClaimWrite(_Write):
@@ -145,11 +143,11 @@ class Revocation(_Write):
         self.action = action
         self.replicas = frontend.replicas_for(identifier)
         # Coordinator candidates: trusted replicas first, suspects next,
-        # breaker-open ones last (tried late, never dropped).
+        # breaker-open ones last (tried late, never dropped).  Each
+        # replica is asked about once: asking can be a probe admission.
         detector = frontend.detector
-        candidates = detector.live(self.replicas) + [
-            s for s in self.replicas if detector.is_suspect(s)
-        ]
+        suspect = {s for s in self.replicas if detector.is_suspect(s)}
+        candidates = sorted(self.replicas, key=suspect.__contains__)
         if frontend.breakers is not None:
             blocked = set(frontend.breakers.open_targets())
             candidates.sort(key=blocked.__contains__)

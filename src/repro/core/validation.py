@@ -20,7 +20,7 @@ Two validation postures exist in the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.errors import LedgerUnavailableError

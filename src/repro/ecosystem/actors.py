@@ -17,7 +17,6 @@ The paper's cast (sections 1 and 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 __all__ = ["BrowserVendor", "AggregatorActor", "UserPopulation", "EcosystemState"]
 

@@ -9,7 +9,6 @@ spectrum of aggregators from privacy-branded to engagement-maximizing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

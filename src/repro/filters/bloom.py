@@ -21,7 +21,6 @@ to ``_positions``, the arithmetic ``add`` sets bits by.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np

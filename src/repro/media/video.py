@@ -27,7 +27,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.crypto.hashing import sha256_hex
 from repro.media.image import Photo, PhotoGenerator
 from repro.media.metadata import MetadataContainer
 from repro.media.perceptual import RobustHash, robust_hash

@@ -7,7 +7,7 @@ handlers registered on the node's endpoint (:mod:`repro.netsim.transport`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.simulator import Simulator

@@ -19,8 +19,8 @@ is the proxy, and the viewer hides in the proxy's user population.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 

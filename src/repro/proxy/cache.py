@@ -11,7 +11,7 @@ cache takes a clock so it works both in-process and in the simulator.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
 __all__ = ["TtlLruCache", "CacheStats"]

@@ -11,7 +11,7 @@ accounts every byte transferred, which is the E6 experiment's metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.filters.bloom import BloomFilter

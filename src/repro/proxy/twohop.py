@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.core.identifiers import PhotoIdentifier
 from repro.crypto.hashing import hmac_sha256, sha256_bytes

@@ -14,9 +14,13 @@ States follow the classic machine:
 * **closed** — traffic flows; ``failure_threshold`` consecutive
   failures trip it open.
 * **open** — all traffic refused until ``reset_timeout`` elapses.
-* **half-open** — up to ``half_open_probes`` trial requests are
-  admitted; one success recloses, one failure re-opens (and restarts
-  the reset clock).
+* **half-open** — one trial request is admitted; its success
+  recloses, its failure re-opens (and restarts the reset clock), and
+  if its outcome never comes back another is admitted one
+  ``reset_timeout`` later.
+
+The failure detector (:mod:`repro.cluster.health`) is this machine
+read as advice: a board of its own, with a longer window.
 """
 
 from __future__ import annotations
@@ -47,24 +51,21 @@ class CircuitBreaker:
         clock: Callable[[], float],
         failure_threshold: int = 5,
         reset_timeout: float = 1.0,
-        half_open_probes: int = 1,
         on_transition: Optional[Callable[[BreakerState], None]] = None,
     ):
         if failure_threshold < 1:
             raise ValueError("breaker failure threshold must be at least 1")
         if reset_timeout <= 0:
             raise ValueError("breaker reset timeout must be positive")
-        if half_open_probes < 1:
-            raise ValueError("breaker must admit at least one half-open probe")
         self._clock = clock
         self.failure_threshold = int(failure_threshold)
         self.reset_timeout = float(reset_timeout)
-        self.half_open_probes = int(half_open_probes)
         self._on_transition = on_transition
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
-        self._opened_at = 0.0
-        self._probes_admitted = 0
+        # Start of the current refusal window: the trip, or the
+        # admission of the half-open probe still unanswered.
+        self._waiting_since = 0.0
         # Counters for experiment reporting.
         self.times_opened = 0
         self.times_reclosed = 0
@@ -86,39 +87,40 @@ class CircuitBreaker:
     def _maybe_half_open(self) -> None:
         if (
             self._state is BreakerState.OPEN
-            and self._clock() - self._opened_at >= self.reset_timeout
+            and self._clock() - self._waiting_since >= self.reset_timeout
         ):
             self._transition(BreakerState.HALF_OPEN)
-            self._probes_admitted = 0
 
     # -- admission ---------------------------------------------------------------
 
     def allow(self) -> bool:
         """May a request be sent to this target right now?
 
-        In half-open state each ``allow() == True`` *consumes* one of
-        the probe slots, so callers must only ask when they are about
-        to send — the probe budget is the admission, not a preview.
+        Once the reset window is over, ``allow() == True`` *is* the
+        half-open probe and starts the next window, so exactly one
+        request flows per window until an outcome is recorded.  Callers
+        that ask without sending (a preview) therefore cost at most one
+        window: a probe whose outcome never comes back stops counting
+        after another ``reset_timeout``.
         """
-        self._maybe_half_open()
         if self._state is BreakerState.CLOSED:
             return True
-        if self._state is BreakerState.HALF_OPEN:
-            if self._probes_admitted < self.half_open_probes:
-                self._probes_admitted += 1
-                return True
-            self.calls_refused += 1
-            return False
+        now = self._clock()
+        if now - self._waiting_since >= self.reset_timeout:
+            self._transition(BreakerState.HALF_OPEN)
+            self._waiting_since = now
+            return True
         self.calls_refused += 1
         return False
 
     # -- evidence ----------------------------------------------------------------
 
     def record_success(self) -> None:
-        self._maybe_half_open()
-        if self._state is BreakerState.HALF_OPEN:
-            self.times_reclosed += 1
-        self._transition(BreakerState.CLOSED)
+        if self._state is not BreakerState.CLOSED:  # closed: the per-reply case
+            self._maybe_half_open()
+            if self._state is BreakerState.HALF_OPEN:
+                self.times_reclosed += 1
+            self._transition(BreakerState.CLOSED)
         self._consecutive_failures = 0
 
     def record_failure(self) -> None:
@@ -134,7 +136,7 @@ class CircuitBreaker:
 
     def _trip(self) -> None:
         self._transition(BreakerState.OPEN)
-        self._opened_at = self._clock()
+        self._waiting_since = self._clock()
         self._consecutive_failures = 0
         self.times_opened += 1
 
@@ -154,14 +156,11 @@ class BreakerBoard:
         clock: Callable[[], float],
         failure_threshold: int = 5,
         reset_timeout: float = 1.0,
-        half_open_probes: int = 1,
         on_transition: Optional[Callable[[str, BreakerState], None]] = None,
     ):
         self._clock = clock
         self._kwargs = dict(
-            failure_threshold=failure_threshold,
-            reset_timeout=reset_timeout,
-            half_open_probes=half_open_probes,
+            failure_threshold=failure_threshold, reset_timeout=reset_timeout
         )
         self._on_transition = on_transition
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -181,10 +180,11 @@ class BreakerBoard:
         return self.breaker(target).allow()
 
     def record(self, target: str, ok: bool) -> None:
+        breaker = self._breakers.get(target) or self.breaker(target)
         if ok:
-            self.breaker(target).record_success()
+            breaker.record_success()
         else:
-            self.breaker(target).record_failure()
+            breaker.record_failure()
 
     def state(self, target: str) -> BreakerState:
         return self.breaker(target).state

@@ -15,7 +15,7 @@ against :data:`repro.service.routes.ROUTES` by ``tools/check_docs.py``.
 """
 
 from repro.service.app import ServiceApp, ServiceServer
-from repro.service.cluster import LiveCluster, LiveClusterConfig
+from repro.service.cluster import LiveCluster
 from repro.service.errors import ERROR_STATUS, ApiError, error_envelope
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
 from repro.service.routes import ROUTES, Route, match_route
@@ -24,7 +24,6 @@ __all__ = [
     "ApiError",
     "ERROR_STATUS",
     "LiveCluster",
-    "LiveClusterConfig",
     "LoadReport",
     "LoadgenConfig",
     "ROUTES",

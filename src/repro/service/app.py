@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.assembly import KEY_BITS
 from repro.cluster.frontend import ClusterAnswer
 from repro.core.identifiers import IdentifierError, PhotoIdentifier
 from repro.crypto.signatures import KeyPair
 from repro.crypto.hashing import sha256_hex
 from repro.resilience.policy import Deadline
-from repro.service.cluster import LiveCluster, LiveClusterConfig
+from repro.service.cluster import LiveCluster
 from repro.service.errors import ERROR_STATUS, ApiError, error_envelope
 from repro.service.protocol import (
     HttpRequest,
@@ -48,21 +49,16 @@ MAX_DELTA_PAGE = 1000
 class ServiceApp:
     """Handlers + dispatch over one live cluster."""
 
-    def __init__(
-        self,
-        cluster: Optional[LiveCluster] = None,
-        config: Optional[LiveClusterConfig] = None,
-        obs=None,
-    ):
+    def __init__(self, cluster: LiveCluster, obs=None):
         self.obs = obs
-        self.cluster = cluster or LiveCluster(config=config, obs=obs)
+        self.cluster = cluster
         self.frontend = self.cluster.frontend
         self._loop = asyncio.get_running_loop()
         # One service-owner keypair signs all custodial claims and
         # revocations (per-claim RSA keygen would blow the §4.4 budget
         # by itself); seeded, so runs reproduce.
         self.owner_keypair = KeyPair.generate(
-            bits=self.cluster.config.key_bits,
+            bits=KEY_BITS,
             rng=self.cluster.rngs.stream("service-owner"),
         )
         # serial -> signing keypair for /revocations (service claims

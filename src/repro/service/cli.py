@@ -109,29 +109,25 @@ def add_loadgen_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_app(args: argparse.Namespace, obs):
+def _build_app(
+    obs, shards=4, config=None, seed=0, populate=0, revoked_fraction=0.2
+):
+    """A served app; ``config=None`` is the cluster's default (E19's ``full``)."""
     from repro.service.app import ServiceApp
-    from repro.service.cluster import LiveCluster, LiveClusterConfig
+    from repro.service.cluster import LiveCluster
 
-    config = LiveClusterConfig(
-        num_shards=args.shards,
-        replication_factor=min(args.replication, args.shards),
-        seed=args.seed,
-        request_deadline=args.deadline,
-        shed_rate=args.shed_rate,
-        degraded_reads=not args.strict,
-    )
-    cluster = LiveCluster(config=config, obs=obs)
+    cluster = LiveCluster(shards, config=config, seed=seed, obs=obs)
     app = ServiceApp(cluster=cluster, obs=obs)
-    if args.populate > 0:
+    if populate > 0:
         population = cluster.seed_population(
-            args.populate, revoked_fraction=args.revoked_fraction
+            populate, revoked_fraction=revoked_fraction
         )
         app.adopt_population(population)
     return app
 
 
 def run_serve(args: argparse.Namespace) -> int:
+    from repro.cluster.frontend import ClusterConfig
     from repro.obs import Observability
     from repro.service.app import ServiceServer
 
@@ -140,17 +136,26 @@ def run_serve(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"python -m repro serve: --{name} must be at least 1"
             )
+    config = ClusterConfig.full(
+        min(args.replication, args.shards),
+        request_deadline=args.deadline,
+        shed_rate=args.shed_rate,
+        degraded_reads=not args.strict,
+    )
 
     async def _main() -> None:
         loop = asyncio.get_running_loop()
         obs = Observability(clock=loop.time, retain_spans=SERVED_SPAN_RING)
-        app = _build_app(args, obs)
+        app = _build_app(
+            obs, args.shards, config, seed=args.seed,
+            populate=args.populate, revoked_fraction=args.revoked_fraction,
+        )
         server = ServiceServer(app, host=args.host, port=args.port)
         host, port = await server.start()
         print(f"serving on http://{host}:{port}")
         print(
             f"  cluster: {args.shards} shard(s), "
-            f"replication {min(args.replication, args.shards)}, "
+            f"replication {config.replication_factor}, "
             f"deadline {args.deadline:g}s, "
             f"degraded reads {'off' if args.strict else 'on'}"
         )
@@ -182,11 +187,7 @@ async def _self_serve(
 
     loop = asyncio.get_running_loop()
     obs = Observability(clock=loop.time, retain_spans=SERVED_SPAN_RING)
-    serve_defaults = argparse.Namespace(
-        shards=4, replication=3, seed=args.seed, populate=64,
-        revoked_fraction=0.2, deadline=0.25, shed_rate=None, strict=False,
-    )
-    app = _build_app(serve_defaults, obs)
+    app = _build_app(obs, seed=args.seed, populate=64)
     server = ServiceServer(app, host="127.0.0.1", port=0)
     host, port = await server.start()
     config = LoadgenConfig(

@@ -5,8 +5,8 @@ assembly whose injected clock and scheduler are the asyncio event
 loop's own ``loop.time`` / ``loop.call_later`` — which is why none of
 the frontend's resilience machinery (deadline backstop, breakers,
 shedding, degraded Bloom reads) needed changing to serve real sockets.
-Only what is asyncio-specific lives here: the transport, the served
-configuration, the slow-replica hook and the ``/bloom`` export.
+Only what is asyncio-specific lives here: the transport, the
+slow-replica hook and the ``/bloom`` export.
 
 :class:`AsyncioShardTransport` is the event-loop twin of the netsim
 RPC layer: every ``invoke`` is delivered on a later loop tick (never
@@ -19,7 +19,6 @@ conditions on demand.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.assembly import Cluster, LearningBloom
@@ -30,9 +29,14 @@ from repro.filters.bloom import BloomFilter
 __all__ = [
     "AsyncioShardTransport",
     "LiveCluster",
-    "LiveClusterConfig",
     "LearningBloom",
 ]
+
+# Seconds a replica has to answer one RPC; a request's remaining budget
+# may shorten it (``clamp_rpc_timeout``), never lengthen it.
+RPC_TIMEOUT = 0.1
+# Revoked identifiers the frontend's fallback filter is sized for.
+FILTER_CAPACITY = 8192
 
 
 class AsyncioShardTransport:
@@ -42,11 +46,10 @@ class AsyncioShardTransport:
         self,
         loop: asyncio.AbstractEventLoop,
         handlers: Dict[str, Dict[str, Callable]],
-        default_timeout: float = 0.1,
     ):
         self._loop = loop
         self._handlers = handlers
-        self._default_timeout = default_timeout
+        self.timeout = RPC_TIMEOUT
         self.down: Set[str] = set()  # crashed: requests vanish, timers fire
         self.delays: Dict[str, float] = {}  # injected per-shard service delay
         self.calls = 0
@@ -76,7 +79,7 @@ class AsyncioShardTransport:
                 ShardReply(shard_id, error=f"unknown shard or method {method}"),
             )
             return
-        budget = clamp_rpc_timeout(self._default_timeout, timeout)
+        budget = clamp_rpc_timeout(self.timeout, timeout)
         done = False
 
         def _on_timeout() -> None:
@@ -112,71 +115,38 @@ class AsyncioShardTransport:
             self._loop.call_soon(_deliver)
 
 
-@dataclass
-class LiveClusterConfig:
-    """Knobs for the served cluster (E19's ``full`` policy, live)."""
-
-    num_shards: int = 4
-    replication_factor: int = 3
-    seed: int = 0
-    key_bits: int = 512
-    request_deadline: float = 0.25  # the paper's §4.4 revocation-check budget
-    rpc_timeout: float = 0.1
-    max_retries: int = 2
-    breaker_threshold: int = 3
-    breaker_reset_timeout: float = 0.4
-    shed_rate: Optional[float] = None  # requests/second; None = no shedding
-    shed_burst: int = 32
-    degraded_reads: bool = True
-    filter_capacity: int = 8192
-
-    def cluster_config(self) -> ClusterConfig:
-        return ClusterConfig(
-            replication_factor=min(self.replication_factor, self.num_shards),
-            request_deadline=self.request_deadline,
-            max_retries=self.max_retries,
-            backoff_base=0.01,
-            backoff_cap=0.08,
-            breaker_threshold=self.breaker_threshold,
-            breaker_reset_timeout=self.breaker_reset_timeout,
-            shed_rate=self.shed_rate,
-            shed_burst=self.shed_burst,
-            degraded_reads=self.degraded_reads,
-            hinted_handoff=True,
-        )
-
-
 class LiveCluster(Cluster):
     """Shards + frontend wired to the running event loop.
 
     Must be constructed inside a running loop (the server's); the
     frontend's scheduler is ``loop.call_later``, so backoff, deadline
     backstops and hint replay ride real time and a batch leaves on the
-    loop iteration after the one that filled it.
+    loop iteration after the one that filled it.  The default
+    ``config`` is :meth:`ClusterConfig.full`, E19's policy, at
+    replication ``min(3, num_shards)``.
     """
 
     def __init__(
         self,
-        config: Optional[LiveClusterConfig] = None,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
+        num_shards: int = 4,
+        config: Optional[ClusterConfig] = None,
+        seed: int = 0,
         obs=None,
+        loop: Optional[asyncio.AbstractEventLoop] = None,
     ):
-        self.config = config or LiveClusterConfig()
         self._loop = loop or asyncio.get_running_loop()
         super().__init__(
-            self.config.num_shards,
+            num_shards,
             clock=self._loop.time,
             scheduler=self._schedule,
             transport_factory=lambda shards: AsyncioShardTransport(
                 self._loop,
                 {sid: shard.rpc_handlers() for sid, shard in shards.items()},
-                default_timeout=self.config.rpc_timeout,
             ),
-            config=self.config.cluster_config(),
-            seed=self.config.seed,
+            config=config or ClusterConfig.full(min(3, num_shards)),
+            seed=seed,
             cluster_id="irs1",
-            key_bits=self.config.key_bits,
-            filterset=LearningBloom(capacity=self.config.filter_capacity),
+            filterset=LearningBloom(FILTER_CAPACITY),
             obs=obs,
         )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.service.errors import ApiError

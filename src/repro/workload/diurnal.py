@@ -11,7 +11,7 @@ flat event stream into a diurnal one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 import numpy as np
 

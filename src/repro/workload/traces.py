@@ -11,7 +11,7 @@ leak rate for revoked photos still circulating on non-IRS sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 

@@ -14,30 +14,29 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.chaos import state_digest
-from repro.cluster import LearningBloom, LocalCluster, SimulatedCluster
+from repro.chaos import resilience_config, state_digest
+from repro.cluster import ClusterConfig, LearningBloom, LocalCluster, SimulatedCluster
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import KeyPair
 from repro.ledger.recovery import records_digest
-from repro.service.cluster import LiveCluster, LiveClusterConfig
+from repro.service.cluster import FILTER_CAPACITY, LiveCluster
 
 SEED = 7
-LIVE = LiveClusterConfig(num_shards=4, seed=SEED)
 
 
 def _shared():
     """What the synchronous and netsim adapters need to match the live one."""
-    return dict(config=LIVE.cluster_config(), seed=SEED, cluster_id="irs1")
+    return dict(config=ClusterConfig.full(), seed=SEED, cluster_id="irs1")
 
 
 ADAPTERS = {
     "local": lambda: LocalCluster(
-        4, filterset=LearningBloom(LIVE.filter_capacity), **_shared()
+        4, filterset=LearningBloom(FILTER_CAPACITY), **_shared()
     ),
     "netsim": lambda: SimulatedCluster(
-        4, filterset=LearningBloom(LIVE.filter_capacity), **_shared()
+        4, filterset=LearningBloom(FILTER_CAPACITY), **_shared()
     ),
-    "asyncio": lambda: LiveCluster(LIVE),
+    "asyncio": lambda: LiveCluster(4, seed=SEED),
 }
 
 
@@ -117,9 +116,15 @@ class _StoppedLoop:
         return 0.0
 
 
+def test_the_served_default_is_the_policy_e19_measured():
+    """``full`` is written once: serve's default and E19's tier cannot drift."""
+    live = LiveCluster(loop=_StoppedLoop())
+    assert live.frontend.config == resilience_config("full", 4).resolved()
+
+
 def test_seeded_population_is_identical_on_netsim_and_asyncio():
     netsim = SimulatedCluster(4, **_shared())
-    live = LiveCluster(LIVE, loop=_StoppedLoop())
+    live = LiveCluster(4, seed=SEED, loop=_StoppedLoop())
     seeded = [c.seed_population(64, revoked_fraction=0.3) for c in (netsim, live)]
 
     assert seeded[0].identifiers == seeded[1].identifiers

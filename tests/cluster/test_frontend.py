@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, ClusterFrontend, content_serial
+from repro.cluster.writes import Revocation
 from repro.core.errors import ClaimError, LedgerUnavailableError, RevocationError
 from repro.crypto.hashing import sha256_hex
 from repro.obs import Observability
@@ -188,6 +189,24 @@ class TestRevocation:
         assert cluster.frontend.stats.failovers == 1
         assert obs.metrics.value("frontend_failovers_total") == 1
 
+    @pytest.mark.parametrize("elapsed", [1.0, 10.0])
+    def test_each_replica_is_a_coordinator_candidate_once(
+        self, local_cluster, elapsed
+    ):
+        """Inside probation a suspect is tried last; past it, its probe is one try."""
+        identifier = local_cluster.claim_photo()
+        frontend = local_cluster.frontend
+        replicas = frontend.replicas_for(identifier)
+        for _ in range(2):  # the fixture's failure threshold
+            frontend.detector.record(replicas[0], ok=False)
+        local_cluster.manual_clock.advance(elapsed)  # probation is 5 s
+        candidates = Revocation(
+            frontend, identifier, local_cluster.owner, lambda *_: None, "revoke"
+        ).candidates
+        assert sorted(candidates) == sorted(replicas)
+        if elapsed < 5.0:
+            assert candidates == replicas[1:] + replicas[:1]
+
     def test_revocation_needs_all_replicas_dead_to_fail(self, local_cluster):
         identifier = local_cluster.claim_photo()
         for shard_id in local_cluster.frontend.replicas_for(identifier):
@@ -221,11 +240,11 @@ class TestBackpressure:
 
         cluster = SimulatedCluster(
             num_shards=4,
-            config=ClusterConfig(
-                replication_factor=3, max_batch=4, max_inflight=2
-            ),
+            config=ClusterConfig(replication_factor=3),
             seed=11,
         )
+        cluster.frontend.batcher.max_batch = 4
+        cluster.frontend.batcher.max_inflight = 2
         population = cluster.seed_population(80, revoked_fraction=0.3)
         answers = []
         for identifier in population.identifiers:
@@ -301,8 +320,6 @@ class TestConfig:
             ClusterConfig(replication_factor=0).resolved()
         with pytest.raises(ValueError):
             ClusterConfig(replication_factor=3, read_quorum=4).resolved()
-        with pytest.raises(ValueError):
-            ClusterConfig(max_batch=0).resolved()
 
     def test_replication_cannot_exceed_ring(self):
         cluster = LocalCluster(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import (
+    HintQueue,
     LocalShardTransport,
     QuorumExecutor,
     ShardReply,
@@ -84,10 +85,20 @@ class TestQuorumExecutor:
         assert executor.writes_failed == 1
 
     def test_detector_sees_every_reply(self):
+        """``on_result`` hears each reply, post-quorum stragglers included."""
         clock = ManualClock()
         detector = FailureDetector(clock.now, failure_threshold=1)
-        executor = QuorumExecutor(self._transport(down=["s2"]), detector=detector)
-        executor.execute(["s0", "s1", "s2"], "ping", {}, 1, lambda r: None)
+        seen = []
+
+        def on_result(shard_id, ok):
+            seen.append((shard_id, ok))
+            detector.record(shard_id, ok)
+
+        executor = QuorumExecutor(self._transport(down=["s2"]), on_result=on_result)
+        verdicts = []
+        executor.execute(["s0", "s1", "s2"], "ping", {}, 1, verdicts.append)
+        assert len(verdicts) == 1  # decided at s0's ack; s1, s2 are stragglers
+        assert seen == [("s0", True), ("s1", True), ("s2", False)]
         assert detector.is_suspect("s2")
         assert not detector.is_suspect("s0")
 
@@ -189,6 +200,26 @@ class TestStatusCollector:
         assert not outcomes and fetches == ["a"]
         collector.record("a", _entry(1))
         assert outcomes[0].ok and outcomes[0].proof == "proof@1"
+
+
+def test_hint_queue_is_bounded_per_shard_and_counts_what_it_drops():
+    clock = ManualClock()
+    with pytest.raises(ValueError):
+        HintQueue(clock.now, max_per_shard=0)
+    hints = HintQueue(clock.now, max_per_shard=2)
+    for serial in (1, 2, 3):
+        hints.record("a", "apply_state", {"serial": serial}, epoch=1)
+    assert hints.pending("a") == 2 and hints.hints_dropped == 1
+    # The oldest went: replay delivers serials 2 and 3.
+    delivered = []
+
+    class Replica:
+        def rpc_handlers(self):
+            return {"apply_state": delivered.append}
+
+    hints.replay("a", LocalShardTransport({"a": Replica()}))
+    assert [payload["serial"] for payload in delivered] == [2, 3]
+    assert hints.pending() == 0 and hints.drained_at == clock.now()
 
 
 def test_shard_reply_ok():

@@ -337,7 +337,7 @@ def test_collector_reaches_the_all_signed_verdict_under_any_reply_order(script):
     assert directory.verify(outcome.proof)
     assert outcome.proof.revoked == (outcome.state == "revoked")
     signer = shards[names.index(outcome.answered_by)]
-    assert directory.shard_for(outcome.proof.ledger_fingerprint) is signer
+    assert outcome.proof.ledger_fingerprint == signer.fingerprint
     assert signer.ledger.store.get(_SERIAL).revocation_epoch == epoch
 
 

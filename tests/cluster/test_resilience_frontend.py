@@ -146,7 +146,7 @@ def test_hinted_handoff_repairs_the_replica_a_write_missed():
     assert record.state is RevocationState.NOT_REVOKED
 
     cluster.transport.revive(victim)
-    cluster.frontend.replay_hints()
+    cluster.frontend.hints.replay_all()
     assert cluster.frontend.hints.pending() == 0
     assert cluster.frontend.hints.drained_at is not None
     record = cluster.shards[victim].ledger.store.get(identifier.serial)
@@ -167,7 +167,7 @@ def test_hints_coalesce_to_the_newest_epoch():
     cluster.frontend.unrevoke(identifier, cluster.owner)  # epoch 2
     assert cluster.frontend.hints.pending(victim) == 1  # coalesced
     cluster.transport.revive(victim)
-    cluster.frontend.replay_hints()
+    cluster.frontend.hints.replay_all()
     record = cluster.shards[victim].ledger.store.get(identifier.serial)
     assert record.state is RevocationState.NOT_REVOKED
     assert record.revocation_epoch == 2
@@ -248,7 +248,6 @@ def test_read_quorum_above_replication_factor_names_both_numbers():
         dict(shed_rate=0.0),
         dict(shed_burst=0),
         dict(hint_replay_interval=0.0),
-        dict(max_hints_per_shard=0),
     ],
 )
 def test_resilience_knobs_are_validated(kwargs):

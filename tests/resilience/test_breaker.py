@@ -13,9 +13,7 @@ def clock():
 
 @pytest.fixture
 def breaker(clock):
-    return CircuitBreaker(
-        clock.now, failure_threshold=3, reset_timeout=1.0, half_open_probes=1
-    )
+    return CircuitBreaker(clock.now, failure_threshold=3, reset_timeout=1.0)
 
 
 def test_starts_closed_and_allows_traffic(breaker):
@@ -61,6 +59,21 @@ def test_half_open_admits_only_the_probe_budget(breaker, clock):
     assert breaker.calls_refused == 1
 
 
+def test_unanswered_probe_is_readmitted_a_window_later(breaker, clock):
+    """A probe whose outcome never comes back must not refuse forever."""
+    for _ in range(3):
+        breaker.record_failure()
+    clock.advance(1.0)
+    assert breaker.allow()  # the probe; its reply is lost
+    clock.advance(0.99)
+    assert not breaker.allow()
+    clock.advance(0.01)
+    assert breaker.allow()  # the next window's probe
+    assert not breaker.allow()
+    assert breaker.state is BreakerState.HALF_OPEN
+    assert breaker.times_opened == 1
+
+
 def test_successful_probe_recloses(breaker, clock):
     for _ in range(3):
         breaker.record_failure()
@@ -101,7 +114,6 @@ def test_failures_while_open_do_not_accumulate(breaker, clock):
     [
         dict(failure_threshold=0),
         dict(reset_timeout=0.0),
-        dict(half_open_probes=0),
     ],
 )
 def test_invalid_breaker_parameters_are_rejected(clock, kwargs):

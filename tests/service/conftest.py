@@ -14,9 +14,10 @@ from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.cluster import ClusterConfig
 from repro.obs import Observability
 from repro.service.app import ServiceApp, ServiceServer
-from repro.service.cluster import LiveCluster, LiveClusterConfig
+from repro.service.cluster import LiveCluster
 from repro.service.protocol import HttpClient
 
 
@@ -39,14 +40,15 @@ class Env:
 
 @asynccontextmanager
 async def serve(
-    config: Optional[LiveClusterConfig] = None,
+    config: Optional[ClusterConfig] = None,
     populate: int = 0,
     revoked_fraction: float = 0.0,
     with_obs: bool = True,
+    num_shards: int = 4,
 ):
     loop = asyncio.get_running_loop()
     obs = Observability(clock=loop.time) if with_obs else None
-    cluster = LiveCluster(config=config or LiveClusterConfig(), obs=obs)
+    cluster = LiveCluster(num_shards, config=config, obs=obs)
     app = ServiceApp(cluster=cluster, obs=obs)
     population = None
     if populate:

@@ -4,8 +4,8 @@ import asyncio
 import hashlib
 import json
 
+from repro.cluster import ClusterConfig
 from repro.filters.bloom import BloomFilter
-from repro.service.cluster import LiveClusterConfig
 from tests.service.conftest import serve
 
 
@@ -97,8 +97,10 @@ def test_deltas_at_and_beyond_head_are_empty_pages():
 
 def test_batch_status_preserves_order():
     async def inner():
-        config = LiveClusterConfig(num_shards=3, replication_factor=2)
-        async with serve(config=config, populate=8, revoked_fraction=0.5) as env:
+        async with serve(
+            config=ClusterConfig.full(2), num_shards=3,
+            populate=8, revoked_fraction=0.5,
+        ) as env:
             population = env.population
             ids = [i.to_string() for i in population.identifiers]
             r = await env.client.request("POST", "/status", {"ids": ids})

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster import ClusterConfig
+from repro.service.cluster import RPC_TIMEOUT
 from repro.service.errors import ERROR_STATUS
-from repro.service.cluster import LiveClusterConfig
 from tests.service.conftest import serve
 
 API_MD = Path(__file__).resolve().parents[2] / "docs" / "api.md"
@@ -132,7 +133,7 @@ def test_shed_strict_is_429():
     """Token-bucket refusal with degraded reads off is the 429 envelope."""
 
     async def inner():
-        config = LiveClusterConfig(
+        config = ClusterConfig.full(
             shed_rate=0.0001, shed_burst=1, degraded_reads=False
         )
         # Revoked ids: the Bloom filter cannot short-circuit them, so the
@@ -154,7 +155,7 @@ def test_shed_degraded_is_203_with_cause():
     """With degraded reads on, a shed request still answers, as 203."""
 
     async def inner():
-        config = LiveClusterConfig(shed_rate=0.0001, shed_burst=1)
+        config = ClusterConfig.full(shed_rate=0.0001, shed_burst=1)
         async with serve(config=config, populate=4, revoked_fraction=1.0) as env:
             target = env.population.identifiers[0].to_string()
             answers = []
@@ -176,7 +177,7 @@ def test_deadline_strict_read_is_504():
     """Slow replicas + a tight budget + degraded reads off: 504."""
 
     async def inner():
-        config = LiveClusterConfig(degraded_reads=False)
+        config = ClusterConfig.full(degraded_reads=False)
         # Revoked ids, so the Bloom filter cannot answer and the read
         # must wait on the (delayed) quorum.
         async with serve(config=config, populate=4, revoked_fraction=1.0) as env:
@@ -223,8 +224,8 @@ def test_deadline_header_reaches_the_rpc_timer():
 
             del timeouts[:]
             await env.client.request("GET", f"/status/{second}")
-            assert timeouts[0] == env.cluster.config.rpc_timeout
-            assert max(timeouts) <= env.cluster.config.rpc_timeout
+            assert timeouts[0] == RPC_TIMEOUT
+            assert max(timeouts) <= RPC_TIMEOUT
 
     asyncio.run(inner())
 
@@ -271,13 +272,11 @@ def test_unavailable_when_quorum_dark_and_strict():
     """All shards down, degraded reads off, no backstop race: 503."""
 
     async def inner():
-        config = LiveClusterConfig(
-            degraded_reads=False,
-            max_retries=0,
-            rpc_timeout=0.02,
-            request_deadline=5.0,
+        config = ClusterConfig.full(
+            degraded_reads=False, max_retries=0, request_deadline=5.0
         )
         async with serve(config=config, populate=4, revoked_fraction=1.0) as env:
+            env.cluster.transport.timeout = 0.02
             for shard_id in env.cluster.shards:
                 env.cluster.kill_shard(shard_id)
             target = env.population.identifiers[0].to_string()
@@ -291,11 +290,11 @@ def test_breaker_open_still_answers_degraded():
     """Dark quorum trips the breakers; answers stay 203 and healthz shows it."""
 
     async def inner():
-        config = LiveClusterConfig(
-            breaker_threshold=2, max_retries=0, rpc_timeout=0.02,
-            request_deadline=0.2,
+        config = ClusterConfig.full(
+            breaker_threshold=2, max_retries=0, request_deadline=0.2
         )
         async with serve(config=config, populate=4, revoked_fraction=1.0) as env:
+            env.cluster.transport.timeout = 0.02
             for shard_id in env.cluster.shards:
                 env.cluster.kill_shard(shard_id)
             target = env.population.identifiers[0].to_string()

@@ -5,7 +5,7 @@ Run from anywhere inside the repository:
 
     python tools/check_docs.py
 
-Six checks, all exact:
+Seven checks, all exact:
 
 1. **Links** — every relative markdown link in the repo's ``*.md``
    files must resolve to a file (or directory) that exists. External
@@ -39,12 +39,19 @@ Six checks, all exact:
    Either direction fails: the rendered contract is what reviewers
    read, the TOML is what the lint gate enforces, and they must be
    the same document.
+7. **Knob drift** — the names opening the rows of ``docs/runbook.md``'s
+   "Tuning knobs" table must equal the fields of ``ClusterConfig`` in
+   ``src/repro/cluster/frontend.py`` (read with ``ast``, so this script
+   needs no PYTHONPATH). Either direction fails: an untabled field is a
+   setting operators cannot find, a tabled non-field is advice to turn
+   a knob that does not exist.
 
 Exit status 0 on success, 1 with a per-problem report otherwise.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import sys
@@ -117,6 +124,11 @@ DOC_LAYER_RE = re.compile(
     r"^\|\s*(?:[0-9]+|–)\s*\|\s*`([a-z][a-z0-9_-]*)`\s*"
     r"\|\s*(layer|side|entry)\s*\|\s*(.*?)\s*\|$"
 )
+
+
+#: A knob row in ``docs/runbook.md``: one or more backticked field names,
+#: ``/``-separated, in the first cell, e.g. ``| `shed_rate` / `shed_burst` | ...``.
+DOC_KNOB_RE = re.compile(r"^\|\s*(`[a-z_]+`(?:\s*/\s*`[a-z_]+`)*)\s*\|")
 
 
 def _doc_files() -> list[Path]:
@@ -379,6 +391,52 @@ def check_layer_drift() -> list[str]:
     return problems
 
 
+def config_fields() -> set[str]:
+    source = REPO / "src" / "repro" / "cluster" / "frontend.py"
+    if not source.exists():
+        return set()
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return {
+        item.target.id
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ClusterConfig"
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    }
+
+
+def documented_knobs() -> set[str]:
+    doc = REPO / "docs" / "runbook.md"
+    if not doc.exists():
+        return set()
+    text = doc.read_text(encoding="utf-8")
+    section = text.partition("## Tuning knobs")[2].partition("\n## ")[0]
+    knobs: set[str] = set()
+    for line in section.splitlines():
+        match = DOC_KNOB_RE.match(line.strip())
+        if match:
+            knobs.update(re.findall(r"`([a-z_]+)`", match.group(1)))
+    return knobs
+
+
+def check_knob_drift() -> list[str]:
+    fields = config_fields()
+    documented = documented_knobs()
+    problems = [
+        f"docs/runbook.md: ClusterConfig.{name} is not in the knob table"
+        for name in sorted(fields - documented)
+    ]
+    problems.extend(
+        f"docs/runbook.md: knob table row `{name}` is not a ClusterConfig field"
+        for name in sorted(documented - fields)
+    )
+    if not fields:
+        problems.append(
+            "found no ClusterConfig fields in src/repro/cluster/frontend.py"
+        )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_links()
@@ -387,6 +445,7 @@ def main() -> int:
         + check_perf_case_drift()
         + check_route_drift()
         + check_layer_drift()
+        + check_knob_drift()
     )
     for problem in problems:
         print(f"FAIL {problem}")
@@ -399,8 +458,9 @@ def main() -> int:
         f"{len(documented_metrics())} metrics, "
         f"{len(documented_rules())} lint rules, "
         f"{len(documented_cases())} perf cases, "
-        f"{len(documented_routes())} API routes and "
-        f"{len(documented_layers())} contract layers in sync"
+        f"{len(documented_routes())} API routes, "
+        f"{len(documented_layers())} contract layers and "
+        f"{len(documented_knobs())} config knobs in sync"
     )
     return 0
 
