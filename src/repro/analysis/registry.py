@@ -33,7 +33,6 @@ __all__ = [
     "program_rule",
     "all_rules",
     "all_program_rules",
-    "get_rule",
     "rule_ids",
     "program_rule_ids",
     "known_rule_ids",
@@ -88,12 +87,6 @@ def all_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
     if unknown:
         raise KeyError(f"unknown rule id(s): {sorted(unknown)}")
     return [r for r in rules if r.id in wanted]
-
-
-def get_rule(rule_id: str) -> Rule:
-    import repro.analysis.rules  # noqa: F401  - registration side effect
-
-    return _REGISTRY[rule_id]
 
 
 def rule_ids() -> List[str]:

@@ -109,11 +109,6 @@ class ScrollResult:
         jank = self.jank_durations
         return float(jank.mean() * 1000) if jank.size else 0.0
 
-    @property
-    def p99_jank_ms(self) -> float:
-        jank = self.jank_durations
-        return float(np.percentile(jank, 99) * 1000) if jank.size else 0.0
-
 
 class ScrollSession:
     """Simulates one user scrolling a feed.

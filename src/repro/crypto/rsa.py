@@ -1,10 +1,13 @@
-"""Pure-Python RSA: key generation, raw sign/verify.
+"""Textbook RSA in Python: key generation, raw sign/verify.
 
 The offline environment provides no compiled cryptography package, so
 the reproduction implements textbook RSA with deterministic padding
 (PKCS#1 v1.5-style, type 01) over SHA-256 digests.  This is sufficient
 for the protocol logic the paper needs -- per-photo key pairs whose
 private halves prove ownership -- while keeping everything auditable.
+Its one modular exponentiation (:mod:`repro.crypto.modexp`) runs on the
+libcrypto ``hashlib`` uses when present and on ``pow`` otherwise: the
+same function on the integers, still stdlib-only.
 
 Security notes (deliberate, documented trade-offs of a simulation):
 
@@ -26,6 +29,8 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.crypto.modexp import modexp
 
 __all__ = ["RsaPrivateKey", "RsaPublicKey", "generate_keypair"]
 
@@ -88,7 +93,7 @@ def is_probable_prime(n: int, rng: Optional[np.random.Generator] = None) -> bool
         r += 1
     for _ in range(_MILLER_RABIN_ROUNDS):
         a = _rand_below(n - 1, rng)
-        x = pow(a, d, n)
+        x = modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -127,7 +132,7 @@ class RsaPublicKey:
         """Return True iff ``signature`` opens to the padded ``digest``."""
         if not 0 < signature < self.n:
             return False
-        recovered = pow(signature, self.e, self.n)
+        recovered = modexp(signature, self.e, self.n)
         return recovered == _pad_digest(digest, self.n)
 
     @cached_property
@@ -166,8 +171,8 @@ class RsaPrivateKey:
         m = _pad_digest(digest, self.n)
         # CRT: compute m^d mod p and mod q, then recombine.
         dp, dq, qinv = self._crt
-        sp = pow(m % self.p, dp, self.p)
-        sq = pow(m % self.q, dq, self.q)
+        sp = modexp(m % self.p, dp, self.p)
+        sq = modexp(m % self.q, dq, self.q)
         h = (qinv * (sp - sq)) % self.p
         return (sq + h * self.q) % self.n
 

@@ -22,11 +22,7 @@ import numpy as np
 from repro.crypto import rsa
 from repro.crypto.hashing import canonical_encode, sha256_int
 
-__all__ = ["KeyPair", "PublicKey", "Signature", "SignatureError"]
-
-
-class SignatureError(Exception):
-    """Raised when a signature fails verification where one is required."""
+__all__ = ["KeyPair", "PublicKey", "Signature"]
 
 
 @dataclass(frozen=True)
@@ -75,20 +71,24 @@ class PublicKey:
         """Verify a signature over the canonical encoding of ``struct``."""
         return self.verify(canonical_encode(struct), signature)
 
-    def require_valid(self, message: bytes, signature: Signature) -> None:
-        """Raise :class:`SignatureError` unless the signature verifies."""
-        if not self.verify(message, signature):
-            raise SignatureError(
-                f"signature by {signature.signer_fingerprint} failed to verify "
-                f"against key {self.fingerprint}"
-            )
-
     def to_dict(self) -> dict:
         return {"n": self._key.n, "e": self._key.e}
 
     @staticmethod
     def from_dict(data: dict) -> "PublicKey":
-        return PublicKey(rsa.RsaPublicKey(n=data["n"], e=data["e"]))
+        """Rebuild a key from :meth:`to_dict` output; ``ValueError`` on anything else.
+
+        The dict may come off a wire: only an odd modulus of the size
+        :func:`rsa.generate_keypair` demands and an odd exponent >= 3 pass.
+        """
+        n, e = data["n"], data["e"]
+        if type(n) is not int or type(e) is not int:
+            raise ValueError("public key fields must be integers")
+        if n < 1 << 383 or not n & 1:
+            raise ValueError("modulus must be odd and at least 384 bits")
+        if e < 3 or not e & 1:
+            raise ValueError("public exponent must be odd and at least 3")
+        return PublicKey(rsa.RsaPublicKey(n=n, e=e))
 
 
 class KeyPair:

@@ -6,33 +6,24 @@ database is leaked (e.g., a payment system where an owner buys tokens
 which are exchanged with other users in a mixing market before being
 used to pay for claims)."
 
-This module implements that sketch:
+This module implements the issuer's half of that sketch:
 
 * :class:`TokenIssuer` sells bearer tokens.  Each token is an opaque
   serial signed by the issuer; the issuer records *which account bought
-  which serial* (that is exactly the leak the mixing market exists to
-  break).
-* :class:`MixingMarket` lets holders swap tokens in rounds.  After
-  enough rounds, the purchase record no longer predicts who *spends*
-  a serial.
+  which serial* (that is exactly the leak a mixing market would exist
+  to break).
 * Spending is double-spend-protected: the issuer remembers redeemed
   serials.
-
-The privacy bench measures linkage probability (can the issuer's leaked
-database connect a spent token back to its buyer?) as a function of
-mixing rounds and market size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.crypto.signatures import KeyPair, Signature
 
-__all__ = ["PaymentToken", "TokenIssuer", "MixingMarket", "TokenError"]
+__all__ = ["PaymentToken", "TokenIssuer", "TokenError"]
 
 
 class TokenError(Exception):
@@ -94,66 +85,3 @@ class TokenIssuer:
 
     def is_redeemed(self, serial: int) -> bool:
         return serial in self._redeemed
-
-
-class MixingMarket:
-    """Swap tokens among holders to break buyer/spender linkage.
-
-    Each :meth:`mix_round` applies a uniform random permutation cycle
-    over all deposited tokens (a derangement-free shuffle is fine: the
-    adversary's linkage probability is what the bench measures, and a
-    fixed point simply means one participant kept their token that
-    round).
-    """
-
-    def __init__(self, rng: Optional[np.random.Generator] = None):
-        self._rng = rng or np.random.default_rng(0)
-        self._holdings: Dict[str, List[PaymentToken]] = {}
-
-    def deposit(self, account: str, token: PaymentToken) -> None:
-        self._holdings.setdefault(account, []).append(token)
-
-    def withdraw_all(self, account: str) -> List[PaymentToken]:
-        return self._holdings.pop(account, [])
-
-    @property
-    def participants(self) -> List[str]:
-        return sorted(self._holdings)
-
-    def mix_round(self) -> None:
-        """One round: every deposited token moves to a random holder."""
-        accounts = sorted(self._holdings)
-        pool: List[PaymentToken] = []
-        counts: List[int] = []
-        for account in accounts:
-            tokens = self._holdings[account]
-            pool.extend(tokens)
-            counts.append(len(tokens))
-            self._holdings[account] = []
-        order = self._rng.permutation(len(pool))
-        shuffled = [pool[i] for i in order]
-        cursor = 0
-        for account, count in zip(accounts, counts):
-            self._holdings[account] = shuffled[cursor : cursor + count]
-            cursor += count
-
-    def mix(self, rounds: int) -> None:
-        """Run several mixing rounds."""
-        for _ in range(rounds):
-            self.mix_round()
-
-    def linkage_probability(self, issuer: TokenIssuer) -> float:
-        """Fraction of tokens still held by their original buyer.
-
-        This is the adversary's success rate when it guesses that the
-        current holder of a serial is whoever the (leaked) purchase
-        ledger says bought it.
-        """
-        total = 0
-        linked = 0
-        for account, tokens in self._holdings.items():
-            for token in tokens:
-                total += 1
-                if issuer.purchases.get(token.serial) == account:
-                    linked += 1
-        return linked / total if total else 0.0

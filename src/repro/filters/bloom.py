@@ -282,9 +282,3 @@ class BloomFilter:
             f"BloomFilter(nbits={self.nbits}, k={self._num_hashes}, "
             f"keys={self._count}, fill={self.fill_ratio():.4f})"
         )
-
-
-def _optimal_geometry(capacity: int, target_fpr: float) -> tuple[int, int]:
-    """(nbits, k) sized optimally for capacity/fpr.  Exposed for tests."""
-    nbits = bloom_bits_for_fpr(capacity, target_fpr)
-    return nbits, bloom_optimal_hashes(nbits, capacity)

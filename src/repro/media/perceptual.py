@@ -106,10 +106,6 @@ class RobustHash:
         b = np.unpackbits(np.frombuffer(other.bits, dtype=np.uint8))
         return float(np.mean(a != b))
 
-    def distance_many(self, others: Sequence["RobustHash"]) -> np.ndarray:
-        """Distances to many signatures in one vectorized pass."""
-        return hamming_many(self, pack_signatures(others))
-
     def matches(
         self, other: "RobustHash", threshold: float = DEFAULT_MATCH_THRESHOLD
     ) -> bool:

@@ -1,13 +1,13 @@
 """The hot-path case registry: what ``python -m repro perf`` measures.
 
 The paired cases are the fast paths production code calls — the Bloom
-batch probe, the packed Hamming scan, snapshot-anchored recovery — each
-against the scalar reference oracle it must equal (the differential
-tests in ``tests/perf/test_vectorized_vs_scalar.py`` hold the first two
-pairs equal under hypothesis-generated workloads; here the harness
-additionally locks each run's results by checksum before reporting a
-speedup).  The single-sided cases time the quorum round and the event
-log, which have no second implementation to race.
+batch probe, the packed Hamming scan, snapshot-anchored recovery, RSA on
+libcrypto's ``modexp`` — each against the reference oracle it must equal
+(the differential tests in ``tests/perf/test_vectorized_vs_scalar.py``
+hold all but recovery equal under hypothesis-generated workloads; here
+the harness additionally locks each run's results by checksum before
+reporting a speedup).  The single-sided cases time the quorum round and
+the event log, which have no second implementation to race.
 
 ``min_speedup`` floors are deliberately far below the measured
 speedups — they are the "vectorization still exists on the slowest
@@ -282,6 +282,34 @@ def _recovery_checksum(state: Dict[str, Any], result: Any) -> str:
     return f"{result.head_seq}:{records_digest(result.records)}"
 
 
+# -- RSA on libcrypto's modexp vs the builtin pow ------------------------------
+
+
+def _rsa_setup(seed: int) -> Dict[str, Any]:
+    from repro.crypto.signatures import KeyPair
+
+    keypair = KeyPair.generate(512, np.random.default_rng(seed))
+    return {"keypair": keypair, "messages": signature_blobs(seed + 1, 256)}
+
+
+def _rsa_fast(state: Dict[str, Any]) -> List[int]:
+    keypair, public = state["keypair"], state["keypair"].public
+    signatures = [keypair.sign(message) for message in state["messages"]]
+    if not all(map(public.verify, state["messages"], signatures)):
+        raise RuntimeError("a fresh signature failed to verify")
+    return [signature.value for signature in signatures]
+
+
+def _rsa_baseline(state: Dict[str, Any]) -> List[int]:
+    from repro.crypto import rsa
+
+    bound, rsa.modexp = rsa.modexp, pow
+    try:
+        return _rsa_fast(state)
+    finally:
+        rsa.modexp = bound
+
+
 def default_suite() -> List[BenchCase]:
     """The committed hot-path cases, in report order."""
     return [
@@ -338,5 +366,17 @@ def default_suite() -> List[BenchCase]:
             ops=lambda state: state["events"],
             checksum=_recovery_checksum,
             min_speedup=1.5,
+        ),
+        BenchCase(
+            name="rsa_sign_verify",
+            description="sign + verify on libcrypto's modexp vs the builtin pow",
+            setup=_rsa_setup,
+            fast=_rsa_fast,
+            baseline=_rsa_baseline,
+            ops=lambda state: len(state["messages"]),
+            checksum=lambda state, result: _digest(
+                [value.to_bytes(64, "big") for value in result]
+            ),
+            min_speedup=2.0,
         ),
     ]

@@ -15,11 +15,7 @@
 from repro.workload.population import PhotoPopulation, populate_ledger
 from repro.workload.zipf import ZipfSampler
 from repro.workload.traces import BrowsingTraceGenerator, ViewEvent
-from repro.workload.pages import (
-    pinterest_like_page,
-    simple_article_page,
-    page_sweep,
-)
+from repro.workload.pages import pinterest_like_page
 from repro.workload.diurnal import DiurnalProfile
 
 __all__ = [
@@ -29,7 +25,5 @@ __all__ = [
     "BrowsingTraceGenerator",
     "ViewEvent",
     "pinterest_like_page",
-    "simple_article_page",
-    "page_sweep",
     "DiurnalProfile",
 ]

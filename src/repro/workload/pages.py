@@ -16,7 +16,7 @@ import numpy as np
 from repro.browser.page import AuxResource, ImageResource, Page
 from repro.core.identifiers import PhotoIdentifier
 
-__all__ = ["pinterest_like_page", "simple_article_page", "page_sweep"]
+__all__ = ["pinterest_like_page"]
 
 
 def _image_sizes(
@@ -77,43 +77,3 @@ def pinterest_like_page(
         AuxResource(name="app.js", size_bytes=180_000, kind="js"),
     ]
     return Page(name=name, html_bytes=45_000, aux=aux, images=images)
-
-
-def simple_article_page(
-    rng: np.random.Generator,
-    num_images: int = 8,
-    labeled_fraction: float = 0.5,
-    identifiers: Optional[List[PhotoIdentifier]] = None,
-    name: str = "article",
-) -> Page:
-    """A text-dominant page with a handful of inline photos."""
-    if num_images < 0:
-        raise ValueError("image count cannot be negative")
-    sizes = _image_sizes(rng, num_images, median_bytes=90_000, sigma=0.5)
-    images = [
-        ImageResource(name=f"fig-{i}", size_bytes=int(size))
-        for i, size in enumerate(sizes)
-    ]
-    _label_images(images, rng, labeled_fraction, identifiers)
-    aux = [
-        AuxResource(name="site.css", size_bytes=60_000, kind="css"),
-        AuxResource(name="site.js", size_bytes=120_000, kind="js"),
-    ]
-    return Page(name=name, html_bytes=30_000, aux=aux, images=images)
-
-
-def page_sweep(
-    rng: np.random.Generator,
-    image_counts: List[int],
-    labeled_fraction: float = 1.0,
-) -> List[Page]:
-    """Pinterest-like pages at increasing image counts (E1's x-axis)."""
-    return [
-        pinterest_like_page(
-            rng,
-            num_images=count,
-            labeled_fraction=labeled_fraction,
-            name=f"grid-{count}",
-        )
-        for count in image_counts
-    ]

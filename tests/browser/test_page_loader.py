@@ -7,7 +7,7 @@ import pytest
 from repro.browser.loader import CheckMode, PageLoadModel
 from repro.browser.page import AuxResource, ImageResource, Page
 from repro.netsim.latency import ConstantLatency
-from repro.workload.pages import page_sweep, pinterest_like_page, simple_article_page
+from repro.workload.pages import pinterest_like_page
 from repro.core.identifiers import PhotoIdentifier
 
 
@@ -46,10 +46,8 @@ class TestPageModel:
         page = pinterest_like_page(rng, num_images=30)
         assert page.num_images == 30
         assert page.num_labeled_images == 30  # default: all labeled
-        article = simple_article_page(rng, num_images=6, labeled_fraction=0.0)
-        assert article.num_labeled_images == 0
-        sweep = page_sweep(rng, [10, 20])
-        assert [p.num_images for p in sweep] == [10, 20]
+        unlabeled = pinterest_like_page(rng, num_images=6, labeled_fraction=0.0)
+        assert unlabeled.num_labeled_images == 0
 
 
 class TestLoaderBaseline:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import rsa
-from repro.crypto.signatures import KeyPair, PublicKey, Signature, SignatureError
+from repro.crypto.signatures import PublicKey, Signature
 
 
 class TestPrimality:
@@ -46,6 +46,15 @@ class TestKeyGeneration:
     def test_too_small_modulus_rejected(self):
         with pytest.raises(ValueError):
             rsa.generate_keypair(bits=256)
+
+    @pytest.mark.parametrize(
+        "seed, fingerprint",
+        [(0, "2489206e06a8c34f"), (1, "22bb9437c02b16c2"), (2, "5e4c3e5bfb27e999")],
+    )
+    def test_seeded_keys_are_the_keys_of_pr_22(self, seed, fingerprint):
+        """Recorded before Miller-Rabin moved to ``modexp``: same draws, same primes."""
+        key = rsa.generate_keypair(512, np.random.default_rng(seed))
+        assert key.public.fingerprint == fingerprint
 
     def test_private_exponent_inverts_public(self):
         key = rsa.generate_keypair(bits=512, rng=np.random.default_rng(3))
@@ -99,12 +108,6 @@ class TestKeyPairApi:
         assert key.fingerprint is key.fingerprint  # cached on the key
         assert key == session_keypair.public  # the cache is not a field
 
-    def test_require_valid_raises(self, session_keypair):
-        sig = session_keypair.sign(b"msg")
-        session_keypair.public.require_valid(b"msg", sig)  # no raise
-        with pytest.raises(SignatureError):
-            session_keypair.public.require_valid(b"tampered", sig)
-
     def test_signature_dict_roundtrip(self, session_keypair):
         sig = session_keypair.sign(b"msg")
         restored = Signature.from_dict(sig.to_dict())
@@ -115,6 +118,42 @@ class TestKeyPairApi:
         sig = session_keypair.sign(b"msg")
         assert restored.verify(b"msg", sig)
         assert restored.fingerprint == session_keypair.fingerprint
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", "12345"), ("n", 2.0**400), ("n", True), ("n", None),
+            ("n", 0), ("n", -(2**511) - 1), ("n", 2**511), ("n", 2**382 + 1),
+            ("e", "65537"), ("e", 65537.0), ("e", 1), ("e", 0), ("e", -3), ("e", 65536),
+        ],
+    )
+    def test_hostile_public_key_dict_rejected(self, session_keypair, field, value):
+        data = session_keypair.public.to_dict()
+        data[field] = value
+        with pytest.raises(ValueError):
+            PublicKey.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "n, e, answer",
+        [
+            (2**511, 65537, False),  # even modulus
+            (-(2**511) - 1, 65537, False),  # negative: no signature is in range
+            (0, 65537, False),
+            (2**511 + 1, 65536, False),  # even exponent
+            (2**511 + 1, -1, False),  # modular inverse
+            (2**511 + 2, -1, ValueError),  # ... of a non-invertible base
+            (2**100 + 1, 3, ValueError),  # no room for the padded digest
+            ("12345", 3, TypeError),
+        ],
+    )
+    def test_hostile_key_built_directly_answers_as_it_did(self, n, e, answer):
+        """What the parent commit's ``pow`` answered, whichever binding runs."""
+        key = rsa.RsaPublicKey(n=n, e=e)
+        if answer is False:
+            assert key.verify_int(7, 2) is False
+        else:
+            with pytest.raises(answer):
+                key.verify_int(7, 2)
 
     def test_signature_tamper_detected(self, session_keypair):
         sig = session_keypair.sign(b"msg")

@@ -1,9 +1,8 @@
-"""Tests for payment tokens and the mixing market."""
+"""Tests for payment tokens."""
 
-import numpy as np
 import pytest
 
-from repro.crypto.tokens import MixingMarket, TokenError, TokenIssuer
+from repro.crypto.tokens import TokenError, TokenIssuer
 
 
 class TestIssuer:
@@ -44,47 +43,3 @@ class TestIssuer:
         issuer = TokenIssuer()
         serials = {issuer.sell(f"u{i}").serial for i in range(10)}
         assert len(serials) == 10
-
-
-class TestMixingMarket:
-    def _setup(self, n_users=20, rng_seed=5):
-        issuer = TokenIssuer()
-        market = MixingMarket(rng=np.random.default_rng(rng_seed))
-        for i in range(n_users):
-            market.deposit(f"user-{i}", issuer.sell(f"user-{i}"))
-        return issuer, market
-
-    def test_initial_linkage_is_total(self):
-        issuer, market = self._setup()
-        assert market.linkage_probability(issuer) == 1.0
-
-    def test_mixing_reduces_linkage(self):
-        issuer, market = self._setup(n_users=50)
-        market.mix(3)
-        linkage = market.linkage_probability(issuer)
-        # After mixing 50 tokens, expected linkage ~1/50.
-        assert linkage < 0.2
-
-    def test_token_conservation(self):
-        issuer, market = self._setup(n_users=10)
-        market.mix(5)
-        total = sum(
-            len(market.withdraw_all(f"user-{i}")) for i in range(10)
-        )
-        assert total == 10
-
-    def test_withdrawn_tokens_still_redeemable(self):
-        issuer, market = self._setup(n_users=8)
-        market.mix(2)
-        for i in range(8):
-            for token in market.withdraw_all(f"user-{i}"):
-                issuer.redeem(token)  # all still valid, spendable once
-
-    def test_participants_listing(self):
-        _, market = self._setup(n_users=3)
-        assert market.participants == ["user-0", "user-1", "user-2"]
-
-    def test_empty_market_linkage_zero(self):
-        issuer = TokenIssuer()
-        market = MixingMarket()
-        assert market.linkage_probability(issuer) == 0.0

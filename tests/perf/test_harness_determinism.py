@@ -109,4 +109,5 @@ class TestCommittedBaseline:
             "event_append",
             "chain_verify",
             "snapshot_replay",
+            "rsa_sign_verify",
         } == names

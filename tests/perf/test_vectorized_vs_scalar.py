@@ -4,14 +4,17 @@ The perf suite (``repro.perf.suite``) reports speedups only after
 locking fast/oracle results together by checksum; these tests hold the
 same pairs equal under hypothesis-generated workloads, including the
 edge shapes a benchmark never exercises — empty batches, duplicate
-keys, all-hit and all-miss probes.
+keys, all-hit and all-miss probes.  The ``rsa_sign_verify`` pair is one
+code path on two bindings of ``rsa.modexp``; its oracle is the builtin.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import rsa
 from repro.filters.bloom import BloomFilter
+from repro.crypto.signatures import Signature
 from repro.media.perceptual import RobustHash, hamming_many, pack_signatures
 
 keys_strategy = st.lists(
@@ -93,3 +96,21 @@ class TestHammingDistance:
         packed = pack_signatures([ones, zeros])
         assert list(hamming_many(ones, packed)) == [0.0, 1.0]
         assert list(hamming_many(zeros, packed)) == [1.0, 0.0]
+
+
+class TestRsaOnModexp:
+    @settings(max_examples=40, deadline=None)
+    @given(messages=st.lists(st.binary(max_size=48), min_size=1, max_size=8))
+    def test_signatures_equal_on_both_bindings(self, session_keypair, messages):
+        shipped = [session_keypair.sign(message) for message in messages]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rsa, "modexp", pow)
+            assert [session_keypair.sign(message) for message in messages] == shipped
+            on_pow = [
+                session_keypair.public.verify(message, signature)
+                for message, signature in zip(messages, shipped)
+            ]
+        assert all(on_pow)
+        assert all(map(session_keypair.public.verify, messages, shipped))
+        forged = Signature(shipped[0].value ^ 1, shipped[0].signer_fingerprint)
+        assert not session_keypair.public.verify(messages[0], forged)
