@@ -29,9 +29,6 @@ class ProgramContext:
     contract: Optional[LayerContract]  # None when layering not selected
     names: Dict[str, str]  # dotted module name -> rel path
 
-    def rel_for(self, module_name: str) -> Optional[str]:
-        return self.names.get(module_name)
-
 
 def build_context(
     root: str,

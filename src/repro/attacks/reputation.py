@@ -107,6 +107,3 @@ class LedgerMarket:
         shares = self.market_share()
         self.share_history.append(shares)
         return shares
-
-    def share_of(self, ledger_id: str) -> float:
-        return self.market_share()[ledger_id]

@@ -153,16 +153,3 @@ class ReactiveTakedownSystem:
 
         self.simulator.schedule(self.processing_delay, process)
 
-    # -- measurement --------------------------------------------------------------
-
-    def copies_visible(self, campaign: TakedownCampaign) -> int:
-        """Copies of the campaign's target currently served anywhere."""
-        visible = 0
-        for site in self.sites:
-            for hosted in site.live_photos():
-                if (
-                    campaign.target_signature.distance(robust_hash(hosted.photo))
-                    <= self.match_threshold
-                ):
-                    visible += 1
-        return visible

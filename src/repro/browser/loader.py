@@ -77,10 +77,6 @@ class PageLoadResult:
     def total_check_delay(self) -> float:
         return sum(img.check_delay for img in self.images)
 
-    @property
-    def max_check_delay(self) -> float:
-        return max((img.check_delay for img in self.images), default=0.0)
-
 
 class PageLoadModel:
     """Simulates one page load.

@@ -114,16 +114,6 @@ class HistoryRecorder:
     def of_kind(self, *kinds: str) -> List[Op]:
         return [op for op in self._ops if op.kind in kinds]
 
-    def acked_writes(self, serial: Optional[int] = None) -> List[Op]:
-        """Quorum-acknowledged state changes, in ack-time order."""
-        writes = [
-            op
-            for op in self._ops
-            if op.kind in ("revoke", "unrevoke") and op.acked
-            and (serial is None or op.serial == serial)
-        ]
-        return sorted(writes, key=lambda op: (op.completed_at, op.op_id))
-
     def signature(self) -> tuple:
         """The whole history as a comparable tuple (replay checks)."""
         return tuple(op.signature() for op in self._ops)

@@ -157,14 +157,6 @@ class HashRing:
 
     # -- diagnostics ------------------------------------------------------------
 
-    def load_share(self, keys: Sequence[bytes]) -> Dict[str, float]:
-        """Fraction of ``keys`` each shard owns as primary."""
-        counts = {shard: 0 for shard in self._shards}
-        for key in keys:
-            counts[self.primary(key)] += 1
-        total = max(len(keys), 1)
-        return {shard: counts[shard] / total for shard in sorted(counts)}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"HashRing(shards={len(self._shards)}, vnodes={self.vnodes}, "

@@ -140,16 +140,6 @@ class BitArray:
         self._check_compatible(other)
         np.bitwise_or(self._words, other._words, out=self._words)
 
-    def intersect_with(self, other: "BitArray") -> None:
-        """In-place AND."""
-        self._check_compatible(other)
-        np.bitwise_and(self._words, other._words, out=self._words)
-
-    def xor_with(self, other: "BitArray") -> None:
-        """In-place XOR (used for delta encoding of updates)."""
-        self._check_compatible(other)
-        np.bitwise_xor(self._words, other._words, out=self._words)
-
     def changed_indices(self, other: "BitArray") -> np.ndarray:
         """Indices of bits that differ between self and other."""
         self._check_compatible(other)

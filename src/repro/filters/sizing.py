@@ -71,16 +71,6 @@ def bloom_bits_for_fpr(num_keys: int, target_fpr: float) -> int:
     return max(64, int(math.ceil(m)))
 
 
-def bloom_fpr_for_size_bytes(size_bytes: int, num_keys: int) -> float:
-    """Best achievable FPR when the filter budget is ``size_bytes``.
-
-    Uses the optimal k for the given geometry.
-    """
-    nbits = size_bytes * BITS_PER_BYTE
-    k = bloom_optimal_hashes(nbits, num_keys)
-    return bloom_false_positive_rate(nbits, num_keys, k)
-
-
 def load_reduction_factor(fpr: float, revoked_view_fraction: float = 0.0) -> float:
     """Ledger-query reduction factor achieved by a front filter.
 

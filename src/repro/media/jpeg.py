@@ -180,21 +180,6 @@ class JpegCodec:
             result.metadata = metadata
         return result
 
-    def compressed_size_estimate(self, photo: Photo) -> int:
-        """Rough compressed size in bytes: count of non-zero quantized
-        coefficients times an empirical 1.1 bytes-per-coefficient, plus
-        header overhead.  Used only by workload generators that need a
-        transfer size for synthetic photos.
-        """
-        ycbcr = _rgb_to_ycbcr(photo.pixels)
-        nonzero = 0
-        for c in range(3):
-            table = self._luma_q if c == 0 else self._chroma_q
-            padded, _, _ = _pad_to_blocks(ycbcr[..., c])
-            coeffs = _blockwise_dct(padded - 128.0)
-            nonzero += int(np.count_nonzero(np.round(coeffs / table)))
-        return 600 + int(nonzero * 1.1)
-
 
 def jpeg_roundtrip(
     photo: Photo, quality: int = 75, preserve_metadata: bool = True

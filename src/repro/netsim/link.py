@@ -172,9 +172,6 @@ class Network:
         """All links, in creation order (deterministic)."""
         return iter(self._links.values())
 
-    def node_names(self) -> list:
-        return list(self._nodes)
-
     # -- delivery -----------------------------------------------------------------
 
     def star(

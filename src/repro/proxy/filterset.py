@@ -48,10 +48,6 @@ class ProxyFilterSet:
     def merged(self) -> Optional[BloomFilter]:
         return self._merged
 
-    @property
-    def total_bytes_received(self) -> int:
-        return sum(s.bytes_received for s in self._subscriptions.values())
-
     def subscribe(self, exporter: FilterExporter) -> FilterSubscription:
         ledger_id = exporter.ledger.ledger_id
         if ledger_id in self._subscriptions:

@@ -73,10 +73,6 @@ class ProxyStats:
     breaker_refusals: int = 0
 
     @property
-    def ledger_query_fraction(self) -> float:
-        return self.ledger_queries / self.queries if self.queries else 0.0
-
-    @property
     def load_reduction_factor(self) -> float:
         """How many times fewer ledger queries than browser queries."""
         if self.ledger_queries == 0:

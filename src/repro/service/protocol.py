@@ -127,17 +127,19 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
         name, sep, value = line.partition(":")
         if not sep:
             raise ApiError("malformed", f"bad header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ApiError("malformed", "conflicting Content-Length headers")
+        headers[name] = value
     if "transfer-encoding" in headers:
         raise ApiError("malformed", "chunked transfer encoding not supported")
     body = b""
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError as exc:
-            raise ApiError("malformed", "bad Content-Length") from exc
-        if length < 0:
+        declared = headers["content-length"]
+        # ASCII digits only: int() would also take "+5" and "1_0".
+        if not (declared.isascii() and declared.isdigit()):
             raise ApiError("malformed", "bad Content-Length")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise ApiError(
                 "too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}"

@@ -200,16 +200,6 @@ class TestHistoryRecorder:
         assert not recorder.ops[other].completed  # still open
         assert recorder.signature()[0][1] == "status"
 
-    def test_acked_writes_sorted_by_ack_time(self):
-        t = iter([0.0, 1.0, 5.0, 2.0])
-        recorder = HistoryRecorder(clock=lambda: next(t))
-        first = recorder.begin("revoke", 1)
-        second = recorder.begin("revoke", 1)
-        recorder.complete(first, ok=True, epoch=1, state="revoked")  # t=5
-        recorder.complete(second, ok=True, epoch=2, state="revoked")  # t=2
-        writes = recorder.acked_writes(1)
-        assert [w.op_id for w in writes] == [second, first]
-
 
 class TestStateDigest:
     def test_digest_is_canonical(self):

@@ -1,5 +1,6 @@
-"""``modexp`` is the builtin ``pow`` on its whole domain, from any thread."""
+"""``modexp`` is the builtin ``pow`` on its whole domain, from any thread, whatever it keeps."""
 
+import random
 import sys
 import threading
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import rsa
 from repro.crypto.hashing import sha256_int
-from repro.crypto.modexp import modexp
+from repro.crypto.modexp import _KEPT, modexp
 
 
 def _outcome(function, *args):
@@ -44,20 +45,68 @@ def test_refused_domain_answers_and_raises_as_pow_does(base, exp, mod):
     assert _outcome(modexp, base, exp, mod) == _outcome(pow, base, exp, mod)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    widths=st.lists(st.integers(12, 2048), min_size=1, max_size=8),
+)
+def test_a_sequence_that_evicts_and_revisits_equals_pow(seed, widths):
+    """3x the map's size in distinct odd moduli, each met twice: a kept form serves only its own."""
+    rng = random.Random(seed)
+    moduli = {3, 5, 7}
+    while len(moduli) < 3 * _KEPT:
+        bits = rng.choice(widths)
+        moduli.add(rng.getrandbits(bits) | 1 << (bits - 1) | 1)
+    visits = sorted(moduli) * 2
+    rng.shuffle(visits)
+    calls = []
+    for mod in visits:
+        base = rng.choice([0, 1, mod - 1, rng.randrange(mod)])
+        exp = rng.choice([0, 1, 65537, 2**32 - 1, 2**32, mod - 2, rng.getrandbits(mod.bit_length())])
+        calls.append((base, exp, mod))
+        if not rng.randrange(8):  # the refused domain, between two kept moduli
+            calls.append(rng.choice([(base, exp, mod + 1), (base, -1, mod), (mod, exp, mod), (base, 2.0, mod)]))
+    assert [_outcome(modexp, *call) for call in calls] == [_outcome(pow, *call) for call in calls]
+
+
+def _rss_kb():
+    with open("/proc/self/status") as status:
+        return int(next(line for line in status if line.startswith("VmRSS")).split()[1])
+
+
+def test_eviction_returns_what_it_took():
+    """3,000 distinct moduli, ten passes: the map holds ``_KEPT`` pairs, not 3,000."""
+    rng = np.random.default_rng(24)
+    moduli = [int.from_bytes(rng.bytes(64), "big") | (1 << 511) | 1 for _ in range(3000)]
+    for mod in moduli:  # first pass: the allocator's arenas reach their working size
+        assert modexp(5, 65537, mod) == pow(5, 65537, mod)
+    before = _rss_kb()
+    for _ in range(10):
+        for mod in moduli:
+            modexp(5, 65537, mod)
+    assert _rss_kb() - before < 1024
+
+
 def test_two_threads_sign_what_one_does():
-    """Scratch is per thread: interleaved signers never share a BIGNUM."""
-    key = rsa.generate_keypair(512, np.random.default_rng(77))
+    """Scratch and kept forms are per thread: interleaved signers share nothing native."""
+    keys = [rsa.generate_keypair(512, np.random.default_rng(77 + slot)) for slot in range(2)]
     digests = [
         [sha256_int(b"%d:%d" % (thread, index)) for index in range(200)]
         for thread in range(2)
     ]
-    expected = [[key.sign_int(digest) for digest in batch] for batch in digests]
-    signed = [None, None]
+    expected = [[key.sign_int(digest) for digest in batch] for key, batch in zip(keys, digests)]
+    signed, verified = [None, None], [None, None]
     barrier = threading.Barrier(2)
 
     def sign(slot):
+        key = keys[slot]
         barrier.wait(timeout=10)
         signed[slot] = [key.sign_int(digest) for digest in digests[slot]]
+        verified[slot] = [
+            key.public.verify_int(digest, signature)
+            and not keys[1 - slot].public.verify_int(digest, signature)
+            for digest, signature in zip(digests[slot], signed[slot])
+        ]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -71,8 +120,7 @@ def test_two_threads_sign_what_one_does():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert signed == expected
-    assert all(
-        key.public.verify_int(digest, signature)
-        for batch, signatures in zip(digests, signed)
-        for digest, signature in zip(batch, signatures)
-    )
+    assert verified == [[True] * 200] * 2
+    # Both threads' native state went with them; this thread's is its own.
+    assert [keys[0].sign_int(digest) for digest in digests[0]] == expected[0]
+

@@ -11,7 +11,6 @@ from repro.filters.delta import DeltaError, apply_delta, encode_delta
 from repro.filters.sizing import (
     bloom_bits_for_fpr,
     bloom_false_positive_rate,
-    bloom_fpr_for_size_bytes,
     bloom_optimal_hashes,
     load_reduction_factor,
     paper_scaling_table,
@@ -154,10 +153,6 @@ class TestPaperScalingTable:
         """"Lessening the load on ledgers by a factor of fifty"."""
         rows = {r.population: r for r in paper_scaling_table()}
         assert 40 <= rows[10**9].load_reduction <= 55
-
-    def test_fpr_for_size_helper(self):
-        fpr = bloom_fpr_for_size_bytes(10**9, 10**9)
-        assert 0.015 <= fpr <= 0.025
 
 
 @settings(max_examples=20, deadline=None)

@@ -42,7 +42,7 @@ class TestReactiveTakedown:
         sim.run(until=10 * DAY)
         assert campaign.outcome.copies_found == 3
         assert len(campaign.outcome.takedown_times) == 3
-        assert system.copies_visible(campaign) == 0
+        assert not any(site.serve(f"copy-{i}").served for i, site in enumerate(sites))
 
     def test_decoys_untouched(self, world):
         irs, sim, target, sites = world

@@ -12,6 +12,7 @@ from repro.service.protocol import (
     read_request,
     render_response,
 )
+from tests.service.conftest import serve
 
 
 def parse(raw: bytes, eof: bool = True):
@@ -95,6 +96,59 @@ def test_bad_content_length_is_malformed():
         with pytest.raises(ApiError) as excinfo:
             parse(b"POST / HTTP/1.1\r\ncontent-length: " + value + b"\r\n\r\n")
         assert excinfo.value.kind == "malformed"
+
+
+@pytest.mark.parametrize(
+    "value", [b"1_0", b"+5", b"5 5", b"5,5", b"0x5", b"5.0", b"", b"\xb2", b"\xd9\xa5"]
+)
+def test_content_length_is_ascii_digits_only(value):
+    """What ``int()`` would take and HTTP does not: ``1_0`` read ten bytes, ``+5`` five."""
+    with pytest.raises(ApiError) as excinfo:
+        parse(b"POST / HTTP/1.1\r\ncontent-length: " + value + b"\r\n\r\n0123456789")
+    assert excinfo.value.kind == "malformed"
+
+
+def test_conflicting_content_lengths_are_malformed():
+    """The last one used to win: three bytes read, ``45`` parsed as the next request."""
+    with pytest.raises(ApiError) as excinfo:
+        parse(
+            b"POST / HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 3\r\n\r\n12345"
+        )
+    assert excinfo.value.kind == "malformed"
+
+
+def test_a_smuggled_tail_gets_one_400_and_a_closed_connection():
+    """Over the socket: the envelope once, then EOF -- ``45`` is never a second request."""
+
+    async def inner():
+        async with serve() as env:
+            reader, writer = await asyncio.open_connection(env.host, env.port)
+            writer.write(
+                b"POST /claims HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 3\r\n\r\n12345"
+            )
+            answer = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            return answer
+
+    answer = asyncio.run(inner())
+    assert answer.startswith(b"HTTP/1.1 400 ") and answer.count(b"HTTP/1.1") == 1
+    assert b'"kind": "malformed"' in answer and b"connection: close" in answer
+
+
+@pytest.mark.parametrize(
+    "head, body",
+    [
+        (b"content-length: 5\r\n", b"12345"),
+        (b"Content-Length:5\r\n", b"12345"),
+        (b"content-length: 005\r\n", b"12345"),
+        (b"content-length: 5\r\nCONTENT-LENGTH:  5 \r\n", b"12345"),
+        (b"content-length: 0\r\n", b""),
+        (b"", b""),
+    ],
+)
+def test_accepted_content_length_forms_are_unchanged(head, body):
+    request = parse(b"POST / HTTP/1.1\r\n" + head + b"\r\n" + body)
+    assert request.body == body
 
 
 def test_oversized_body_is_too_large():
