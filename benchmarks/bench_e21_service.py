@@ -12,10 +12,13 @@ Claims asserted per arrival rate:
 * ledger operations (claims + revocations) keep p99 under 100 ms;
 * the loadgen invariant checker stays empty — documented envelopes
   only, no fail-open, no lost claims — under load and (in the fault
-  row) with a replica down mid-run.
+  row) with a replica down mid-run;
+* the smoke run's server then answers a ``/metrics`` scrape with its
+  ``service_*`` series.
 """
 
 import asyncio
+from typing import Tuple
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.obs import Observability
 from repro.service.app import ServiceApp, ServiceServer
 from repro.service.cluster import LiveCluster
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
+from repro.service.protocol import HttpClient, HttpResponse
 
 STATUS_BUDGET_MS = 250.0  # §4.4: revocation checks
 LEDGER_BUDGET_MS = 100.0  # §4.4: ledger operations
@@ -34,8 +38,8 @@ async def _drive(
     duration: float,
     seed: int,
     kill_shard: bool = False,
-) -> LoadReport:
-    """Serve on an ephemeral port and run one seeded open-loop burst."""
+) -> Tuple[LoadReport, HttpResponse]:
+    """Serve on an ephemeral port, run one seeded open-loop burst, scrape."""
     loop = asyncio.get_running_loop()
     obs = Observability(clock=loop.time)
     cluster = LiveCluster(seed=seed, obs=obs)
@@ -54,12 +58,17 @@ async def _drive(
             host=host, port=port, rate=rate, duration=duration, seed=seed,
             deadline_ms=STATUS_BUDGET_MS,
         ))
+        client = HttpClient(host, port)
+        try:
+            metrics = await client.request("GET", "/metrics")
+        finally:
+            await client.close()
     finally:
         if killer is not None:
             killer.cancel()
         cluster.revive_shard("shard-3")
         await server.stop()
-    return report
+    return report, metrics
 
 
 def _rows(report: LoadReport, label: str) -> list:
@@ -114,21 +123,25 @@ def test_e21_service_budgets(report):
     """Rate sweep + one faulted row, each gated on the §4.4 budgets."""
     t = _service_table()
     for rate, duration, seed in ((100, 3.0, 0), (300, 3.0, 1), (600, 3.0, 2)):
-        run = asyncio.run(_drive(rate, duration, seed))
+        run, _ = asyncio.run(_drive(rate, duration, seed))
         t.add(*_rows(run, f"{rate} req/s"))
         _assert_budgets(run, f"{rate} req/s")
-    faulted = asyncio.run(_drive(200, 3.0, seed=3, kill_shard=True))
+    faulted, _ = asyncio.run(_drive(200, 3.0, seed=3, kill_shard=True))
     t.add(*_rows(faulted, "200 req/s, shard killed"))
     _assert_budgets(faulted, "200 req/s with a dead replica")
     report(t)
 
 
 def test_e21_smoke(report):
-    """CI variant: one short burst, same assertions."""
+    """CI variant: one short burst, same assertions, and a clean scrape."""
     t = _service_table("smoke")
-    run = asyncio.run(_drive(100, 1.5, seed=0))
+    run, metrics = asyncio.run(_drive(100, 1.5, seed=0))
     t.add(*_rows(run, "100 req/s (smoke)"))
     _assert_budgets(run, "smoke")
+    assert metrics.status == 200, f"/metrics answered {metrics.status}"
+    assert b"service_requests_total" in metrics.body, (
+        "/metrics exposition lacks service_* series"
+    )
     report(t)
 
 

@@ -192,10 +192,6 @@ class FrontendStats:
     throttled: int = 0  # batch sends deferred by the in-flight window
     peak_inflight: int = 0
 
-    @property
-    def mean_batch_size(self) -> float:
-        return self.batch_items / self.batches_sent if self.batches_sent else 0.0
-
 
 class ClusterFrontend:
     """Stateless coordinator over a sharded, replicated ledger cluster.

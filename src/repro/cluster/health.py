@@ -17,7 +17,7 @@ ambiguity quorum reads are built to absorb.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Set
+from typing import Callable, List, Set
 
 from repro.resilience.breaker import BreakerBoard, BreakerState
 
@@ -60,10 +60,6 @@ class FailureDetector:
         A False for a shard in an episode is its probe admission.
         """
         return shard_id in self._episodes and not self._board.allow(shard_id)
-
-    def live(self, shard_ids: Iterable[str]) -> List[str]:
-        """The subset of ``shard_ids`` currently trusted, in input order."""
-        return [s for s in shard_ids if not self.is_suspect(s)]
 
     def suspects(self) -> List[str]:
         return sorted(self._episodes)

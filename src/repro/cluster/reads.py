@@ -63,7 +63,9 @@ class ClusterAnswer:
     answered_by: Optional[str] = None
     error: Optional[str] = None
     degraded: bool = False  # answered from the filter, not a shard quorum
-    cause: Optional[str] = None  # 'deadline' | 'shed' | 'quorum' on non-authoritative answers
+    # Why a non-authoritative answer is one: 'deadline' | 'shed' |
+    # 'quorum', or 'not_found' when the replicas hold no such record.
+    cause: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -273,7 +275,7 @@ class StatusRead:
             # degraded filter fallback would both mask it (the filter
             # would answer "not revoked" for an id that was never
             # claimed at all).
-            self.answer(self._unavailable(outcome.error))
+            self.answer(self._unavailable(outcome.error, cause="not_found"))
         else:
             self._retry_or_degrade(outcome.error)
 

@@ -213,9 +213,6 @@ class QuorumExecutor:
     ):
         self._transport = transport
         self._on_result = on_result
-        self.writes_started = 0
-        self.writes_succeeded = 0
-        self.writes_failed = 0
 
     def execute(
         self,
@@ -239,7 +236,6 @@ class QuorumExecutor:
             raise ValueError(
                 f"quorum {quorum} invalid for {len(shard_ids)} replica(s)"
             )
-        self.writes_started += 1
         result = QuorumResult(ok=False, quorum=quorum)
         state = {"done": False}
 
@@ -247,10 +243,6 @@ class QuorumExecutor:
             state["done"] = True
             result.ok = ok
             result.error = error
-            if ok:
-                self.writes_succeeded += 1
-            else:
-                self.writes_failed += 1
             callback(result)
 
         def _on_reply(reply: ShardReply) -> None:
@@ -613,31 +605,23 @@ class HintQueue:
         shard_id: str,
         transport: ShardTransport,
         on_result: Optional[Callable[[str, bool], None]] = None,
-        on_done: Optional[Callable[[int], None]] = None,
-        timeout: Optional[float] = None,
     ) -> None:
         """Redeliver ``shard_id``'s hints sequentially (callback chain).
 
         ``on_result(shard_id, ok)`` reports each delivery outcome to
-        health tracking; ``on_done(replayed)`` fires when this round
-        stops (queue empty, transport failure, or round already
-        running).  Concurrent rounds per shard are refused — a second
-        timer tick while a replay chain is still in flight must not
-        interleave duplicate deliveries.
+        health tracking.  A round stops at an empty queue or a
+        transport failure.  Concurrent rounds per shard are refused — a
+        second timer tick while a replay chain is still in flight must
+        not interleave duplicate deliveries.
         """
         queue = self._hints.get(shard_id)
         if not queue or shard_id in self._replaying:
-            if on_done is not None:
-                on_done(0)
             return
         self._replaying.add(shard_id)
-        replayed = {"n": 0}
 
         def _finish() -> None:
             self._replaying.discard(shard_id)
             self._note_drain()
-            if on_done is not None:
-                on_done(replayed["n"])
 
         def _next() -> None:
             if not queue:
@@ -651,7 +635,6 @@ class HintQueue:
                 if reply.ok:
                     queue.pop(0)
                     self.hints_replayed += 1
-                    replayed["n"] += 1
                     if self.obs is not None:
                         self.obs.counter(
                             "hints_replayed_total", shard=shard_id
@@ -667,7 +650,8 @@ class HintQueue:
                 _finish()  # replica still unreachable; try next round
 
             transport.invoke(
-                shard_id, hint.method, hint.payload, _on_reply, timeout=timeout
+                shard_id, hint.method, hint.payload, _on_reply,
+                timeout=None,  # a replay carries no request budget
             )
 
         _next()

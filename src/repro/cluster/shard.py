@@ -54,9 +54,15 @@ from repro.ledger.ledger import Ledger, LedgerConfig
 from repro.ledger.records import RevocationState
 from repro.ledger.recovery import RecoveryReport, recover_store
 
-__all__ = ["ClusterShard", "ClusterDirectory", "content_serial"]
+__all__ = [
+    "ClusterShard", "ClusterDirectory", "content_serial", "CLAIM_COLLISION",
+]
 
 _SERIAL_SALT = b"irs-cluster-serial:"
+
+#: A replica's refusal of a claim whose serial other content already
+#: holds; the claim write reports it as its error, verbatim.
+CLAIM_COLLISION = "serial already claimed for different content"
 
 
 def content_serial(content_hash: str) -> int:
@@ -172,9 +178,7 @@ class ClusterShard:
         if existing is not None:
             if existing.content_hash == payload["content_hash"]:
                 return {"serial": serial, "duplicate": True}
-            raise ClaimError(
-                f"serial {serial} already claimed for different content"
-            )
+            raise ClaimError(CLAIM_COLLISION)
         record = self.ledger.claim(
             content_hash=payload["content_hash"],
             content_signature=payload["content_signature"],

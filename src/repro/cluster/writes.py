@@ -16,6 +16,7 @@ from repro.core.identifiers import PhotoIdentifier
 from repro.crypto.signatures import KeyPair
 from repro.ledger.ledger import Ledger
 from repro.cluster.replication import QuorumResult, ShardReply
+from repro.cluster.shard import CLAIM_COLLISION
 
 if TYPE_CHECKING:
     from repro.cluster.frontend import ClusterFrontend
@@ -63,7 +64,9 @@ class ClaimWrite(_Write):
     """Quorum-write one claim record to its replica group.
 
     ``callback(identifier, error)`` fires when the write quorum is
-    reached (``error is None``) or proven unreachable.
+    reached (``error is None``) or proven unreachable; ``error`` is
+    :data:`~repro.cluster.shard.CLAIM_COLLISION` itself when a replica
+    holds the serial for other content.
     """
 
     method = "claim"
@@ -103,8 +106,11 @@ class ClaimWrite(_Write):
             frontend.end(self.op_id, ok=True, epoch=0)
             self.callback(self.identifier, None)
         else:
-            frontend.end(self.op_id, ok=False, error=result.error)
-            self.callback(self.identifier, result.error)
+            error = result.error
+            if any(reply.error == CLAIM_COLLISION for reply in result.failures):
+                error = CLAIM_COLLISION
+            frontend.end(self.op_id, ok=False, error=error)
+            self.callback(self.identifier, error)
 
 
 class Revocation(_Write):

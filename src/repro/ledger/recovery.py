@@ -86,14 +86,6 @@ class RecoveryReport:
         """True when the log scan shed suffix (vs. snapshot-only damage)."""
         return bool(self.DESTRUCTIVE_EVIDENCE.intersection(self.evidence))
 
-    def counts(self) -> Dict[str, int]:
-        return {
-            "records": len(self.records),
-            "tail_events": len(self.tail_events),
-            "snapshot_records": len(self.snapshot_records),
-            "evidence": len(self.evidence),
-        }
-
 
 def _load_snapshot(
     store: DurableStore,

@@ -12,25 +12,7 @@ them over a real socket against the paper's §4.4 budgets.
 
 The API contract lives in ``docs/api.md`` and is drift-checked two-way
 against :data:`repro.service.routes.ROUTES` by ``tools/check_docs.py``.
+Each name has one home, its submodule (``repro.service.app``,
+``.cluster``, ``.protocol``, ``.errors``, ``.routes``): importing the
+package loads none of them.
 """
-
-from repro.service.app import ServiceApp, ServiceServer
-from repro.service.cluster import LiveCluster
-from repro.service.errors import ERROR_STATUS, ApiError, error_envelope
-from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
-from repro.service.routes import ROUTES, Route, match_route
-
-__all__ = [
-    "ApiError",
-    "ERROR_STATUS",
-    "LiveCluster",
-    "LoadReport",
-    "LoadgenConfig",
-    "ROUTES",
-    "Route",
-    "ServiceApp",
-    "ServiceServer",
-    "error_envelope",
-    "match_route",
-    "run_loadgen",
-]

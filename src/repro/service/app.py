@@ -4,18 +4,22 @@ One :class:`ServiceApp` owns a :class:`LiveCluster` and translates the
 wire contract documented in ``docs/api.md`` onto the frontend's async
 callback API.  Design points worth naming:
 
+* **One bridge.**  Every handler awaits the frontend's callbacks
+  through :meth:`ServiceApp._call`.
 * **Deadlines are the client's.**  An ``X-Deadline-Ms`` header becomes
-  a :class:`~repro.resilience.policy.Deadline` threaded into
-  ``status_async`` (reads) or an ``asyncio.wait_for`` bound (writes),
-  so the paper's §4.4 budgets are enforced end to end, not advisory.
+  a :class:`~repro.resilience.policy.Deadline`: a read's one timer is
+  the frontend's deadline backstop, a write (and ``/bloom``) is bounded
+  here with ``asyncio.wait_for``.  The paper's §4.4 budgets are
+  enforced end to end, not advisory.
 * **Degraded ≠ failed.**  A Bloom-backed answer is served as ``203``
   with the advisory ``error.kind="degraded"`` envelope (fail-closed,
   still an answer); shed is ``429``, deadline ``504``, quorum-dark
-  with degraded reads disabled ``503`` — all distinguishable from the
-  ``ClusterAnswer.cause`` field.
-* **Every handler is instrumented** through ``repro.obs``: a
-  ``service.request`` span per request plus the ``service_*`` counters
-  and latency histogram tabled in ``docs/observability.md``.
+  with degraded reads disabled ``503``, never claimed ``404`` — each
+  read from the answer's ``ClusterAnswer.cause``, never its text.
+* **Every response is counted once** through ``repro.obs``, parser
+  refusals included: a ``service.request`` span per routed request
+  plus the ``service_*`` counters and latency histogram tabled in
+  ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.assembly import KEY_BITS
 from repro.cluster.frontend import ClusterAnswer
+from repro.cluster.shard import CLAIM_COLLISION
 from repro.core.identifiers import IdentifierError, PhotoIdentifier
 from repro.crypto.signatures import KeyPair
 from repro.crypto.hashing import sha256_hex
@@ -37,7 +42,7 @@ from repro.service.protocol import (
     read_request,
     render_response,
 )
-from repro.service.routes import Route, match_route
+from repro.service.routes import match_route
 
 __all__ = ["ServiceApp", "ServiceServer"]
 
@@ -98,8 +103,26 @@ class ServiceApp:
             )
         return Deadline.after(self.cluster.clock(), ms / 1000.0)
 
+    def _call(self, method, *args, calls: int = 1, **kwargs) -> asyncio.Future:
+        """Start a frontend ``*_async`` call; a future of its callbacks' arguments.
+
+        The callback goes last among the positional arguments (as in
+        :meth:`ClusterFrontend._sync`); the future resolves to the list
+        of its argument tuples once it has fired ``calls`` times.
+        """
+        fut: asyncio.Future = self._loop.create_future()
+        results: List[tuple] = []
+
+        def _done(*result) -> None:
+            results.append(result)
+            if len(results) == calls and not fut.done():
+                fut.set_result(results)
+
+        method(*args, _done, **kwargs)
+        return fut
+
     async def _bounded(self, awaitable, deadline: Optional[Deadline]):
-        """Await under the request budget; expiry is a 504 envelope."""
+        """Await a write or export under the request budget; expiry is a 504."""
         if deadline is None:
             return await awaitable
         remaining = deadline.remaining(self.cluster.clock())
@@ -152,7 +175,7 @@ class ServiceApp:
                 "deadline": "budget exhausted; answered from the filter",
                 "shed": "admission refused; answered from the filter",
             }.get(answer.cause or "", "quorum unreachable; answered from the filter")
-        elif answer.error is not None and "unknown serial" in answer.error:
+        elif answer.cause == "not_found":
             kind, detail = "not_found", answer.error
         elif answer.cause == "shed":
             kind, detail = "shed", answer.error or "load shed"
@@ -181,24 +204,20 @@ class ServiceApp:
             content_hash = sha256_hex(content.encode("utf-8"))
         deadline = self._deadline_from(request)
         signature = self.owner_keypair.sign(content_hash.encode("utf-8"))
-        fut: asyncio.Future = self._loop.create_future()
-
-        def _done(identifier: PhotoIdentifier, error: Optional[str]) -> None:
-            if not fut.done():
-                fut.set_result((identifier, error))
-
-        identifier = self.frontend.claim_async(
-            content_hash,
-            signature,
-            self.owner_keypair.public,
-            _done,
-            initially_revoked=bool(payload.get("initially_revoked", False)),
-            custodial=bool(payload.get("custodial", True)),
+        [(identifier, error)] = await self._bounded(
+            self._call(
+                self.frontend.claim_async,
+                content_hash,
+                signature,
+                self.owner_keypair.public,
+                initially_revoked=bool(payload.get("initially_revoked", False)),
+                custodial=bool(payload.get("custodial", True)),
+            ),
+            deadline,
         )
-        _, error = await self._bounded(fut, deadline)
+        if error == CLAIM_COLLISION:
+            raise ApiError("malformed", f"{identifier.to_string()}: {error}")
         if error is not None:
-            if "already claimed" in error:
-                raise ApiError("malformed", error)
             raise ApiError("unavailable", error)
         self._owners[identifier.serial] = self.owner_keypair
         return 201, {
@@ -215,14 +234,13 @@ class ServiceApp:
         if not isinstance(payload, dict):
             raise ApiError("malformed", "body must be a JSON object")
         identifier = self._parse_identifier(payload.get("id"))
-        deadline = self._deadline_from(request)
-        # Verify the id is actually claimed before handing out label
-        # channels — an authoritative read, so deadline rules apply.
-        answer = await self._bounded(
-            self._status(identifier, deadline, use_filter=False), deadline
+        # Label channels only for an id a shard quorum says is claimed:
+        # any other answer (degraded included) is returned as it is.
+        answer = await self._status(
+            identifier, self._deadline_from(request), use_filter=False
         )
         status, body = self._status_body(answer)
-        if status not in (200, 203):
+        if status != 200:
             return status, body, {}
         return 200, {
             "id": identifier.to_string(),
@@ -251,17 +269,15 @@ class ServiceApp:
                 f"{identifier.to_string()} has no registered owner key here",
             )
         deadline = self._deadline_from(request)
-        fut: asyncio.Future = self._loop.create_future()
-
-        def _done(outcome, error: Optional[str]) -> None:
-            if not fut.done():
-                fut.set_result((outcome, error))
-
-        self.frontend.revoke_async(identifier, keypair, _done, action=action)
-        outcome, error = await self._bounded(fut, deadline)
+        [(outcome, error)] = await self._bounded(
+            self._call(
+                self.frontend.revoke_async, identifier, keypair, action=action
+            ),
+            deadline,
+        )
         if error is not None:
-            if "unknown serial" in error:
-                raise ApiError("not_found", error)
+            # Past the owner-key lookup, a failed revocation is the
+            # cluster's to answer for, whatever a replica said.
             raise ApiError("unavailable", error)
         entry = {
             "seq": len(self._deltas) + 1,
@@ -277,33 +293,23 @@ class ServiceApp:
             "error": None,
         }, {}
 
-    def _status(
-        self,
-        identifier: PhotoIdentifier,
-        deadline: Optional[Deadline],
+    async def _status(
+        self, identifier: PhotoIdentifier, deadline: Optional[Deadline],
         use_filter: bool = True,
-    ) -> asyncio.Future:
-        fut: asyncio.Future = self._loop.create_future()
-
-        def _done(answer: ClusterAnswer) -> None:
-            if not fut.done():
-                fut.set_result(answer)
-
+    ) -> ClusterAnswer:
         # The wire format (_status_body) carries no proof: a verdict read.
-        self.frontend.status_async(
-            identifier, _done, use_filter=use_filter, deadline=deadline,
-            proof=False,
+        [(answer,)] = await self._call(
+            self.frontend.status_async, identifier,
+            use_filter=use_filter, deadline=deadline, proof=False,
         )
-        return fut
+        return answer
 
     async def handle_status_one(
         self, request: HttpRequest, params: Dict[str, str]
     ) -> Tuple[int, Any, Dict[str, str]]:
         identifier = self._parse_identifier(params["id"])
-        deadline = self._deadline_from(request)
-        answer = await self._status(identifier, deadline)
-        status, body = self._status_body(answer)
-        return status, body, {}
+        answer = await self._status(identifier, self._deadline_from(request))
+        return (*self._status_body(answer), {})
 
     async def handle_status_batch(
         self, request: HttpRequest, params: Dict[str, str]
@@ -321,28 +327,14 @@ class ServiceApp:
                 "too_large", f"at most {MAX_BATCH_IDS} ids per batch"
             )
         identifiers = [self._parse_identifier(raw) for raw in raw_ids]
-        deadline = self._deadline_from(request)
         answers: List[Optional[ClusterAnswer]] = [None] * len(identifiers)
-        remaining = len(identifiers)
-        fut: asyncio.Future = self._loop.create_future()
-
-        def _done(index: int, answer: ClusterAnswer) -> None:
-            nonlocal remaining
-            if answers[index] is None:
-                answers[index] = answer
-                remaining -= 1
-                if remaining == 0 and not fut.done():
-                    fut.set_result(None)
-
-        self.frontend.status_many_async(
-            identifiers, _done, deadline=deadline, proof=False
-        )
-        await self._bounded(fut, deadline)
-        results = []
-        for answer in answers:
-            assert answer is not None
-            _, body = self._status_body(answer)
-            results.append(body)
+        for index, answer in await self._call(
+            self.frontend.status_many_async, identifiers,
+            deadline=self._deadline_from(request), proof=False,
+            calls=len(identifiers),
+        ):
+            answers[index] = answer
+        results = [self._status_body(answer)[1] for answer in answers]
         return 200, {"results": results, "error": None}, {}
 
     async def handle_bloom(
@@ -407,11 +399,9 @@ class ServiceApp:
     async def handle_metrics(
         self, request: HttpRequest, params: Dict[str, str]
     ) -> Tuple[int, Any, Dict[str, str]]:
-        if self.obs is None:
-            return 200, b"# no observability attached\n", {
-                "content-type": "text/plain; version=0.0.4"
-            }
-        text = self.obs.export_prometheus()
+        text = "# no observability attached\n"
+        if self.obs is not None:
+            text = self.obs.export_prometheus()
         return 200, text.encode("utf-8"), {
             "content-type": "text/plain; version=0.0.4"
         }
@@ -433,12 +423,31 @@ class ServiceApp:
 
     # -- dispatch ----------------------------------------------------------------------
 
+    def _envelope(self, exc: ApiError) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+        """An :class:`ApiError` as a response, counted by kind."""
+        if self.obs is not None:
+            self.obs.counter("service_errors_total", kind=exc.kind).inc()
+        return exc.status, error_envelope(exc.kind, exc.detail), {}
+
+    def _respond(
+        self, status: int, body: Any, headers: Dict[str, str]
+    ) -> Tuple[int, bytes, Dict[str, str]]:
+        """Encode a response body and count the response by code."""
+        if isinstance(body, (dict, list)):
+            body = json.dumps(body).encode("utf-8")
+        if self.obs is not None:
+            self.obs.counter("service_responses_total", code=str(status)).inc()
+        return status, body, headers
+
+    def refuse(self, exc: ApiError) -> Tuple[int, bytes, Dict[str, str]]:
+        """The response to a request the parser refused."""
+        return self._respond(*self._envelope(exc))
+
     async def dispatch(
         self, request: HttpRequest
     ) -> Tuple[int, bytes, Dict[str, str]]:
         """Route + run one request, rendering envelopes for failures."""
         started = self.cluster.clock()
-        route: Optional[Route] = None
         span = None
         self._inflight += 1
         if self.obs is not None:
@@ -455,27 +464,17 @@ class ServiceApp:
             handler = getattr(self, route.handler)
             status, body, headers = await handler(request, params)
         except ApiError as exc:
-            status, body, headers = exc.status, error_envelope(
-                exc.kind, exc.detail
-            ), {}
-            if self.obs is not None:
-                self.obs.counter("service_errors_total", kind=exc.kind).inc()
+            status, body, headers = self._envelope(exc)
         except Exception as exc:  # surface handler bugs as 500 envelopes
-            status, body, headers = 500, error_envelope(
-                "internal", f"{type(exc).__name__}: {exc}"
-            ), {}
-            if self.obs is not None:
-                self.obs.counter("service_errors_total", kind="internal").inc()
+            status, body, headers = self._envelope(
+                ApiError("internal", f"{type(exc).__name__}: {exc}")
+            )
         finally:
             self._inflight -= 1
             if self.obs is not None:
                 self.obs.gauge("service_inflight").set(self._inflight)
-        if isinstance(body, (dict, list)):
-            raw = json.dumps(body).encode("utf-8")
-        else:
-            raw = body
+        status, raw, headers = self._respond(status, body, headers)
         if self.obs is not None:
-            self.obs.counter("service_responses_total", code=str(status)).inc()
             self.obs.histogram("service_request_latency_seconds").observe(
                 self.cluster.clock() - started
             )
@@ -509,40 +508,25 @@ class ServiceServer:
         if self.app.obs is not None:
             self.app.obs.counter("service_connections_total").inc()
         try:
-            while True:
+            keep_alive = True
+            while keep_alive:
                 try:
                     request = await read_request(reader)
                 except ApiError as exc:
-                    body = json.dumps(
-                        error_envelope(exc.kind, exc.detail)
-                    ).encode("utf-8")
-                    writer.write(
-                        render_response(exc.status, body, keep_alive=False)
-                    )
-                    await writer.drain()
-                    if self.app.obs is not None:
-                        self.app.obs.counter(
-                            "service_errors_total", kind=exc.kind
-                        ).inc()
-                    break
-                if request is None:
-                    break
-                status, raw, headers = await self.app.dispatch(request)
-                content_type = headers.pop(
-                    "content-type", "application/json"
-                )
-                writer.write(
-                    render_response(
-                        status,
-                        raw,
-                        content_type=content_type,
-                        extra_headers=headers,
-                        keep_alive=request.keep_alive,
-                    )
-                )
+                    # The stream's framing is lost: answer, then close.
+                    status, raw, headers = self.app.refuse(exc)
+                    keep_alive = False
+                else:
+                    if request is None:
+                        break
+                    status, raw, headers = await self.app.dispatch(request)
+                    keep_alive = request.keep_alive
+                writer.write(render_response(
+                    status, raw,
+                    content_type=headers.pop("content-type", "application/json"),
+                    extra_headers=headers, keep_alive=keep_alive,
+                ))
                 await writer.drain()
-                if not request.keep_alive:
-                    break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # repro-lint: allow[no-silent-except] peer hangup mid-request is normal teardown
         finally:

@@ -2,20 +2,14 @@
 
 ``serve`` stands the cluster + HTTP server up and runs until
 interrupted.  ``loadgen`` drives a seeded open-loop burst against a
-running server — or, with ``--self-serve``, against a private
-in-process server on an ephemeral port, which is what the CI smoke
-step uses: one command that starts the service, loads it, scrapes
-``/metrics``, checks the invariants and exits non-zero on any
-violation.
+running server, checks the invariants and exits non-zero on any
+violation; a serving process never imports it.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-from typing import Optional, Tuple
-
-from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
 
 # Finished spans the served process keeps: the most recent few thousand
 # are what a debugger attached to a live server can use; keeping them
@@ -102,34 +96,13 @@ def add_loadgen_arguments(parser: argparse.ArgumentParser) -> None:
         "--connections", type=int, default=32,
         help="keep-alive connection pool size (default 32)",
     )
-    parser.add_argument(
-        "--self-serve", action="store_true",
-        help="start a private in-process server on an ephemeral port, "
-        "load it, scrape /metrics, and gate on the invariants (CI smoke)",
-    )
-
-
-def _build_app(
-    obs, shards=4, config=None, seed=0, populate=0, revoked_fraction=0.2
-):
-    """A served app; ``config=None`` is the cluster's default (E19's ``full``)."""
-    from repro.service.app import ServiceApp
-    from repro.service.cluster import LiveCluster
-
-    cluster = LiveCluster(shards, config=config, seed=seed, obs=obs)
-    app = ServiceApp(cluster=cluster, obs=obs)
-    if populate > 0:
-        population = cluster.seed_population(
-            populate, revoked_fraction=revoked_fraction
-        )
-        app.adopt_population(population)
-    return app
 
 
 def run_serve(args: argparse.Namespace) -> int:
     from repro.cluster.frontend import ClusterConfig
     from repro.obs import Observability
-    from repro.service.app import ServiceServer
+    from repro.service.app import ServiceApp, ServiceServer
+    from repro.service.cluster import LiveCluster
 
     for name in ("shards", "replication"):
         if getattr(args, name) < 1:
@@ -146,10 +119,14 @@ def run_serve(args: argparse.Namespace) -> int:
     async def _main() -> None:
         loop = asyncio.get_running_loop()
         obs = Observability(clock=loop.time, retain_spans=SERVED_SPAN_RING)
-        app = _build_app(
-            obs, args.shards, config, seed=args.seed,
-            populate=args.populate, revoked_fraction=args.revoked_fraction,
-        )
+        cluster = LiveCluster(args.shards, config=config, seed=args.seed, obs=obs)
+        app = ServiceApp(cluster=cluster, obs=obs)
+        if args.populate > 0:
+            app.adopt_population(
+                cluster.seed_population(
+                    args.populate, revoked_fraction=args.revoked_fraction
+                )
+            )
         server = ServiceServer(app, host=args.host, port=args.port)
         host, port = await server.start()
         print(f"serving on http://{host}:{port}")
@@ -177,59 +154,21 @@ def run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-async def _self_serve(
-    args: argparse.Namespace,
-) -> Tuple[LoadReport, Optional[str]]:
-    """One-process smoke: serve on :0, load, scrape /metrics, stop."""
-    from repro.obs import Observability
-    from repro.service.app import ServiceServer
-    from repro.service.protocol import HttpClient
-
-    loop = asyncio.get_running_loop()
-    obs = Observability(clock=loop.time, retain_spans=SERVED_SPAN_RING)
-    app = _build_app(obs, seed=args.seed, populate=64)
-    server = ServiceServer(app, host="127.0.0.1", port=0)
-    host, port = await server.start()
-    config = LoadgenConfig(
-        host=host, port=port, rate=args.rate, duration=args.duration,
-        seed=args.seed, deadline_ms=args.deadline_ms,
-        warmup_claims=args.warmup_claims, connections=args.connections,
-    )
-    try:
-        report = await run_loadgen(config)
-        client = HttpClient(host, port)
-        scrape_problem: Optional[str] = None
-        try:
-            response = await client.request("GET", "/metrics")
-            text = response.body.decode("utf-8")
-            if response.status != 200:
-                scrape_problem = f"/metrics answered {response.status}"
-            elif "service_requests_total" not in text:
-                scrape_problem = "/metrics exposition lacks service_* series"
-        finally:
-            await client.close()
-    finally:
-        await server.stop()
-    return report, scrape_problem
-
-
 def run_loadgen_cli(args: argparse.Namespace) -> int:
     if args.rate <= 0 or args.duration <= 0:
         raise SystemExit(
             "python -m repro loadgen: --rate and --duration must be positive"
         )
 
-    if args.self_serve:
-        report, scrape_problem = asyncio.run(_self_serve(args))
-    else:
-        config = LoadgenConfig(
-            host=args.host, port=args.port, rate=args.rate,
-            duration=args.duration, seed=args.seed,
-            deadline_ms=args.deadline_ms,
-            warmup_claims=args.warmup_claims, connections=args.connections,
-        )
-        report = asyncio.run(run_loadgen(config))
-        scrape_problem = None
+    from repro.service.loadgen import LoadgenConfig, run_loadgen
+
+    config = LoadgenConfig(
+        host=args.host, port=args.port, rate=args.rate,
+        duration=args.duration, seed=args.seed,
+        deadline_ms=args.deadline_ms,
+        warmup_claims=args.warmup_claims, connections=args.connections,
+    )
+    report = asyncio.run(run_loadgen(config))
     print(report.table().render())
     kinds = report.kind_counts()
     if kinds:
@@ -239,10 +178,6 @@ def run_loadgen_cli(args: argparse.Namespace) -> int:
         f"{len(report.samples)} requests; "
         f"{len(report.revoked_ids)} revocations acked"
     )
-    if scrape_problem is not None:
-        print(f"  metrics scrape: FAIL — {scrape_problem}")
-    elif args.self_serve:
-        print("  metrics scrape: OK (service_* series present)")
     if report.violations:
         print(f"  invariants: {len(report.violations)} violation(s)")
         for violation in report.violations:
@@ -250,4 +185,4 @@ def run_loadgen_cli(args: argparse.Namespace) -> int:
         return 1
     print("  invariants: OK — envelopes documented, no fail-open, "
           "no lost claims")
-    return 1 if scrape_problem is not None else 0
+    return 0

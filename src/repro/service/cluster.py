@@ -52,7 +52,6 @@ class AsyncioShardTransport:
         self.timeout = RPC_TIMEOUT
         self.down: Set[str] = set()  # crashed: requests vanish, timers fire
         self.delays: Dict[str, float] = {}  # injected per-shard service delay
-        self.calls = 0
 
     def shard_ids(self) -> List[str]:
         return sorted(self._handlers)
@@ -71,7 +70,6 @@ class AsyncioShardTransport:
         callback: Callable[[ShardReply], None],
         timeout: Optional[float] = None,
     ) -> None:
-        self.calls += 1
         handlers = self._handlers.get(shard_id)
         if handlers is None or method not in (handlers or {}):
             self._loop.call_soon(

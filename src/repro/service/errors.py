@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-__all__ = ["ERROR_STATUS", "ERROR_KINDS", "ApiError", "error_envelope"]
+__all__ = ["ERROR_STATUS", "ApiError", "error_envelope"]
 
 #: kind -> HTTP status. Keep sorted by status; docs/api.md mirrors this.
 ERROR_STATUS: Dict[str, int] = {
@@ -36,8 +36,6 @@ ERROR_STATUS: Dict[str, int] = {
     "unavailable": 503,  # read/write quorum unreachable, degraded reads off
     "deadline": 504,  # request budget exhausted before a quorum answered
 }
-
-ERROR_KINDS = frozenset(ERROR_STATUS)
 
 
 class ApiError(Exception):

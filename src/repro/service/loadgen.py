@@ -22,20 +22,21 @@ Every response feeds the invariant checker:
   exactly the frontend's learning-filter guarantee, now asserted
   through a real socket.
 
-A non-empty ``violations`` list fails the CLI (and therefore the CI
-smoke step) with exit status 1.
+A non-empty ``violations`` list fails the CLI with exit status 1, and
+bench E21's assertions.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.metrics.reporting import Table
-from repro.service.errors import ERROR_KINDS, ERROR_STATUS
+from repro.service.errors import ERROR_STATUS
 from repro.service.protocol import HttpClient
 
 __all__ = ["LoadgenConfig", "OpSample", "LoadReport", "run_loadgen"]
@@ -74,7 +75,7 @@ class OpSample:
 
 @dataclass
 class LoadReport:
-    """Everything the CLI, the CI smoke and bench E21 need."""
+    """Everything the CLI and bench E21 need."""
 
     config: LoadgenConfig
     samples: List[OpSample] = field(default_factory=list)
@@ -87,14 +88,11 @@ class LoadReport:
         return [s for s in self.samples if s.op in wanted]
 
     @staticmethod
-    def latencies_ms(samples: Sequence[OpSample]) -> np.ndarray:
-        return np.array([s.latency * 1e3 for s in samples], dtype=float)
-
-    @staticmethod
     def percentile(samples: Sequence[OpSample], q: float) -> float:
+        """The ``q``-th latency percentile in ms (``q=100`` is the max)."""
         if not samples:
             return 0.0
-        return float(np.percentile(LoadReport.latencies_ms(samples), q))
+        return float(np.percentile([s.latency * 1e3 for s in samples], q))
 
     def answered_fraction(self, *ops: str) -> float:
         samples = self.of_op(*ops) if ops else self.samples
@@ -118,17 +116,11 @@ class LoadReport:
         )
         for op in ("status", "claim", "revoke"):
             samples = self.of_op(op)
-            if not samples:
-                continue
-            lat = self.latencies_ms(samples)
-            t.add(
-                op,
-                len(samples),
-                f"{self.answered_fraction(op):.1%}",
-                f"{float(np.percentile(lat, 50)):.1f}",
-                f"{float(np.percentile(lat, 99)):.1f}",
-                f"{float(lat.max()):.1f}",
-            )
+            if samples:
+                t.add(
+                    op, len(samples), f"{self.answered_fraction(op):.1%}",
+                    *(f"{self.percentile(samples, q):.1f}" for q in (50, 99, 100)),
+                )
         return t
 
 
@@ -194,7 +186,7 @@ def _check_envelope(
         violations.append(f"{op}: error is not an object (status {status})")
         return None
     kind = error.get("kind")
-    if kind not in ERROR_KINDS:
+    if kind not in ERROR_STATUS:
         violations.append(f"{op}: undocumented error kind {kind!r}")
         return None
     if ERROR_STATUS[kind] != status:
@@ -214,12 +206,7 @@ async def run_loadgen(config: LoadgenConfig) -> LoadReport:
     # ids this generator owns; revocable = not yet revoked.
     owned: List[str] = []
     revocable: List[str] = []
-    claim_counter = 0
-
-    def next_content() -> str:
-        nonlocal claim_counter
-        claim_counter += 1
-        return f"loadgen:{config.seed}:{claim_counter}"
+    contents = (f"loadgen:{config.seed}:{n}" for n in itertools.count(1))
 
     async def do_request(
         op: str,
@@ -264,7 +251,7 @@ async def run_loadgen(config: LoadgenConfig) -> LoadReport:
         return response.status, parsed
 
     async def do_claim(scheduled_at: float) -> None:
-        content = next_content()
+        content = next(contents)
         status, body = await do_request(
             "claim", "POST", "/claims", {"content": content},
             config.write_deadline_ms, scheduled_at,

@@ -14,15 +14,18 @@ Supported deliberately-small subset:
 * bounded everything: request line, header count, body size.
 
 :class:`HttpClient` is the matching keep-alive client used by the load
-generator, the tests and bench E21 — same subset, same bounds.
+generator, the tests and bench E21: it writes its heads with the
+server's renderer and reads responses with the server's parser, so
+both directions hold the same subset and the same bounds.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.service.errors import ApiError
@@ -39,6 +42,7 @@ __all__ = [
 MAX_HEADER_BYTES = 16 * 1024  # request line + all headers
 MAX_HEADER_COUNT = 64
 MAX_BODY_BYTES = 1024 * 1024
+_STATUS_LINE = re.compile(r"HTTP/1\.[0-9] ([0-9]{3})(?: |$)")
 
 REASONS: Dict[int, str] = {
     200: "OK",
@@ -96,33 +100,29 @@ class HttpResponse:
         return json.loads(self.body.decode("utf-8"))
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
-    """Read one request off the stream; None on clean EOF between requests.
+async def _read_message(
+    reader: asyncio.StreamReader, what: str
+) -> Optional[Tuple[str, Dict[str, str], bytes]]:
+    """Start line, lower-cased headers and body; None on a clean EOF.
 
-    Protocol violations raise :class:`ApiError` (``malformed`` or
-    ``too_large``) — the connection handler renders the envelope and
-    closes.
+    Requests and responses alike: ``Content-Length`` is ASCII digits
+    (``int()`` would also take ``+5`` and ``1_0``) and repeats must agree.
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
-            return None  # clean close between requests
-        raise ApiError("malformed", "truncated request head") from exc
+            return None
+        raise ApiError("malformed", f"truncated {what} head") from exc
     except asyncio.LimitOverrunError as exc:
-        raise ApiError("too_large", "request head exceeds limit") from exc
+        raise ApiError("too_large", f"{what} head exceeds limit") from exc
     if len(head) > MAX_HEADER_BYTES:
-        raise ApiError("too_large", "request head exceeds limit")
-    lines = head.decode("latin-1").split("\r\n")
-    request_line = lines[0]
-    parts = request_line.split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise ApiError("malformed", f"bad request line: {request_line!r}")
-    method, target, _version = parts
-    headers: Dict[str, str] = {}
-    header_lines = [line for line in lines[1:] if line]
+        raise ApiError("too_large", f"{what} head exceeds limit")
+    start_line, *lines = head.decode("latin-1").split("\r\n")
+    header_lines = [line for line in lines if line]
     if len(header_lines) > MAX_HEADER_COUNT:
         raise ApiError("too_large", "too many headers")
+    headers: Dict[str, str] = {}
     for line in header_lines:
         name, sep, value = line.partition(":")
         if not sep:
@@ -133,22 +133,46 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
         headers[name] = value
     if "transfer-encoding" in headers:
         raise ApiError("malformed", "chunked transfer encoding not supported")
+    declared = headers.get("content-length", "0")
+    if not (declared.isascii() and declared.isdigit()):
+        raise ApiError("malformed", "bad Content-Length")
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        raise ApiError(
+            "too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+        )
     body = b""
-    if "content-length" in headers:
-        declared = headers["content-length"]
-        # ASCII digits only: int() would also take "+5" and "1_0".
-        if not (declared.isascii() and declared.isdigit()):
-            raise ApiError("malformed", "bad Content-Length")
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
-            raise ApiError(
-                "too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
-            )
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                raise ApiError("malformed", "truncated body") from exc
+    if length:
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise ApiError("malformed", "truncated body") from exc
+    return start_line, headers, body
+
+
+def _render_head(start_line: str, headers: Dict[str, str]) -> bytes:
+    """Start line plus headers, sorted for byte-stable output."""
+    head = f"{start_line}\r\n" + "".join(
+        f"{name}: {value}\r\n" for name, value in sorted(headers.items())
+    )
+    return head.encode("latin-1") + b"\r\n"
+
+
+async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
+    """Read one request off the stream; None on clean EOF between requests.
+
+    Protocol violations raise :class:`ApiError` (``malformed`` or
+    ``too_large``) — the connection handler renders the envelope and
+    closes.
+    """
+    message = await _read_message(reader, "request")
+    if message is None:
+        return None  # clean close between requests
+    request_line, headers, body = message
+    parts = request_line.split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise ApiError("malformed", f"bad request line: {request_line!r}")
+    method, target, _version = parts
     split = urlsplit(target)
     query = dict(parse_qsl(split.query, keep_blank_values=True))
     return HttpRequest(
@@ -169,7 +193,6 @@ def render_response(
     keep_alive: bool = True,
 ) -> bytes:
     """Serialize one response (headers sorted for byte-stable output)."""
-    reason = REASONS.get(status, "Unknown")
     headers = {
         "content-length": str(len(body)),
         "connection": "keep-alive" if keep_alive else "close",
@@ -178,10 +201,8 @@ def render_response(
         headers["content-type"] = content_type
     if extra_headers:
         headers.update({k.lower(): v for k, v in extra_headers.items()})
-    head = f"HTTP/1.1 {status} {reason}\r\n" + "".join(
-        f"{name}: {value}\r\n" for name, value in sorted(headers.items())
-    )
-    return head.encode("latin-1") + b"\r\n" + body
+    reason = REASONS.get(status, "Unknown")
+    return _render_head(f"HTTP/1.1 {status} {reason}", headers) + body
 
 
 @dataclass
@@ -225,32 +246,25 @@ class HttpClient:
         }
         if headers:
             request_headers.update({k.lower(): v for k, v in headers.items()})
-        head = f"{method} {path} HTTP/1.1\r\n" + "".join(
-            f"{name}: {value}\r\n"
-            for name, value in sorted(request_headers.items())
+        self._writer.write(
+            _render_head(f"{method} {path} HTTP/1.1", request_headers) + payload
         )
-        self._writer.write(head.encode("latin-1") + b"\r\n" + payload)
         await self._writer.drain()
-        return await self._read_response()
-
-    async def _read_response(self) -> HttpResponse:
-        assert self._reader is not None
-        head = await self._reader.readuntil(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        status = int(lines[0].split(" ", 2)[1])
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", "0"))
-        if length:
-            body = await self._reader.readexactly(length)
-        if headers.get("connection", "").lower() == "close":
+        # The response goes through the server's own parser.
+        try:
+            message = await _read_message(self._reader, "response")
+            if message is None:
+                raise ConnectionError("connection closed before a response")
+            status_line, response_headers, response_body = message
+            status = _STATUS_LINE.match(status_line)
+            if status is None:
+                raise ApiError("malformed", f"bad status line: {status_line!r}")
+        except ApiError:
+            await self.close()  # the stream's framing is lost
+            raise
+        if response_headers.get("connection", "").lower() == "close":
             await self.close()
-        return HttpResponse(status=status, headers=headers, body=body)
+        return HttpResponse(int(status.group(1)), response_headers, response_body)
 
     async def close(self) -> None:
         if self._writer is not None:

@@ -16,7 +16,7 @@ from 405 (a pattern matches, but not with this method).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.service.errors import ApiError
 
@@ -75,21 +75,16 @@ def match_route(method: str, path: str) -> Tuple[Route, Dict[str, str]]:
     for route, pattern in _PATTERNS:
         if len(pattern) != len(segments):
             continue
-        params: Optional[Dict[str, str]] = {}
+        params: Dict[str, str] = {}
         for want, got in zip(pattern, segments):
-            if want.startswith("{") and want.endswith("}"):
-                if not got:
-                    params = None
-                    break
+            if want.startswith("{") and want.endswith("}") and got:
                 params[want[1:-1]] = got
             elif want != got:
-                params = None
-                break
-        if params is None:
-            continue
-        path_matched = True
-        if route.method == method:
-            return route, params
+                break  # a literal that differs, or an empty placeholder
+        else:
+            path_matched = True
+            if route.method == method:
+                return route, params
     if path_matched:
         raise ApiError("method_not_allowed", f"{method} not allowed on {path}")
     raise ApiError("not_found", f"no route for {path}")

@@ -341,4 +341,4 @@ class TestConfig:
         assert stats.queries == 4
         assert stats.batches_sent > 0
         assert stats.batch_items == stats.shard_lookups
-        assert stats.mean_batch_size >= 1.0
+        assert stats.batch_items >= stats.batches_sent

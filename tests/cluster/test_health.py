@@ -14,7 +14,7 @@ def clock():
 def test_fresh_shard_is_trusted(clock):
     detector = FailureDetector(clock.now)
     assert not detector.is_suspect("s0")
-    assert detector.live(["s0", "s1"]) == ["s0", "s1"]
+    assert not detector.is_suspect("s1")
     assert detector.suspects() == []
 
 
@@ -111,12 +111,6 @@ def test_unanswered_probe_is_readmitted_a_window_later(clock):
     assert not detector.is_suspect("s0")  # the next window's probe
     assert detector.is_suspect("s0")
     assert detector.suspicions_raised == 1
-
-
-def test_live_preserves_input_order(clock):
-    detector = FailureDetector(clock.now, failure_threshold=1)
-    detector.record("s1", ok=False)
-    assert detector.live(["s2", "s1", "s0"]) == ["s2", "s0"]
 
 
 def test_invalid_parameters_rejected(clock):

@@ -74,7 +74,7 @@ class TestQuorumExecutor:
         executor.execute(["s0", "s1", "s2"], "ping", {}, 2, results.append)
         assert results[0].ok
         assert len(results[0].acks) >= 2
-        assert executor.writes_succeeded == 1
+        assert len(results) == 1
 
     def test_write_fails_when_quorum_unreachable(self):
         executor = QuorumExecutor(self._transport(down=["s1", "s2"]))
@@ -82,7 +82,7 @@ class TestQuorumExecutor:
         executor.execute(["s0", "s1", "s2"], "ping", {}, 2, results.append)
         assert not results[0].ok
         assert "quorum 2/3 unreachable" in results[0].error
-        assert executor.writes_failed == 1
+        assert len(results) == 1
 
     def test_detector_sees_every_reply(self):
         """``on_result`` hears each reply, post-quorum stragglers included."""
