@@ -48,7 +48,9 @@ def _drive(cluster, population, indices, spacing, kill=None, until=120.0):
             answers[base_slot + offset] = answer
             latencies[base_slot + offset] = sim.now - started
 
-        cluster.frontend.status_many_async(identifiers, record)
+        cluster.frontend.status_many_async(
+            [identifier.serial for identifier in identifiers], record
+        )
 
     for base_slot in range(0, len(indices), GROUP):
         batch = [
@@ -84,7 +86,9 @@ def _burst_run(num_shards, queries=BURST_QUERIES, seed=17):
             latencies[slot] = sim.now - started
             finished[slot] = sim.now
 
-        cluster.frontend.status_many_async(identifiers, record)
+        cluster.frontend.status_many_async(
+            [identifier.serial for identifier in identifiers], record
+        )
 
     # The whole burst lands at t=0 as one batch call: a single
     # vectorized Bloom pass, then per-shard RPC batching fans the

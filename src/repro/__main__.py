@@ -139,7 +139,9 @@ def _demo_cluster(args: argparse.Namespace) -> None:
             answers[base_slot + offset] = answer
             latencies[base_slot + offset] = sim.now - started
 
-        cluster.frontend.status_many_async(identifiers, record)
+        cluster.frontend.status_many_async(
+            [identifier.serial for identifier in identifiers], record
+        )
 
     for base_slot in range(0, len(indices), group):
         batch = [

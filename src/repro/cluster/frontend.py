@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import ClaimError, LedgerUnavailableError, RevocationError
-from repro.core.identifiers import PhotoIdentifier
+from repro.core.identifiers import PhotoIdentifier, compact_keys, identifier_string
 from repro.crypto.signatures import KeyPair, PublicKey, Signature
 from repro.crypto.timestamp import TimestampAuthority
 from repro.ledger.proofs import StatusProof
@@ -395,37 +395,28 @@ class ClusterFrontend:
         ``revoked``/``state``/``epoch`` (the HTTP service): the same
         quorum, read repair and retries, no signature, ``.proof`` None.
 
-        ``deadline`` overrides ``config.request_deadline`` for this one
-        query — how callers with their own budget (the HTTP service's
-        deadline header) thread it into the backstop and the per-RPC
-        timeouts.  A deadline that has already expired is answered
-        degraded immediately, without consuming a read.
+        ``deadline`` may shorten ``config.request_deadline`` for this one
+        query, never lengthen it (``clamp_rpc_timeout``'s rule): a caller's
+        own budget (the HTTP deadline header) bounds the backstop and the
+        per-RPC timeouts.  One already expired is answered degraded at
+        once, without consuming a read.
         """
         read = StatusRead(self, identifier, callback, proof)
         if use_filter and self.filterset is not None:
             if not self.filterset.might_be_revoked(identifier.to_compact()):
-                read.note(
-                    "frontend_filter_short_circuits_total",
-                    "filter_short_circuits",
-                )
-                read.answer(
-                    ClusterAnswer(
-                        identifier=identifier.to_string(),
-                        revoked=False,
-                        source="filter",
-                    )
-                )
+                read.note("frontend_filter_short_circuits_total", "filter_short_circuits")
+                read.answer(ClusterAnswer(identifier.to_string(), False, "filter"))
                 return
         if self.shedder is not None and not self.shedder.try_acquire():
             read.note("frontend_load_shed_total", "load_shed", "load_shed")
             read.answer(read.degraded("load shed", cause="shed"))
             return
-        budget: Optional[float] = None
-        if deadline is not None:
-            budget = deadline.remaining(self.clock())
-        elif self.config.request_deadline is not None:
-            budget = self.config.request_deadline
-            deadline = Deadline.after(self.clock(), budget)
+        now, budget = self.clock(), self.config.request_deadline
+        remaining = deadline.remaining(now) if deadline is not None else None
+        if remaining is not None and (budget is None or remaining < budget):
+            budget = remaining
+        elif budget is not None:
+            deadline = Deadline.after(now, budget)
         if budget is not None:
             read.deadline = deadline
             if budget <= 0.0:
@@ -436,7 +427,7 @@ class ClusterFrontend:
 
     def status_many_async(
         self,
-        identifiers: List[PhotoIdentifier],
+        identifiers: Sequence[int],
         callback: Callable[[int, ClusterAnswer], None],
         use_filter: bool = True,
         deadline: Optional[Deadline] = None,
@@ -444,37 +435,35 @@ class ClusterFrontend:
     ) -> None:
         """Queue a burst of status lookups; filter misses are answered together.
 
-        ``callback(index, answer)`` fires exactly once per identifier
-        (indices into ``identifiers``; completion order is arbitrary),
-        with the answers, stats and ``/metrics`` totals of one
-        :meth:`status_async` per identifier.  One
-        :meth:`~repro.cluster.assembly.LearningBloom.might_be_revoked_many`
+        ``identifiers`` are serials on this frontend's ledger, as a parsing
+        caller holds them; ``callback(index, answer)`` fires exactly once
+        per serial (completion order is arbitrary), with the answers, stats
+        and ``/metrics`` totals of one :meth:`status_async` per identifier.
+        One :meth:`~repro.cluster.assembly.LearningBloom.might_be_revoked_many`
         pass covers the batch; each miss (~98 % of a page view, section
-        4.3) is answered from it on the spot — never shed, never held to
-        a deadline, never near a shard — and the misses are accounted
-        for by their number: one ``frontend.status_many`` span, one
+        4.3) is answered from it on the spot — never shed, never held to a
+        deadline, never near a shard, no identifier built — and the misses
+        are counted by their number: one ``frontend.status_many`` span, one
         weighted latency observation.  A hit is one :meth:`status_async`,
-        and so is every identifier when the filter has no vectorized
-        verdict or an operation observer is attached (it is told of each
+        and so is every serial when the filter has no vectorized verdict
+        or an operation observer is attached (it is told of each
         operation, and ``check_spans`` pairs each with its own span).
         """
-        identifiers = list(identifiers)
+        serials = list(identifiers)
         obs = self.obs
         verdicts = span = None
         if use_filter and self.observer is None:
             many = getattr(self.filterset, "might_be_revoked_many", None)
             if many is not None:
                 if obs is not None:
-                    span = obs.start("frontend.status_many", ids=len(identifiers))
-                verdicts = many(
-                    [identifier.to_compact() for identifier in identifiers]
-                )
+                    span = obs.start("frontend.status_many", ids=len(serials))
+                verdicts = many(compact_keys(self.cluster_id, serials)).tolist()
                 use_filter = False  # probed: a hit goes on to the rest of admission
         misses = 0
-        for index, identifier in enumerate(identifiers):
+        for index, serial in enumerate(serials):
             if verdicts is None or verdicts[index]:
                 self.status_async(
-                    identifier,
+                    PhotoIdentifier(self.cluster_id, serial),
                     partial(callback, index),
                     use_filter=use_filter,
                     deadline=deadline,
@@ -482,14 +471,9 @@ class ClusterFrontend:
                 )
             else:
                 misses += 1
-                callback(
-                    index,
-                    ClusterAnswer(
-                        identifier=identifier.to_string(),
-                        revoked=False,
-                        source="filter",
-                    ),
-                )
+                callback(index, ClusterAnswer(
+                    identifier_string(self.cluster_id, serial), False, "filter"
+                ))
         if misses:
             self.stats.queries += misses
             self.stats.filter_short_circuits += misses

@@ -21,13 +21,15 @@ from functools import lru_cache
 
 from repro.crypto.hashing import sha256_bytes
 
-__all__ = ["PhotoIdentifier", "IdentifierError", "COMPACT_LENGTH", "ledger_tag"]
+__all__ = ["PhotoIdentifier", "IdentifierError", "COMPACT_LENGTH", "compact_keys",
+           "identifier_string", "ledger_tag", "string_prefix"]
 
 _PREFIX = "irs1"
 #: Compact encoding length in bytes (watermark payload size).
 COMPACT_LENGTH = 12
 _TAG_LENGTH = 4
 _SERIAL_LENGTH = 8
+_SERIAL_LIMIT = 2 ** (8 * _SERIAL_LENGTH)
 
 
 class IdentifierError(Exception):
@@ -42,7 +44,27 @@ def ledger_tag(ledger_id: str) -> bytes:
     return sha256_bytes(ledger_id.encode("utf-8"))[:_TAG_LENGTH]
 
 
-@dataclass(frozen=True)
+def _compact(tag: bytes, serial: int) -> bytes:
+    return tag + serial.to_bytes(_SERIAL_LENGTH, "big")
+
+
+def compact_keys(ledger_id: str, serials: list[int]) -> list[bytes]:
+    """The compact forms of ``serials`` on one ledger, its tag looked up once."""
+    tag = ledger_tag(ledger_id)
+    return [_compact(tag, serial) for serial in serials]
+
+
+def string_prefix(ledger_id: str) -> str:
+    """What every string form on ``ledger_id`` starts with: ``irs1:<ledger-id>:``."""
+    return f"{_PREFIX}:{ledger_id}:"
+
+
+def identifier_string(ledger_id: str, serial: int) -> str:
+    """The string form ``irs1:<ledger-id>:<serial>``, with no identifier built."""
+    return string_prefix(ledger_id) + str(serial)
+
+
+@dataclass(frozen=True, slots=True)
 class PhotoIdentifier:
     """A (ledger, serial) pair naming one claim record."""
 
@@ -56,13 +78,13 @@ class PhotoIdentifier:
         # the status-proof wire format.  Both are reserved.
         if ":" in self.ledger_id or "|" in self.ledger_id:
             raise IdentifierError("ledger id must not contain ':' or '|'")
-        if not 0 <= self.serial < 2 ** (8 * _SERIAL_LENGTH):
+        if not 0 <= self.serial < _SERIAL_LIMIT:
             raise IdentifierError(f"serial {self.serial} out of range")
 
     # -- string encoding (metadata) -------------------------------------------
 
     def to_string(self) -> str:
-        return f"{_PREFIX}:{self.ledger_id}:{self.serial}"
+        return identifier_string(self.ledger_id, self.serial)
 
     @staticmethod
     def from_string(value: str) -> "PhotoIdentifier":
@@ -80,9 +102,7 @@ class PhotoIdentifier:
 
     def to_compact(self) -> bytes:
         """12-byte form: ledger tag + serial."""
-        return ledger_tag(self.ledger_id) + self.serial.to_bytes(
-            _SERIAL_LENGTH, "big"
-        )
+        return _compact(ledger_tag(self.ledger_id), self.serial)
 
     @staticmethod
     def tag_and_serial_from_compact(data: bytes) -> tuple[bytes, int]:

@@ -43,14 +43,17 @@ def _hash_pair(key: bytes, salt: bytes) -> tuple[int, int]:
 def _hash_pairs(keys: Sequence[bytes], salt: bytes) -> tuple[np.ndarray, np.ndarray]:
     """The (h1, h2) halves of :func:`_hash_pair` for many keys at once.
 
-    The per-key blake2b stays a Python loop (hashlib has no batch
-    entry point) but the digests land in one contiguous buffer, so
-    everything downstream of hashing is a numpy pass.
+    The per-key blake2b stays a Python loop (hashlib has no batch entry
+    point; a copy of one salted hasher costs half a construction), but the
+    digests land in one buffer, so all downstream of hashing is numpy.
     """
-    blob = b"".join(
-        hashlib.blake2b(key, digest_size=16, salt=salt).digest() for key in keys
-    )
-    halves = np.frombuffer(blob, dtype="<u8").reshape(len(keys), 2)
+    salted = hashlib.blake2b(digest_size=16, salt=salt)
+    digests = []
+    for key in keys:
+        hasher = salted.copy()
+        hasher.update(key)
+        digests.append(hasher.digest())
+    halves = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(keys), 2)
     return halves[:, 0], halves[:, 1]
 
 

@@ -120,15 +120,15 @@ def _quorum_setup(seed: int) -> Dict[str, Any]:
     indices = burst_indices(seed, population.size, 192)
     return {
         "cluster": cluster,
-        "identifiers": [population.identifiers[int(i)] for i in indices],
+        "serials": [population.identifiers[int(i)].serial for i in indices],
     }
 
 
 def _quorum_round(state: Dict[str, Any]) -> List[bool]:
     cluster = state["cluster"]
     sim = cluster.simulator
-    identifiers = state["identifiers"]
-    verdicts: List[Any] = [None] * len(identifiers)
+    serials = state["serials"]
+    verdicts: List[Any] = [None] * len(serials)
 
     def _record(index: int, answer: Any) -> None:
         verdicts[index] = answer.revoked
@@ -136,7 +136,7 @@ def _quorum_round(state: Dict[str, Any]) -> List[bool]:
     sim.schedule(
         0.0,
         cluster.frontend.status_many_async,
-        identifiers,
+        serials,
         _record,
     )
     sim.run()
@@ -146,7 +146,7 @@ def _quorum_round(state: Dict[str, Any]) -> List[bool]:
 
 
 def _quorum_ops(state: Dict[str, Any]) -> int:
-    return len(state["identifiers"])
+    return len(state["serials"])
 
 
 def _quorum_checksum(state: Dict[str, Any], result: Any) -> str:
@@ -300,38 +300,15 @@ def _rsa_fast(state: Dict[str, Any]) -> List[int]:
     return [signature.value for signature in signatures]
 
 
-def _distinct_keys_setup(seed: int) -> Dict[str, Any]:
-    """One key per owner, more owners than ``modexp`` keeps moduli; every fourth pair mismatched."""
-    from repro.crypto.signatures import KeyPair
+def _rsa_on_pow(state: Dict[str, Any]) -> List[int]:
+    """:func:`_rsa_fast` with ``rsa.modexp`` rebound to the builtin it stands in for."""
+    from repro.crypto import rsa
 
-    rng = np.random.default_rng(seed)
-    keypairs = [KeyPair.generate(512, rng) for _ in range(64)]
-    messages = signature_blobs(seed + 1, 256)
-    signed = []
-    for index, message in enumerate(messages):
-        keypair = keypairs[index % len(keypairs)]
-        over = messages[index - 1] if index % 4 == 3 else message  # a verdict of False
-        signed.append((keypair.public, message, keypair.sign(over)))
-    return {"signed": signed}
-
-
-def _distinct_keys_fast(state: Dict[str, Any]) -> List[bool]:
-    return [public.verify(message, signature) for public, message, signature in state["signed"]]
-
-
-def _on_pow(run: Any) -> Any:
-    """``run`` with ``rsa.modexp`` rebound to the builtin it stands in for."""
-
-    def baseline(state: Dict[str, Any]) -> Any:
-        from repro.crypto import rsa
-
-        bound, rsa.modexp = rsa.modexp, pow
-        try:
-            return run(state)
-        finally:
-            rsa.modexp = bound
-
-    return baseline
+    bound, rsa.modexp = rsa.modexp, pow
+    try:
+        return _rsa_fast(state)
+    finally:
+        rsa.modexp = bound
 
 
 def default_suite() -> List[BenchCase]:
@@ -396,21 +373,11 @@ def default_suite() -> List[BenchCase]:
             description="sign + verify on libcrypto's modexp vs the builtin pow",
             setup=_rsa_setup,
             fast=_rsa_fast,
-            baseline=_on_pow(_rsa_fast),
+            baseline=_rsa_on_pow,
             ops=lambda state: len(state["messages"]),
             checksum=lambda state, result: _digest(
                 [value.to_bytes(64, "big") for value in result]
             ),
             min_speedup=4.0,
-        ),
-        BenchCase(
-            name="rsa_verify_distinct_keys",
-            description="verifies under 64 keys, more than modexp keeps, vs the builtin pow",
-            setup=_distinct_keys_setup,
-            fast=_distinct_keys_fast,
-            baseline=_on_pow(_distinct_keys_fast),
-            ops=lambda state: len(state["signed"]),
-            checksum=lambda state, result: _bool_digest(result),
-            min_speedup=1.0,
         ),
     ]

@@ -6,11 +6,11 @@ callback API.  Design points worth naming:
 
 * **One bridge.**  Every handler awaits the frontend's callbacks
   through :meth:`ServiceApp._call`.
-* **Deadlines are the client's.**  An ``X-Deadline-Ms`` header becomes
-  a :class:`~repro.resilience.policy.Deadline`: a read's one timer is
-  the frontend's deadline backstop, a write (and ``/bloom``) is bounded
-  here with ``asyncio.wait_for``.  The paper's §4.4 budgets are
-  enforced end to end, not advisory.
+* **Deadlines are the client's, within the server's.**  A finite
+  ``X-Deadline-Ms`` header becomes a ``Deadline`` that may shorten a
+  read's one timer, the frontend's backstop, but never lengthen it; a
+  write (and ``/bloom``) is bounded here with ``asyncio.wait_for``.
+  The paper's §4.4 budgets are enforced end to end, not advisory.
 * **Degraded ≠ failed.**  A Bloom-backed answer is served as ``203``
   with the advisory ``error.kind="degraded"`` envelope (fail-closed,
   still an answer); shed is ``429``, deadline ``504``, quorum-dark
@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.assembly import KEY_BITS
 from repro.cluster.frontend import ClusterAnswer
 from repro.cluster.shard import CLAIM_COLLISION
-from repro.core.identifiers import IdentifierError, PhotoIdentifier
+from repro.core.identifiers import IdentifierError, PhotoIdentifier, string_prefix
 from repro.crypto.signatures import KeyPair
 from repro.crypto.hashing import sha256_hex
 from repro.resilience.policy import Deadline
@@ -77,6 +79,13 @@ class ServiceApp:
         # chain head pays for it.
         self._bloom_lock = asyncio.Lock()
         self._inflight = 0
+        # A filter miss renders as a fixed template around its serial,
+        # and a batch of canonical ids on this ledger parses as one.
+        prefix = string_prefix(self.cluster.cluster_id)
+        miss = self._status_body(ClusterAnswer(prefix + "\0", False, "filter"))[1]
+        self._miss_template = json.dumps(miss).rsplit("\\u0000", 1)
+        # At most 19 digits, so below 2**64; no leading zero, so canonical.
+        self._canonical_id = re.compile(re.escape(prefix) + "(0|[1-9][0-9]{0,18})\n")
 
     # -- population helpers -----------------------------------------------------------
 
@@ -94,13 +103,10 @@ class ServiceApp:
         try:
             ms = float(raw)
         except ValueError as exc:
-            raise ApiError(
-                "malformed", f"bad {DEADLINE_HEADER} header: {raw!r}"
-            ) from exc
-        if ms <= 0.0:
-            raise ApiError(
-                "malformed", f"{DEADLINE_HEADER} must be positive, got {raw!r}"
-            )
+            raise ApiError("malformed", f"bad {DEADLINE_HEADER} header: {raw!r}") from exc
+        if ms <= 0.0 or not math.isfinite(ms):
+            must = "positive" if ms <= 0.0 else "finite"
+            raise ApiError("malformed", f"{DEADLINE_HEADER} must be {must}, got {raw!r}")
         return Deadline.after(self.cluster.clock(), ms / 1000.0)
 
     def _call(self, method, *args, calls: int = 1, **kwargs) -> asyncio.Future:
@@ -151,6 +157,23 @@ class ServiceApp:
                 f"this cluster serves {self.cluster.cluster_id!r}",
             )
         return identifier
+
+    def _parse_batch(self, raw_ids: List[Any]) -> Tuple[List[int], List[str]]:
+        """Each id's serial and serial text, as :meth:`_parse_identifier` reads them.
+
+        Canonical ids on this ledger (a page view) are split out of one
+        string; any other batch (``+5``, ``٥``, an id to refuse) is read
+        id by id, so the first refused id in list order raises as before.
+        """
+        try:
+            parts = self._canonical_id.split("\n".join(raw_ids) + "\n")
+        except TypeError:  # a non-string id
+            parts = [None]
+        texts = parts[1::2]  # more texts than ids: an id with a newline inside
+        if len(texts) == len(raw_ids) and not any(parts[::2]):  # nothing else between
+            return list(map(int, texts)), texts
+        serials = [self._parse_identifier(raw).serial for raw in raw_ids]
+        return serials, list(map(str, serials))
 
     # -- ClusterAnswer -> wire ---------------------------------------------------------
 
@@ -315,27 +338,28 @@ class ServiceApp:
         self, request: HttpRequest, params: Dict[str, str]
     ) -> Tuple[int, Any, Dict[str, str]]:
         payload = request.json()
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("ids"), list
-        ):
+        if not isinstance(payload, dict) or not isinstance(payload.get("ids"), list):
             raise ApiError("malformed", "body must be {'ids': [...]}")
         raw_ids = payload["ids"]
         if not raw_ids:
             raise ApiError("malformed", "'ids' must not be empty")
         if len(raw_ids) > MAX_BATCH_IDS:
-            raise ApiError(
-                "too_large", f"at most {MAX_BATCH_IDS} ids per batch"
-            )
-        identifiers = [self._parse_identifier(raw) for raw in raw_ids]
-        answers: List[Optional[ClusterAnswer]] = [None] * len(identifiers)
+            raise ApiError("too_large", f"at most {MAX_BATCH_IDS} ids per batch")
+        serials, texts = self._parse_batch(raw_ids)
+        fragments: List[Optional[str]] = [None] * len(serials)
+        head, tail = self._miss_template
         for index, answer in await self._call(
-            self.frontend.status_many_async, identifiers,
+            self.frontend.status_many_async, serials,
             deadline=self._deadline_from(request), proof=False,
-            calls=len(identifiers),
+            calls=len(serials),
         ):
-            answers[index] = answer
-        results = [self._status_body(answer)[1] for answer in answers]
-        return 200, {"results": results, "error": None}, {}
+            fragments[index] = (
+                head + texts[index] + tail if answer.source == "filter"
+                else json.dumps(self._status_body(answer)[1])
+            )
+        # json.dumps({"results": [...], "error": None}), byte for byte.
+        body = '{"results": [' + ", ".join(fragments) + '], "error": null}'
+        return 200, body.encode("utf-8"), {}
 
     async def handle_bloom(
         self, request: HttpRequest, params: Dict[str, str]

@@ -231,7 +231,9 @@ async def _one_tick(make):
         if len(answers) == len(together):
             done.set_result(None)
 
-    cluster.frontend.status_many_async(together, collect, use_filter=False)
+    cluster.frontend.status_many_async(
+        [identifier.serial for identifier in together], collect, use_filter=False
+    )
     if isinstance(cluster, SimulatedCluster):
         cluster.simulator.run()
     await asyncio.wait_for(done, timeout=5.0)

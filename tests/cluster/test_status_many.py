@@ -54,7 +54,7 @@ class Rig:
         """One ``status_many_async`` call; its answers by index."""
         answers = {}
         self.frontend.status_many_async(
-            [self.pool[pick] for pick in picks], answers.__setitem__, **kwargs
+            [self.pool[pick].serial for pick in picks], answers.__setitem__, **kwargs
         )
         return answers
 
@@ -187,3 +187,4 @@ def test_a_miss_is_answered_from_the_filter_whatever_admission_says(refusal):
     refused = stats.deadline_answers if refusal == "deadline" else stats.load_shed
     assert refused == len(picks) - len(batched.misses)
     assert stats.shard_lookups == 0
+

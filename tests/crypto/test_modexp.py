@@ -1,15 +1,18 @@
 """``modexp`` is the builtin ``pow`` on its whole domain, from any thread, whatever it keeps."""
 
+import builtins
+import ctypes
 import random
 import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import rsa
 from repro.crypto.hashing import sha256_int
-from repro.crypto.modexp import _KEPT, modexp
+from repro.crypto.modexp import _KEPT, _bind, modexp
 
 
 def _outcome(function, *args):
@@ -124,3 +127,58 @@ def test_two_threads_sign_what_one_does():
     # Both threads' native state went with them; this thread's is its own.
     assert [keys[0].sign_int(digest) for digest in digests[0]] == expected[0]
 
+
+
+class _CountedLib:
+    """A ``CDLL`` whose ``BN_MONT_CTX_set`` calls are counted (for a fresh ``_bind``)."""
+
+    def __init__(self, lib, sets):
+        self._lib, self._sets, self._functions = lib, sets, {}
+
+    def __getattr__(self, name):
+        if name != "BN_MONT_CTX_set":
+            return getattr(self._lib, name)
+        if name not in self._functions:
+            self._functions[name] = _Counted(getattr(self._lib, name), self._sets)
+        return self._functions[name]
+
+
+class _Counted:
+    def __init__(self, function, calls):
+        self.__dict__.update(function=function, calls=calls)
+
+    def __setattr__(self, name, value):  # restype / argtypes reach the real function
+        setattr(self.function, name, value)
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.function(*args)
+
+
+def test_a_miss_sets_a_montgomery_form_and_never_calls_pow():
+    """What a kept map miss costs, as a count: one ``BN_MONT_CTX_set``, no ``pow``.
+
+    Twice ``_KEPT`` distinct moduli in rotation make every call a miss
+    (the case where one key per owner could fall behind the builtin);
+    revisiting the last ``_KEPT`` sets nothing more.
+    """
+    sets = []
+    real_cdll = ctypes.CDLL
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ctypes, "CDLL", lambda path: _CountedLib(real_cdll(path), sets))
+        counted = _bind()
+    rng = np.random.default_rng(27)
+    moduli = [int.from_bytes(rng.bytes(64), "big") | (1 << 511) | 1 for _ in range(2 * _KEPT)]
+    expected = [pow(5, 65537, mod) for mod in moduli] + [pow(7, 65537, mod) for mod in moduli[-_KEPT:]]
+    del sets[:]  # the bind-time vectors' one form
+
+    def no_pow(*args):
+        raise AssertionError(f"pow{args!r} called")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "pow", no_pow)
+        results = [counted(5, 65537, mod) for mod in moduli]
+        misses = len(sets)
+        results += [counted(7, 65537, mod) for mod in moduli[-_KEPT:]]
+    assert results == expected
+    assert (misses, len(sets)) == (len(moduli), len(moduli))

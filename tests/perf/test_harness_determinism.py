@@ -110,5 +110,4 @@ class TestCommittedBaseline:
             "chain_verify",
             "snapshot_replay",
             "rsa_sign_verify",
-            "rsa_verify_distinct_keys",
         } == names

@@ -4,9 +4,9 @@ The perf suite (``repro.perf.suite``) reports speedups only after
 locking fast/oracle results together by checksum; these tests hold the
 same pairs equal under hypothesis-generated workloads, including the
 edge shapes a benchmark never exercises — empty batches, duplicate
-keys, all-hit and all-miss probes.  The ``rsa_sign_verify`` and
-``rsa_verify_distinct_keys`` pairs are one code path on two bindings of
-``rsa.modexp``; their oracle is the builtin.
+keys, all-hit and all-miss probes.  The ``rsa_sign_verify`` pair, and
+verifies under more keys than ``modexp`` keeps, are one code path on two
+bindings of ``rsa.modexp``; their oracle is the builtin.
 """
 
 import numpy as np
@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import rsa
 from repro.filters.bloom import BloomFilter
-from repro.crypto.signatures import Signature
+from repro.crypto.signatures import KeyPair, Signature
 from repro.crypto.modexp import _KEPT
 from repro.media.perceptual import RobustHash, hamming_many, pack_signatures
-from repro.perf.suite import default_suite
+from repro.perf.workloads import signature_blobs
 
 keys_strategy = st.lists(
     st.binary(min_size=0, max_size=24), min_size=1, max_size=64, unique=True
@@ -120,10 +120,21 @@ class TestRsaOnModexp:
 
     @pytest.mark.parametrize("seed", [0, 2022])
     def test_verdicts_equal_under_more_keys_than_modexp_keeps(self, seed):
-        """The suite's own case: every verify evicts a kept modulus, the verdicts do not move."""
-        case = next(c for c in default_suite() if c.name == "rsa_verify_distinct_keys")
-        state = case.setup(seed)
-        assert len({public for public, _, _ in state["signed"]}) > _KEPT
-        shipped, bound = case.fast(state), rsa.modexp
-        assert case.baseline(state) == shipped and rsa.modexp is bound
+        """Every verify evicts a kept modulus; the verdicts do not move."""
+        rng = np.random.default_rng(seed)
+        keypairs = [KeyPair.generate(512, rng) for _ in range(2 * _KEPT)]
+        messages = signature_blobs(seed + 1, 4 * len(keypairs))
+        signed = []
+        for index, message in enumerate(messages):
+            keypair = keypairs[index % len(keypairs)]
+            over = messages[index - 1] if index % 4 == 3 else message  # a verdict of False
+            signed.append((keypair.public, message, keypair.sign(over)))
+
+        def verdicts():
+            return [public.verify(message, signature) for public, message, signature in signed]
+
+        shipped = verdicts()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rsa, "modexp", pow)
+            assert verdicts() == shipped
         assert shipped == [index % 4 != 3 for index in range(len(shipped))]

@@ -259,7 +259,7 @@ def test_healthz_reports_downed_shards():
 def test_deadline_header_validation():
     async def inner():
         async with serve() as env:
-            for value in ("abc", "0", "-5"):
+            for value in ("abc", "0", "-5", "nan", "inf", "1e999"):
                 r = await env.client.request(
                     "GET", "/status/irs1:irs1:42",
                     headers={"X-Deadline-Ms": value},

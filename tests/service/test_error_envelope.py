@@ -230,6 +230,35 @@ def test_deadline_header_reaches_the_rpc_timer():
     asyncio.run(inner())
 
 
+@pytest.mark.parametrize("header", ["1e12", "250"])
+def test_a_deadline_header_never_outlasts_the_servers_budget(header):
+    """A read's backstop timer is armed for at most ``request_deadline``.
+
+    500 revoked reads each arm one; 0.3 s later, past the server's
+    0.25 s, none may be left in the loop's heap holding its read,
+    whatever budget the client asked for.
+    """
+    from repro.cluster.reads import StatusRead
+
+    async def inner():
+        async with serve(populate=500, revoked_fraction=1.0, with_obs=False) as env:
+            for identifier in env.population.identifiers:
+                r = await env.client.request(
+                    "GET", f"/status/{identifier.to_string()}",
+                    headers={"X-Deadline-Ms": header},
+                )
+                assert r.status == 200 and r.json()["revoked"]
+            await asyncio.sleep(0.3)
+            backstops = [
+                handle for handle in asyncio.get_running_loop()._scheduled
+                if not handle.cancelled()
+                and isinstance(getattr(handle._callback, "__self__", None), StatusRead)
+            ]
+            assert backstops == []
+
+    asyncio.run(inner())
+
+
 def test_deadline_degraded_read_answers_203():
     """Same expiry with degraded reads on: a 203 Bloom-backed answer."""
 
