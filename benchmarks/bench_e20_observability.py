@@ -62,10 +62,9 @@ def _burst_run(instrument, queries=BURST_QUERIES, seed=SEED):
 
     for slot, index in enumerate(indices):
         sim.schedule(0.0, ask, slot, population.identifiers[index])
-    # repro-lint: allow[no-wall-clock] E20 measures real wall-clock overhead of instrumentation; this is the measurement, not sim time
+    # E20 measures the real wall-clock overhead of instrumentation.
     wall_started = time.perf_counter()
     sim.run(until=120.0)
-    # repro-lint: allow[no-wall-clock] paired with the start read above
     wall = time.perf_counter() - wall_started
     assert len(answers) == queries
     for slot, index in enumerate(indices):

@@ -1,9 +1,9 @@
 """The lint engine: walk files, run rules, apply suppressions.
 
-Determinism is a feature here, not a nicety — the JSONL report is a
+Determinism is a feature here, not a nicety — the report is a
 regression artifact exactly like the span export: files are visited in
-sorted order, rules run in registry order, findings are deduplicated
-and totally ordered, so the same tree produces the same bytes
+sorted order, findings are deduplicated and totally ordered, so the
+same tree produces the same bytes
 (``tests/analysis/test_report_determinism.py``).
 """
 
@@ -11,31 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.program.context import build_context
-from repro.analysis.program.contract import LayerContract, load_contract
-from repro.analysis.program.graph import build_graph
 from repro.analysis.registry import (
     INVALID_SUPPRESSION,
     PARSE_ERROR,
     UNSUPPRESSABLE,
-    Rule,
-    all_program_rules,
     all_rules,
-    known_rule_ids,
-    split_select,
+    rule_ids,
 )
 from repro.analysis.source import SourceModule, parse_module
 from repro.analysis.suppress import Suppression, parse_suppressions
 
-__all__ = ["LintConfig", "LintResult", "lint_paths", "repo_root"]
-
-#: id of the pass that needs the committed contract loaded; kept as a
-#: literal so importing the engine never imports a pass module out of
-#: the package's fixed registration order.
-_LAYER_RULE_ID = "layer-contract"
+__all__ = ["LintConfig", "LintResult", "Tree", "lint_paths", "repo_root"]
 
 
 def repo_root(start: Optional[Path] = None) -> Path:
@@ -57,30 +46,22 @@ class LintConfig:
     """
 
     root: Path = field(default_factory=repo_root)
-    #: rel-path fnmatch patterns fully exempt from no-wall-clock.  The
-    #: perf timing shim is the single audited exemption: benchmarks
-    #: exist to measure wall time, and confining the reads to one module
-    #: keeps the rest of the tree greppably clock-free.
-    allow_wall_clock: Tuple[str, ...] = ("src/repro/perf/timing.py",)
     #: path segments in which deadline-discipline applies.
     rpc_dirs: Tuple[str, ...] = ("cluster", "proxy", "browser")
-    #: attribute names that constitute the RPC surface.
-    rpc_methods: Tuple[str, ...] = ("invoke", "call")
-    #: path segments in which obs-purity is skipped (the layer itself).
-    obs_exempt_segments: Tuple[str, ...] = ("obs",)
-    #: committed layer contract, relative to root (layer-contract pass).
-    contract_path: str = "tools/layers.toml"
-    #: module holding the ERROR_STATUS literal (error-envelope pass).
-    envelope_registry: str = "src/repro/service/errors.py"
-    #: rel-path roots whose error-kind literals the envelope pass audits.
-    envelope_roots: Tuple[str, ...] = ("src/repro/service",)
-    #: module whose Route(...) calls name handlers (handler-deadline pass).
-    routes_module: str = "src/repro/service/routes.py"
+
+
+@dataclass
+class Tree:
+    """What a ``whole_tree`` rule sees: the entire linted tree."""
+
+    modules: Dict[str, SourceModule]  # rel path -> parsed module, sorted
+    linted_dirs: Tuple[str, ...]  # rel paths of the directories linted
+    named: FrozenSet[str]  # rule ids the caller selected by name
 
 
 @dataclass
 class LintResult:
-    """One run's verdict, pre-partitioned for the reporters."""
+    """One run's verdict, pre-partitioned for the reporter."""
 
     findings: List[Finding] = field(default_factory=list)  # actionable
     suppressed: List[Tuple[Finding, Suppression]] = field(default_factory=list)
@@ -94,7 +75,6 @@ class LintResult:
 def _iter_python_files(paths: Sequence[Path]) -> List[Path]:
     files: set = set()
     for path in paths:
-        path = path.resolve()
         if path.is_file() and path.suffix == ".py":
             files.add(path)
         elif path.is_dir():
@@ -109,127 +89,97 @@ def _relpath(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _check_module(
-    module: SourceModule, rules: Sequence[Rule], config: LintConfig
+def _invalid_suppressions(
+    rel: str, suppressions: Dict[int, Suppression], problems, known
 ) -> List[Finding]:
-    findings: List[Finding] = []
-    for one_rule in rules:
-        findings.extend(one_rule.check(module, config))
-    return findings
+    for line, suppression in suppressions.items():
+        # Validated against the *full* registry, not `select`: a
+        # suppression that silently matched nothing would re-open the
+        # gate it was written to document.
+        if suppression.rule not in known:
+            problems.append(
+                (line, f"suppression names unknown rule id '{suppression.rule}'")
+            )
+        elif suppression.rule in UNSUPPRESSABLE:
+            problems.append(
+                (line, f"rule '{suppression.rule}' cannot be suppressed")
+            )
+    return [
+        Finding(rel, line, 0, INVALID_SUPPRESSION, message)
+        for line, message in problems
+    ]
 
 
 def lint_paths(
     paths: Sequence[Path],
     config: Optional[LintConfig] = None,
     select: Optional[Iterable[str]] = None,
-    program: bool = False,
-    contract: Optional[LayerContract] = None,
 ) -> LintResult:
     """Lint every ``*.py`` under ``paths``; returns a :class:`LintResult`.
 
     ``select`` restricts to a subset of rule ids (tests use this to
-    exercise one rule against one fixture); naming a program rule in
-    ``select`` runs it whether or not ``program`` is set.
-
-    ``program=True`` additionally runs every whole-program pass over
-    the same parsed modules.  ``contract`` injects a parsed
-    layer contract; by default the committed one at
-    ``config.contract_path`` is loaded when the layering pass runs,
-    and a missing or invalid contract raises
-    :class:`~repro.analysis.program.contract.ContractError` (the CLI
-    maps it to exit code 2, distinct from findings).
+    exercise one rule against one fixture); an unknown id raises
+    ``KeyError``.  A rule that cannot run raises instead of reporting
+    nothing: ``layer-contract`` raises
+    :class:`~repro.analysis.contract.ContractError` for an invalid
+    contract (the CLI maps it to exit code 2, distinct from findings).
     """
     config = config or LintConfig()
-    if select is None:
-        file_select, prog_select = None, (None if program else [])
-    else:
-        file_select, prog_select = split_select(select)
-    rules = all_rules(file_select)
-    program_rules = all_program_rules(prog_select)
-    known_ids = known_rule_ids()
+    select = None if select is None else list(select)
+    rules = all_rules(select)
+    paths = [path.resolve() for path in paths]
+    known = set(rule_ids())
     result = LintResult()
-    raw: List[Finding] = []
+    found: List[Finding] = []
     modules: Dict[str, SourceModule] = {}
-    suppression_maps: Dict[str, Dict[int, Suppression]] = {}
+    suppressions: Dict[str, Dict[int, Suppression]] = {}
     for path in _iter_python_files(paths):
         rel = _relpath(path, config.root)
         result.files_checked += 1
         try:
             module = parse_module(path, rel)
         except SyntaxError as exc:
-            raw.append(
+            found.append(
                 Finding(
-                    path=rel,
-                    line=int(exc.lineno or 1),
-                    col=int(exc.offset or 0),
-                    rule=PARSE_ERROR,
-                    message=f"file does not parse: {exc.msg}",
+                    rel,
+                    int(exc.lineno or 1),
+                    int(exc.offset or 0),
+                    PARSE_ERROR,
+                    f"file does not parse: {exc.msg}",
                 )
             )
             continue
         modules[rel] = module
-        suppressions, problems = parse_suppressions(module.lines)
-        suppression_maps[rel] = suppressions
-        for line, suppression in sorted(suppressions.items()):
-            # Validated against the *full* registry, not `select`: a
-            # suppression that silently matched nothing would re-open
-            # the gate it was written to document.
-            if suppression.rule not in known_ids:
-                problems.append(
-                    (
-                        line,
-                        f"suppression names unknown rule id "
-                        f"'{suppression.rule}'",
-                    )
-                )
-            elif suppression.rule in UNSUPPRESSABLE:
-                problems.append(
-                    (
-                        line,
-                        f"rule '{suppression.rule}' cannot be suppressed",
-                    )
-                )
-        for line, message in sorted(problems):
-            raw.append(
-                Finding(
-                    path=rel,
-                    line=line,
-                    col=0,
-                    rule=INVALID_SUPPRESSION,
-                    message=message,
-                )
-            )
-        for finding in _check_module(module, rules, config):
-            suppression = _matching_suppression(suppressions, finding)
-            if suppression is not None:
-                result.suppressed.append((finding, suppression))
-            else:
-                raw.append(finding)
-    if program_rules:
-        graph = build_graph(modules)
-        if contract is None and any(
-            one.id == _LAYER_RULE_ID for one in program_rules
-        ):
-            contract = load_contract(
-                str(config.root / config.contract_path), config.contract_path
-            )
-        context = build_context(str(config.root), modules, graph, contract)
-        for one in program_rules:
-            for finding in one.check(context, config):
-                suppression = _matching_suppression(
-                    suppression_maps.get(finding.path, {}), finding
-                )
-                if suppression is not None:
-                    result.suppressed.append((finding, suppression))
-                else:
-                    raw.append(finding)
-    result.findings = sorted(set(raw), key=Finding.sort_key)
-    result.suppressed.sort(key=lambda pair: pair[0].sort_key())
+        suppressions[rel], problems = parse_suppressions(module.lines)
+        found.extend(
+            _invalid_suppressions(rel, suppressions[rel], problems, known)
+        )
+    tree = Tree(
+        modules=modules,
+        linted_dirs=tuple(
+            _relpath(path, config.root) for path in paths if path.is_dir()
+        ),
+        named=frozenset(select or ()),
+    )
+    for one_rule in rules:
+        if one_rule.whole_tree:
+            found.extend(one_rule.check(tree, config))
+        else:
+            for module in modules.values():
+                found.extend(one_rule.check(module, config))
+    for finding in sorted(set(found), key=Finding.sort_key):
+        suppression = _matching_suppression(
+            suppressions.get(finding.path, {}), finding
+        )
+        if suppression is None:
+            result.findings.append(finding)
+        else:
+            result.suppressed.append((finding, suppression))
     return result
 
 
 def _matching_suppression(
-    suppressions, finding: Finding
+    suppressions: Dict[int, Suppression], finding: Finding
 ) -> Optional[Suppression]:
     if finding.rule in UNSUPPRESSABLE:
         return None

@@ -1,8 +1,8 @@
 """The unit of lint output: one finding at one source location.
 
 Findings are plain values with a total order, so reports are
-byte-deterministic (same input files, same bytes out — the same
-contract the span exporter keeps, enforced by ``tests/analysis``).
+byte-deterministic (same input files, same bytes out, enforced by
+``tests/analysis``).
 """
 
 from __future__ import annotations
@@ -31,16 +31,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str, str]:
         return (self.path, self.line, self.col, self.rule, self.message)
-
-    def to_dict(self) -> dict:
-        """JSON-safe projection (the JSONL report row)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
     def render(self) -> str:
         """``path:line:col: rule: message`` — the grep-able form."""

@@ -8,19 +8,18 @@ Edge semantics, chosen to match how the repo actually imports:
 
 * ``from repro.crypto import rsa`` resolves to the *submodule*
   ``repro.crypto.rsa``, not the package ``__init__`` — re-export
-  convenience must not read as an architectural cycle.
-* An import inside a function body is ``lazy``: it cannot participate
-  in an import-time cycle (Python resolves it at call time), but it is
-  still a real dependency the layer contract sees.
+  convenience must not read as a dependency on the package itself.
+* An import inside a function body is an edge like any other: Python
+  resolves it at call time, but it is still a real dependency.
 * An import under ``if TYPE_CHECKING:`` is ``typing_only``: no runtime
-  coupling at all, exempt from both the cycle and the layering pass.
+  coupling at all, exempt from the layer contract.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.source import SourceModule, dotted_name
 
@@ -57,7 +56,6 @@ class ImportEdge:
     path: str  # rel path of the importing file (finding anchor)
     line: int
     col: int
-    lazy: bool  # inside a function body: resolved at call time
     typing_only: bool  # under `if TYPE_CHECKING:`: no runtime coupling
 
     def sort_key(self) -> Tuple[str, str, int, int]:
@@ -75,40 +73,23 @@ class ImportGraph:
         """Edges with runtime coupling (everything but typing-only)."""
         return [e for e in self.edges if not e.typing_only]
 
-    def import_time_edges(self) -> List[ImportEdge]:
-        """Edges resolved at import time — the cycle-relevant subset."""
-        return [e for e in self.edges if not e.typing_only and not e.lazy]
-
-    def successors(
-        self, edges: Iterable[ImportEdge]
-    ) -> Dict[str, List[str]]:
-        """Deterministic adjacency (sorted, deduplicated) over ``edges``."""
-        adjacency: Dict[str, set] = {name: set() for name in self.modules}
-        for edge in edges:
-            if edge.src in adjacency and edge.dst in self.modules:
-                adjacency[edge.src].add(edge.dst)
-        return {name: sorted(dsts) for name, dsts in adjacency.items()}
 
 def _is_typing_guard(test: ast.AST) -> bool:
     parts = dotted_name(test)
     return parts is not None and parts[-1] == "TYPE_CHECKING"
 
 
-def _edge_flags(module: SourceModule, node: ast.AST) -> Tuple[bool, bool]:
-    lazy = False
-    typing_only = False
+def _typing_only(module: SourceModule, node: ast.AST) -> bool:
     child: ast.AST = node
     for ancestor in module.ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            lazy = True
         if (
             isinstance(ancestor, ast.If)
             and child in ancestor.body
             and _is_typing_guard(ancestor.test)
         ):
-            typing_only = True
+            return True
         child = ancestor
-    return lazy, typing_only
+    return False
 
 
 def _resolve_from_target(
@@ -176,7 +157,7 @@ def build_graph(modules: Mapping[str, SourceModule]) -> ImportGraph:
                 continue
             if not targets:
                 continue
-            lazy, typing_only = _edge_flags(module, node)
+            typing_only = _typing_only(module, node)
             for dst in targets:
                 if dst == src:
                     continue
@@ -187,7 +168,6 @@ def build_graph(modules: Mapping[str, SourceModule]) -> ImportGraph:
                         path=rel,
                         line=node.lineno,
                         col=node.col_offset,
-                        lazy=lazy,
                         typing_only=typing_only,
                     )
                 )

@@ -1,48 +1,32 @@
 """Rule registration: importing this package registers every rule.
 
-Import order here *is* registry order *is* a tiebreak in report
-ordering — keep it alphabetical by module and do not import rules
-conditionally.  ``tools/check_docs.py`` regex-scans this package for
-``@rule("...")`` decorations and cross-checks the id set against
-``docs/lint.md``, so a rule that is not imported here is a docs-drift
-failure, not a silent no-op.
+Import order here *is* registry order — keep it alphabetical by module
+and do not import rules conditionally.  ``tools/check_docs.py``
+regex-scans this package for ``@rule(...)`` decorations and
+cross-checks the id set against ``docs/lint.md``, so a rule that is
+not imported here is a docs-drift failure, not a silent no-op.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.analysis.registry import (
-    INVALID_SUPPRESSION,
-    PARSE_ERROR,
-    rule,
-)
-
-# Engine-emitted pseudo-rules: registered so the id list is complete
-# (docs drift, `--select` validation), but their checks are no-ops —
-# the engine raises these findings itself.
+from repro.analysis.registry import INVALID_SUPPRESSION, PARSE_ERROR, rule
 
 
 @rule(
     PARSE_ERROR,
-    "a file that does not parse cannot be checked; strict mode fails it",
+    "a file that does not parse cannot be checked; the gate fails it",
 )
-def _parse_error(module, config) -> Iterator:
-    return iter(())
-
-
 @rule(
     INVALID_SUPPRESSION,
     "a malformed or reason-less suppression directive (repro-lint allow "
     "comment) is reported instead of honored",
 )
-def _invalid_suppression(module, config) -> Iterator:
-    return iter(())
+def _engine_emitted(module, config):
+    return ()
 
 
 from repro.analysis.rules import deadlines  # noqa: E402,F401
 from repro.analysis.rules import excepts  # noqa: E402,F401
+from repro.analysis.rules import layering  # noqa: E402,F401
 from repro.analysis.rules import obs_purity  # noqa: E402,F401
-from repro.analysis.rules import ordering  # noqa: E402,F401
 from repro.analysis.rules import randomness  # noqa: E402,F401
-from repro.analysis.rules import wallclock  # noqa: E402,F401

@@ -30,6 +30,9 @@ RULE_ID = "deadline-discipline"
 
 _BUDGET_KEYWORDS = frozenset({"timeout", "deadline"})
 
+#: attribute names that constitute the RPC surface.
+_RPC_METHODS = frozenset({"invoke", "call"})
+
 
 def _has_budget(call: ast.Call) -> bool:
     for keyword in call.keywords:
@@ -54,7 +57,7 @@ def check(module, config) -> Iterator[Finding]:
         func = node.func
         if not isinstance(func, ast.Attribute):
             continue
-        if func.attr not in config.rpc_methods:
+        if func.attr not in _RPC_METHODS:
             continue
         if _has_budget(node):
             continue

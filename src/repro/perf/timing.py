@@ -1,11 +1,11 @@
 """The one place in ``src/repro`` that reads the host clock.
 
 Everything else in the package runs on injected simulation time — the
-``no-wall-clock`` lint rule enforces that — but a microbenchmark
-harness exists precisely to measure wall time, so this module is the
-single audited exemption (``LintConfig.allow_wall_clock`` lists exactly
-this file).  Keeping the exemption to one two-function module
-means a grep for real-time leaks still has one obvious place to look.
+determinism tests and the byte-identical CSV and transcript checks
+fail on a stray wall-clock read — but a microbenchmark harness exists
+precisely to measure wall time, so this module reads it.  Keeping the
+reads to one two-function module means a grep for real-time leaks
+still has one obvious place to look.
 """
 
 from __future__ import annotations

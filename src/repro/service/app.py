@@ -366,11 +366,10 @@ class ServiceApp:
     ) -> Tuple[int, Any, Dict[str, str]]:
         # export_bloom scans every record to rebuild the filter — real
         # CPU work that must not run on the event loop (it would stall
-        # every in-flight request; the blocking-in-async lint pass
-        # exists for exactly this shape). It runs in the default
-        # executor, bounded by the request deadline, and the lock makes
-        # it single-flight: one scan per chain head no matter how many
-        # clients ask at once.
+        # every in-flight request; tests/service/test_async_safety.py
+        # pins that). It runs in the default executor, bounded by the
+        # request deadline, and the lock makes it single-flight: one
+        # scan per chain head no matter how many clients ask at once.
         deadline = self._deadline_from(request)
         etag = self.cluster.chain_head()
         quoted = f'"{etag}"'

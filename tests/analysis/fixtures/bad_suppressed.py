@@ -1,30 +1,34 @@
 """Fixture: suppression mechanics — valid, covering, and malformed."""
 
-import time
+import random
 
 
 def same_line():
-    return time.time()  # repro-lint: allow[no-wall-clock] fixture exercises same-line coverage
+    return random.random()  # repro-lint: allow[no-unseeded-random] fixture exercises same-line coverage
 
 
 def line_above():
-    # repro-lint: allow[no-wall-clock] fixture exercises line-above coverage
-    return time.time()
+    # repro-lint: allow[no-unseeded-random] fixture exercises line-above coverage
+    return random.random()
 
 
 def not_covered():
-    # repro-lint: allow[no-wall-clock] two lines above the finding: does not cover
+    # repro-lint: allow[no-unseeded-random] two lines above the finding: does not cover
 
-    return time.time()  # line 18: still a finding
+    return random.random()  # line 18: still a finding
 
 
 def wrong_rule():
-    return time.time()  # repro-lint: allow[no-silent-except] rule mismatch: does not cover
+    return random.random()  # repro-lint: allow[no-silent-except] rule mismatch: does not cover
 
 
 def missing_reason():
-    return time.time()  # repro-lint: allow[no-wall-clock]
+    return random.random()  # repro-lint: allow[no-unseeded-random]
 
 
 def unknown_rule():
-    return time.time()  # repro-lint: allow[no-such-rule] reason given but rule unknown
+    return random.random()  # repro-lint: allow[no-such-rule] reason given but rule unknown
+
+
+def deleted_rule():
+    return random.random()  # repro-lint: allow[no-wall-clock] a deleted rule's id is unknown too

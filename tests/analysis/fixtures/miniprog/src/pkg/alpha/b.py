@@ -1,3 +1,3 @@
-"""The other half of the seeded cycle."""
+"""A same-layer module: the sideways import target of a.py."""
 
-import pkg.alpha.a  # noqa: F401  - cycle b -> a
+VALUE = 1

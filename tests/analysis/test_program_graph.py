@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.program.graph import (
+from repro.analysis.graph import (
     build_graph,
     module_name_for_rel,
 )
@@ -56,8 +56,8 @@ class TestNaming:
 class TestResolution:
     def test_from_import_prefers_the_submodule(self, tmp_path):
         # `from pkg import util` must read as pkg.* -> pkg.util, not as
-        # a dependency on the package __init__ (which would fabricate a
-        # cycle out of every re-export).
+        # a dependency on the package __init__ (which would charge every
+        # re-export's imports to the importer).
         graph = build_graph(_parse_tree(tmp_path))
         pairs = {(e.src, e.dst) for e in graph.edges}
         assert ("pkg", "pkg.util") in pairs
@@ -72,15 +72,16 @@ class TestResolution:
 
     def test_lazy_and_typing_flags(self, tmp_path):
         graph = build_graph(_parse_tree(tmp_path))
-        by_pair = {(e.src, e.dst, e.lazy, e.typing_only) for e in graph.edges}
-        # core imports util twice: top-level and inside late().
-        assert ("pkg.core", "pkg.util", False, False) in by_pair
-        assert ("pkg.core", "pkg.util", True, False) in by_pair
+        by_site = {
+            (e.src, e.dst, e.line, e.typing_only) for e in graph.edges
+        }
+        # core imports util twice: top-level and inside late(); the
+        # in-function import is a runtime edge like the other.
+        assert ("pkg.core", "pkg.util", 2, False) in by_site
+        assert ("pkg.core", "pkg.util", 6, False) in by_site
         # the TYPE_CHECKING import carries no runtime coupling.
-        assert ("pkg.core", "pkg.shapes", False, True) in by_pair
-        assert not any(
-            e.typing_only for e in graph.import_time_edges()
-        ) and not any(e.lazy for e in graph.import_time_edges())
+        assert ("pkg.core", "pkg.shapes", 4, True) in by_site
+        assert all(not e.typing_only for e in graph.runtime_edges())
 
     def test_external_imports_are_ignored(self, tmp_path):
         graph = build_graph(

@@ -17,19 +17,19 @@ class TestParseSuppressions:
         by_line, problems = _parse(
             """\
             x = 1
-            y = f()  # repro-lint: allow[no-wall-clock] measured on purpose
+            y = f()  # repro-lint: allow[obs-purity] guarded at the call site
             """
         )
         assert problems == []
         assert by_line == {
             2: Suppression(
-                line=2, rule="no-wall-clock", reason="measured on purpose"
+                line=2, rule="obs-purity", reason="guarded at the call site"
             )
         }
 
     def test_missing_reason_is_a_problem(self):
         by_line, problems = _parse(
-            "y = f()  # repro-lint: allow[no-wall-clock]\n"
+            "y = f()  # repro-lint: allow[obs-purity]\n"
         )
         assert by_line == {}
         assert len(problems) == 1
@@ -48,7 +48,7 @@ class TestParseSuppressions:
     def test_unparseable_attempt_is_a_problem(self):
         # Typoed syntax must not be silently skipped.
         by_line, problems = _parse(
-            "y = f()  # repro-lint allow(no-wall-clock) oops\n"
+            "y = f()  # repro-lint allow(obs-purity) oops\n"
         )
         assert by_line == {}
         assert problems[0][0] == 1
@@ -65,7 +65,7 @@ class TestParseSuppressions:
         assert problems == []
 
     def test_covers_same_line_and_line_above_only(self):
-        suppression = Suppression(line=10, rule="no-wall-clock", reason="r")
+        suppression = Suppression(line=10, rule="obs-purity", reason="r")
         assert suppression.covers(10)
         assert suppression.covers(11)
         assert not suppression.covers(9)
@@ -83,21 +83,27 @@ class TestEngineSuppression:
         assert suppressed == [(7, 7), (12, 11)]
         # Everything else stays a finding, including the malformed
         # directives themselves (invalid-suppression at col 0).
+        rng = "no-unseeded-random"
         assert sorted((f.line, f.col, f.rule) for f in result.findings) == [
-            (18, 11, "no-wall-clock"),  # directive two lines up: no cover
-            (22, 11, "no-wall-clock"),  # directive names the wrong rule
+            (18, 11, rng),  # directive two lines up: no cover
+            (22, 11, rng),  # directive names the wrong rule
             (26, 0, "invalid-suppression"),  # reason-less directive
-            (26, 11, "no-wall-clock"),  # ... which therefore doesn't cover
+            (26, 11, rng),  # ... which therefore doesn't cover
             (30, 0, "invalid-suppression"),  # unknown rule id
-            (30, 11, "no-wall-clock"),  # ... which therefore doesn't cover
+            (30, 11, rng),  # ... which therefore doesn't cover
+            (34, 0, "invalid-suppression"),  # a deleted rule's id
+            (34, 11, rng),  # ... which therefore doesn't cover
         ]
 
     def test_unknown_rule_message_names_the_id(self, lint_fixture):
+        # A deleted rule's id is unknown like any typo: a stale allow
+        # comment becomes a finding instead of silently matching nothing.
         result = lint_fixture("bad_suppressed.py")
         messages = [
             f.message for f in result.findings if f.rule == "invalid-suppression"
         ]
         assert any("'no-such-rule'" in message for message in messages)
+        assert any("'no-wall-clock'" in message for message in messages)
 
     def test_invalid_suppression_cannot_be_suppressed(self, tmp_path):
         target = tmp_path / "meta.py"

@@ -2,10 +2,10 @@
 
 The Bloom export scans every record — before this fix it ran
 synchronously inside the async handler, freezing every in-flight
-request for the duration (the exact shape the ``blocking-in-async``
-program lint pass exists to catch).  These tests pin the repaired
-behavior: the scan runs off-loop, is single-flight per chain head,
-and honors the request deadline.
+request for the duration.  No blocking-API lint can see that stall:
+the scan is plain CPU work, not a blocking call.  These tests pin the
+repaired behavior instead: the scan runs off-loop, is single-flight
+per chain head, and honors the request deadline.
 """
 
 import asyncio

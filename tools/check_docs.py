@@ -18,7 +18,7 @@ Seven checks, all exact:
    an undocumented metric is invisible to operators, a
    documented-but-gone metric is a lie.
 3. **Lint-rule drift** — the union of rule ids documented in
-   ``docs/lint.md`` must equal the union of ``@rule("...")``
+   ``docs/lint.md``'s rule table must equal the union of ``@rule(...)``
    registrations under ``src/repro/analysis/``. Either direction
    fails: an undocumented rule fails CI with no reference to point at,
    a documented-but-gone rule promises a check nobody runs.
@@ -34,10 +34,10 @@ Seven checks, all exact:
    call responsibly, a documented-but-unrouted one is a 404 promised
    as a feature.
 6. **Layer drift** — the layer table in ``docs/architecture.md`` must
-   equal the committed contract in ``tools/layers.toml``: same layers,
+   equal the committed contract in ``tools/layers.json``: same layers,
    same order (order *is* rank), same kinds, same module prefixes.
    Either direction fails: the rendered contract is what reviewers
-   read, the TOML is what the lint gate enforces, and they must be
+   read, the JSON is what the lint gate enforces, and they must be
    the same document.
 7. **Knob drift** — the names opening the rows of ``docs/runbook.md``'s
    "Tuning knobs" table must equal the fields of ``ClusterConfig`` in
@@ -76,20 +76,17 @@ EMIT_RE = re.compile(r"\.(?:counter|gauge|histogram|note)\(\s*\"([a-z_]+)\"")
 #: ``| `frontend_queries_total` | counter | ...`` (labels stripped).
 DOC_METRIC_RE = re.compile(r"^\|\s*`([a-z_]+)(?:\{[^}]*\})?`\s*\|")
 
-#: A lint-rule registration: ``@rule(<first-arg>,`` or
-#: ``@program_rule(<first-arg>,`` in the analysis package (matched
-#: textually, so this script needs no PYTHONPATH).  The first argument
-#: is either a string literal or a module constant (``RULE_ID``,
-#: ``PARSE_ERROR``, ``CYCLE_RULE_ID``) resolved via RULE_CONST_RE.
-RULE_REG_RE = re.compile(
-    r"@(?:program_)?rule\(\s*(\"[a-z][a-z0-9-]*\"|[A-Z_]+)\s*,"
-)
+#: A lint-rule registration: ``@rule(<first-arg>,`` in the analysis
+#: package (matched textually, so this script needs no PYTHONPATH).
+#: The first argument is either a string literal or a module constant
+#: (``RULE_ID``, ``PARSE_ERROR``) resolved via RULE_CONST_RE.
+RULE_REG_RE = re.compile(r"@rule\(\s*(\"[a-z][a-z0-9-]*\"|[A-Z_]+)\s*,")
 
-#: A rule-id constant: ``RULE_ID = "no-wall-clock"`` and friends.
+#: A rule-id constant: ``RULE_ID = "obs-purity"`` and friends.
 RULE_CONST_RE = re.compile(r"^([A-Z_]+)\s*=\s*\"([a-z][a-z0-9-]*)\"", re.M)
 
 #: A documented lint rule: the backticked id opening a table row in
-#: ``docs/lint.md``, e.g. ``| `no-wall-clock` | ... |``.
+#: ``docs/lint.md``, e.g. ``| `obs-purity` | ... |``.
 DOC_RULE_RE = re.compile(r"^\|\s*`([a-z][a-z0-9-]*)`\s*\|")
 
 #: A documented perf case: the backticked id opening a table row in
@@ -103,19 +100,6 @@ ROUTE_REG_RE = re.compile(r"Route\(\s*\"([A-Z]+)\",\s*\"(/[^\"]*)\"")
 #: A documented endpoint: a table row opening with the backticked
 #: method then the backticked path, e.g. ``| `GET` | `/bloom` | ...``.
 DOC_ROUTE_RE = re.compile(r"^\|\s*`([A-Z]+)`\s*\|\s*`(/[^`]*)`\s*\|")
-
-#: A contract block in ``tools/layers.toml``: the ``[[layer]]`` /
-#: ``[[side]]`` / ``[[entry]]`` header, its ``name``, and its
-#: ``modules`` array (matched textually, so this script needs no
-#: tomllib — the lint gate itself validates the TOML properly).
-CONTRACT_BLOCK_RE = re.compile(
-    r"\[\[(layer|side|entry)\]\]\s*\n"
-    r"name\s*=\s*\"([a-z][a-z0-9_-]*)\"\s*\n"
-    r"modules\s*=\s*\[([^\]]*)\]"
-)
-
-#: A quoted module prefix inside a contract ``modules`` array.
-CONTRACT_MODULE_RE = re.compile(r"\"([A-Za-z_][A-Za-z0-9_.]*)\"")
 
 #: A documented layer: a table row in ``docs/architecture.md``'s layer
 #: table, e.g. ``| 0 | `base` | layer | `repro.crypto`, `repro.filters` |``
@@ -224,8 +208,10 @@ def registered_rules() -> set[str]:
 
 def documented_rules() -> set[str]:
     doc = REPO / "docs" / "lint.md"
+    text = doc.read_text(encoding="utf-8")
+    section = text.partition("## Rules")[2].partition("\n## ")[0]
     names: set[str] = set()
-    for line in doc.read_text(encoding="utf-8").splitlines():
+    for line in section.splitlines():
         match = DOC_RULE_RE.match(line.strip())
         if match:
             names.add(match.group(1))
@@ -328,18 +314,16 @@ def check_route_drift() -> list[str]:
 
 
 def contract_layers() -> list[tuple[str, str, tuple[str, ...]]]:
-    """``(kind, name, prefixes)`` per block, in file (= rank) order."""
-    contract = REPO / "tools" / "layers.toml"
+    """``(kind, name, prefixes)`` per entry, in rank order: every
+    ``layer`` in list order, then ``side``, then ``entry``."""
+    contract = REPO / "tools" / "layers.json"
     if not contract.exists():
         return []
-    text = contract.read_text(encoding="utf-8")
+    data = json.loads(contract.read_text(encoding="utf-8"))
     return [
-        (
-            kind,
-            name,
-            tuple(CONTRACT_MODULE_RE.findall(modules)),
-        )
-        for kind, name, modules in CONTRACT_BLOCK_RE.findall(text)
+        (kind, entry["name"], tuple(entry["modules"]))
+        for kind in ("layer", "side", "entry")
+        for entry in data.get(kind, [])
     ]
 
 
@@ -364,29 +348,29 @@ def check_layer_drift() -> list[str]:
     documented = documented_layers()
     problems: list[str] = []
     if not contract:
-        return ["found no [[layer]] blocks in tools/layers.toml (regex rot?)"]
+        return ["found no layers in tools/layers.json"]
     if not documented:
         return [
             "docs/architecture.md: no layer-contract table rows "
-            "(expected one per tools/layers.toml block)"
+            "(expected one per tools/layers.json entry)"
         ]
-    # Order matters: position in layers.toml is the rank the lint gate
-    # enforces, so the rendered table must list blocks in the same order.
+    # Order matters: position in layers.json is the rank the lint gate
+    # enforces, so the rendered table must list entries in the same order.
     for index, (want, got) in enumerate(zip(contract, documented)):
         if want != got:
             problems.append(
                 f"docs/architecture.md: layer table row {index} is "
-                f"{got!r} but tools/layers.toml says {want!r}"
+                f"{got!r} but tools/layers.json says {want!r}"
             )
     for kind, name, _ in contract[len(documented):]:
         problems.append(
-            f"docs/architecture.md: [[{kind}]] {name!r} from "
-            "tools/layers.toml is missing from the layer table"
+            f"docs/architecture.md: {kind} {name!r} from "
+            "tools/layers.json is missing from the layer table"
         )
     for kind, name, _ in documented[len(contract):]:
         problems.append(
-            f"docs/architecture.md: layer table row [[{kind}]] {name!r} "
-            "has no matching block in tools/layers.toml"
+            f"docs/architecture.md: layer table row {kind} {name!r} "
+            "has no matching entry in tools/layers.json"
         )
     return problems
 

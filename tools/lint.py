@@ -6,13 +6,13 @@ from the repository root without setting PYTHONPATH — it inserts
 ``src/`` itself.  The linter is dependency-free (stdlib ``ast`` only),
 so like ``tools/check_docs.py`` this needs no pip install.
 
-Usage (the CI gate):
+Usage (the CI gate; exit 1 on any finding, 2 if the run cannot proceed):
 
-    python tools/lint.py --strict
+    python tools/lint.py
 
 The second gated tree (examples and the simulator benches):
 
-    python tools/lint.py --strict --paths examples benchmarks/conftest.py benchmarks/bench_*.py
+    python tools/lint.py --paths examples benchmarks/conftest.py benchmarks/bench_*.py
 """
 
 from __future__ import annotations
