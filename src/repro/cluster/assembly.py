@@ -433,12 +433,6 @@ class Cluster:
             identifiers=identifiers, revoked_mask=revoked_mask, owner=keypair
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"{type(self).__name__}(shards={len(self.shards)}, "
-            f"r={self.frontend.config.replication_factor})"
-        )
-
 
 class LocalCluster(Cluster):
     """The synchronous adapter: in-process transport, hand-advanced clock.

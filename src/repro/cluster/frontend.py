@@ -355,9 +355,12 @@ class ClusterFrontend:
 
     def later(
         self, delay: float, fn: Callable[[], None], watchdog: bool = False
-    ) -> None:
+    ) -> Any:
         """Run ``fn`` after ``delay`` seconds on the injected scheduler.
 
+        Returns what the scheduler returned: a cancellable handle on
+        asyncio (a read cancels its deadline backstop once answered),
+        None on netsim and in synchronous mode.
         Synchronous mode has no timers, and whatever a call starts has
         finished by the time it returns: a continuation (backoff retry,
         backfill sweep) runs at once, and a ``watchdog`` (deadline
@@ -365,9 +368,10 @@ class ClusterFrontend:
         something is still outstanding when it fires — never runs.
         """
         if self._scheduler is not None and delay > 0:
-            self._scheduler(delay, fn)
-        elif not watchdog:
+            return self._scheduler(delay, fn)
+        if not watchdog:
             fn()
+        return None
 
     # -- placement ---------------------------------------------------------------
 
@@ -422,7 +426,7 @@ class ClusterFrontend:
             if budget <= 0.0:
                 read.expire()  # arrived already out of budget
                 return
-            self.later(budget, read.expire, watchdog=True)
+            read.backstop = self.later(budget, read.expire, watchdog=True)
         read.start()
 
     def status_many_async(
@@ -616,9 +620,3 @@ class ClusterFrontend:
         if error is not None:
             raise RevocationError(error)
         return outcome
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ClusterFrontend({self.cluster_id!r}, shards={len(self.ring)}, "
-            f"r={self.config.replication_factor})"
-        )

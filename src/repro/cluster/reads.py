@@ -81,16 +81,19 @@ class StatusRead:
 
     Created by :meth:`ClusterFrontend.status_async`, which answers it
     straight away (filter miss, load shed, budget already spent) or
-    sets its ``deadline`` and calls :meth:`start`.  ``proof`` says
-    whether the caller will consume a signed proof or only the verdict
-    (see the module docstring).  The collector of an
-    attempt is never stored here — it reaches :meth:`_fetch_proof` as
-    an argument — so a read is not part of a reference cycle.
+    sets its ``deadline`` and ``backstop`` (the deadline timer's handle,
+    when the scheduler gives one) and calls :meth:`start`.  ``proof``
+    says whether the caller will consume a signed proof or only the
+    verdict (see the module docstring).  The collector of an attempt is
+    never stored here — it reaches :meth:`_fetch_proof` as an argument —
+    and :meth:`answer` cancels the backstop, which drops the handle's
+    reference back to the read, so an answered read is not part of a
+    reference cycle and is freed at once, not at its deadline.
     """
 
     __slots__ = (
         "frontend", "identifier", "callback", "proof", "op_id", "span",
-        "rspan", "deadline", "attempts", "answered",
+        "rspan", "deadline", "backstop", "attempts", "answered",
     )
 
     def __init__(
@@ -105,6 +108,7 @@ class StatusRead:
         self.callback = callback
         self.proof = proof
         self.deadline: Optional[Deadline] = None
+        self.backstop = None
         self.attempts = 0  # fresh read attempts consumed (retries)
         self.answered = False
         self.rspan = None  # the running attempt's replication.read span
@@ -130,6 +134,8 @@ class StatusRead:
         if self.answered:
             return  # deadline backstop and quorum raced; first wins
         self.answered = True
+        if self.backstop is not None:
+            self.backstop.cancel()
         obs = self.frontend.obs
         if obs is not None:
             obs.counter("frontend_answers_total", source=answer.source).inc()

@@ -655,6 +655,3 @@ class HintQueue:
             )
 
         _next()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"HintQueue(pending={self.pending()}, replayed={self.hints_replayed})"

@@ -154,11 +154,3 @@ class HashRing:
     def assignment(self, keys: Sequence[bytes]) -> Dict[bytes, str]:
         """Primary owner for every key (rebalancing analysis helper)."""
         return {key: self.primary(key) for key in keys}
-
-    # -- diagnostics ------------------------------------------------------------
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"HashRing(shards={len(self._shards)}, vnodes={self.vnodes}, "
-            f"points={len(self._points)})"
-        )

@@ -172,11 +172,19 @@ class ClusterShard:
     # -- protocol: claim ------------------------------------------------------------
 
     def claim(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply a coordinator-prepared claim (idempotent)."""
+        """Apply a coordinator-prepared claim (idempotent).
+
+        Only the same content under the same owner's key is a
+        ``duplicate``: serials derive from content, so another owner's
+        claim of these bytes lands here and is refused, not handed the id.
+        """
         serial = payload["serial"]
         existing = self.ledger.store.get(serial)
         if existing is not None:
-            if existing.content_hash == payload["content_hash"]:
+            if (
+                existing.content_hash == payload["content_hash"]
+                and existing.public_key == payload["public_key"]
+            ):
                 return {"serial": serial, "duplicate": True}
             raise ClaimError(CLAIM_COLLISION)
         record = self.ledger.claim(
@@ -345,12 +353,6 @@ class ClusterShard:
             "fetch_records": self.fetch_records,
             "install_record": self.install_record,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ClusterShard({self.shard_id!r}, "
-            f"records={len(self.ledger.store)})"
-        )
 
 
 class ClusterDirectory:

@@ -51,13 +51,16 @@ class _Write:
         (Health tracking hears of the reply from the executor.)
         """
         hints = self.frontend.hints
-        if hints is not None and not reply.ok:
-            hints.record(
-                reply.shard_id,
-                self.method,
-                self.payload,
-                epoch=self.payload.get("epoch", 0),  # a claim is epoch 0
-            )
+        # A replica that refused a claim as a collision holds the record
+        # it should: a verdict, not a missed write, so nothing to replay.
+        if hints is None or reply.ok or reply.error == CLAIM_COLLISION:
+            return
+        hints.record(
+            reply.shard_id,
+            self.method,
+            self.payload,
+            epoch=self.payload.get("epoch", 0),  # a claim is epoch 0
+        )
 
 
 class ClaimWrite(_Write):
@@ -66,7 +69,7 @@ class ClaimWrite(_Write):
     ``callback(identifier, error)`` fires when the write quorum is
     reached (``error is None``) or proven unreachable; ``error`` is
     :data:`~repro.cluster.shard.CLAIM_COLLISION` itself when a replica
-    holds the serial for other content.
+    holds the serial for other content or another owner's key.
     """
 
     method = "claim"

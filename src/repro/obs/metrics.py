@@ -15,9 +15,11 @@ plus labels and mutate it in place.  Three rules keep the layer honest:
   importable from the innermost layers (cluster, resilience) without
   dragging anything along.
 
-Identity is ``(name, sorted labels)``.  Registering the same name with
-a different metric type (or a histogram with different buckets) is a
-programming error and raises immediately.
+Identity is ``(name, sorted labels)``; lookups go through an index of
+the labels in the order the call site passed them, so only a first
+lookup sorts.  Registering the same name with a different metric type
+(or a histogram with different buckets) is a programming error and
+raises immediately.
 """
 
 from __future__ import annotations
@@ -160,10 +162,19 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: Dict[Tuple[str, LabelItems], object] = {}
+        # Keyed by the labels as the call site spelled them, so a repeat
+        # lookup neither stringifies nor sorts; every spelling of one
+        # metric (label order, 1 vs "1") maps to the object its
+        # canonical key holds in ``_metrics``.
+        self._index: Dict[tuple, object] = {}
         self._types: Dict[str, type] = {}
         self._buckets: Dict[str, Tuple[float, ...]] = {}
 
     def _get(self, cls: type, name: str, labels: Dict[str, object], **kwargs):
+        spelled = (name, *labels.items())
+        metric = self._index.get(spelled)
+        if metric.__class__ is cls:
+            return metric
         seen = self._types.get(name)
         if seen is not None and seen is not cls:
             raise ValueError(
@@ -176,6 +187,7 @@ class MetricsRegistry:
             metric = cls(name, labels=key[1], **kwargs)
             self._metrics[key] = metric
             self._types[name] = cls
+        self._index[spelled] = metric
         return metric
 
     def counter(self, name: str, **labels) -> Counter:
@@ -236,6 +248,3 @@ class MetricsRegistry:
             for (n, _), m in self._metrics.items()
             if n == name and isinstance(m, Counter)
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"MetricsRegistry(metrics={len(self._metrics)})"

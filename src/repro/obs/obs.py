@@ -77,9 +77,3 @@ class Observability:
 
     def export_prometheus(self) -> str:
         return prometheus_text(self.metrics)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Observability(metrics={len(self.metrics)}, "
-            f"spans={len(self.tracer)})"
-        )

@@ -33,7 +33,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 __all__ = ["Span", "Tracer"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed stage of a request, with tags and events."""
 
@@ -68,7 +68,7 @@ class Span:
         """Record a point-in-time annotation (retry, failover, shed)."""
         if self._tracer is None:
             raise ValueError("span is detached from its tracer")
-        self.events.append((self._tracer.now(), name, dict(attrs)))
+        self.events.append((self._tracer.now(), name, attrs))
 
     def end(self, **tags) -> "Span":
         """Close the span; idempotent so racing finishers are safe."""
@@ -161,7 +161,7 @@ class Tracer:
             parent_id=parent_id,
             name=name,
             started_at=self._clock(),
-            tags=dict(tags),
+            tags=tags,  # ``**tags`` built a fresh dict for this call
             _tracer=self,
         )
         self._next_span_id += 1
@@ -197,6 +197,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._finished)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Tracer(finished={len(self._finished)}, open={self._open})"

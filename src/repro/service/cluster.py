@@ -10,10 +10,14 @@ slow-replica hook and the ``/bloom`` export.
 
 :class:`AsyncioShardTransport` is the event-loop twin of the netsim
 RPC layer: every ``invoke`` is delivered on a later loop tick (never
-synchronously — callers rely on callback-after-return), guarded by a
-real timeout timer, with per-shard ``down`` / ``delay`` fault hooks so
-the error-envelope tests can produce breaker-open and deadline
-conditions on demand.
+synchronously — callers rely on callback-after-return), with per-shard
+``down`` / ``delay`` fault hooks so the error-envelope tests can
+produce breaker-open and deadline conditions on demand.  A request
+that can be lost gets a real timeout timer, due at ``invoke`` time
+plus its budget: armed at ``invoke`` for a delayed shard, and at
+delivery for one found down.  A healthy, undelayed RPC is answered on
+the next tick and arms none, so the loop's timer heap holds only
+timers that may fire.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ FILTER_CAPACITY = 8192
 
 
 class AsyncioShardTransport:
-    """ShardTransport over the event loop: async delivery + real timeouts."""
+    """ShardTransport over the event loop: async delivery, timeouts when lost."""
 
     def __init__(
         self,
@@ -78,6 +82,8 @@ class AsyncioShardTransport:
             )
             return
         budget = clamp_rpc_timeout(self.timeout, timeout)
+        due = self._loop.time() + budget
+        timer = None
         done = False
 
         def _on_timeout() -> None:
@@ -87,27 +93,28 @@ class AsyncioShardTransport:
             done = True
             callback(ShardReply(shard_id, error=f"rpc timeout after {budget:.3f}s"))
 
-        timer = self._loop.call_later(budget, _on_timeout)
-
         def _deliver() -> None:
-            nonlocal done
+            nonlocal done, timer
             if done:
                 return
             if shard_id in self.down:
-                return  # request lost in flight; the timeout timer answers
-            try:
-                value = handlers[method](payload)
-            except Exception as exc:  # shard errors are replies, not raises
-                done = True
-                timer.cancel()
-                callback(ShardReply(shard_id, error=str(exc)))
+                # Lost in flight: time out when a timer armed at invoke would.
+                if timer is None:
+                    timer = self._loop.call_at(due, _on_timeout)
                 return
             done = True
-            timer.cancel()
-            callback(ShardReply(shard_id, value=value))
+            if timer is not None:
+                timer.cancel()
+            try:
+                reply = ShardReply(shard_id, value=handlers[method](payload))
+            except Exception as exc:  # shard errors are replies, not raises
+                reply = ShardReply(shard_id, error=str(exc))
+            callback(reply)
 
         delay = self.delays.get(shard_id, 0.0)
         if delay > 0.0:
+            # Only a slow replica's reply can lose the race to its budget.
+            timer = self._loop.call_at(due, _on_timeout)
             self._loop.call_later(delay, _deliver)
         else:
             self._loop.call_soon(_deliver)
@@ -148,13 +155,12 @@ class LiveCluster(Cluster):
             obs=obs,
         )
 
-    def _schedule(self, delay: float, fn: Callable[[], None]) -> None:
+    def _schedule(self, delay: float, fn: Callable[[], None]) -> asyncio.Handle:
         if delay > 0.0:
-            self._loop.call_later(delay, fn)
-        else:
-            # The batcher's end-of-tick marker: the next loop iteration,
-            # behind everything this one admits, and no timer-heap entry.
-            self._loop.call_soon(fn)
+            return self._loop.call_later(delay, fn)
+        # The batcher's end-of-tick marker: the next loop iteration,
+        # behind everything this one admits, and no timer-heap entry.
+        return self._loop.call_soon(fn)
 
     def delay_shard(self, shard_id: str, seconds: float) -> None:
         """Make one replica slow without killing it (deadline tests)."""

@@ -3,7 +3,8 @@
 The scenario — claim, revoke, lose a replica, read, get it back — runs
 on the local, netsim and asyncio adapters from one seed and one
 frontend configuration; every adapter must give the same answers and
-end in the same replica state.  The population test holds the netsim
+end in the same replica state, and on all three a second owner's claim
+of the same bytes is refused.  The population test holds the netsim
 and asyncio adapters to byte-equal seeded records, and the read-path
 tests hold all three to one signature per authoritative read and to
 batches that leave when the tick ends, not when a timer fires.
@@ -16,10 +17,12 @@ import pytest
 
 from repro.chaos import resilience_config, state_digest
 from repro.cluster import ClusterConfig, LearningBloom, LocalCluster, SimulatedCluster
+from repro.cluster.shard import CLAIM_COLLISION
+from repro.core.errors import ClaimError
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import KeyPair
 from repro.ledger.recovery import records_digest
-from repro.service.cluster import FILTER_CAPACITY, LiveCluster
+from repro.service.cluster import FILTER_CAPACITY, RPC_TIMEOUT, LiveCluster
 
 SEED = 7
 
@@ -107,6 +110,64 @@ def test_replica_loss_scenario_is_adapter_independent(adapter, outcomes):
     outcome = outcomes[adapter]
     assert outcome["answers"] == [(True, "revoked", 1, "shard", False, None)] * 2
     assert outcome == outcomes["local"]
+
+
+# -- a claim is its owner's ----------------------------------------------------
+
+
+async def _second_owner(make):
+    cluster = make()
+    frontend = cluster.frontend
+    first = KeyPair.generate(bits=512, rng=cluster.rngs.stream("owner-a"))
+    second = KeyPair.generate(bits=512, rng=cluster.rngs.stream("owner-b"))
+    content_hash = sha256_hex(b"assembly:contested")
+
+    def claim(owner):
+        signature = owner.sign(content_hash.encode("utf-8"))
+        return _call(cluster, lambda cb: frontend.claim_async(
+            content_hash, signature, owner.public, cb
+        ))
+
+    def records(serial):
+        return {
+            shard_id: cluster.shards[shard_id].ledger.store.get(serial).to_payload()
+            for shard_id in cluster.placement(serial)
+        }
+
+    identifier, error = await claim(first)
+    assert error is None
+    held = records(identifier.serial)
+    assert len(held) == 3
+
+    # Same bytes, another owner's key: refused on every replica, and
+    # the first owner's record is untouched.
+    taken, error = await claim(second)
+    assert error == CLAIM_COLLISION and taken == identifier
+    assert records(identifier.serial) == held
+
+    # The first owner's retry is still an idempotent duplicate.
+    again, error = await claim(first)
+    assert error is None and again == identifier
+    assert records(identifier.serial) == held
+    for shard_id in cluster.placement(identifier.serial):
+        shard = cluster.shards[shard_id]
+        payload = {
+            "serial": identifier.serial,
+            "content_hash": content_hash,
+            "public_key": first.public,
+        }
+        assert shard.claim(payload) == {
+            "serial": identifier.serial, "duplicate": True
+        }
+        with pytest.raises(ClaimError, match=CLAIM_COLLISION):
+            shard.claim({**payload, "public_key": second.public})
+    if frontend.hints is not None:
+        assert frontend.hints.pending() == 0  # a refusal is not a missed write
+
+
+@pytest.mark.parametrize("adapter", sorted(ADAPTERS))
+def test_another_owner_cannot_claim_the_same_content(adapter):
+    asyncio.run(_second_owner(ADAPTERS[adapter]))
 
 
 class _StoppedLoop:
@@ -320,7 +381,9 @@ def test_the_live_end_of_tick_marker_is_not_a_timer(monkeypatch):
             carried == [first.serial, second.serial] for _, _, carried in log
         )
         # ... and every timer armed waits for something (a deadline
-        # backstop per read, a timeout per RPC): none for the marker.
-        assert delays.count(0.1) == 3 and min(delays) > 0.0
+        # backstop per read, the test's own wait_for): none for the
+        # marker, and none for an RPC to a live, undelayed replica.
+        assert delays.count(0.25) == 2 and min(delays) > 0.0
+        assert RPC_TIMEOUT not in delays
 
     asyncio.run(inner())

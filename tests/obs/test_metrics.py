@@ -35,6 +35,9 @@ class TestCounter:
         one = registry.counter("x", a=1, b=2)
         two = registry.counter("x", b=2, a=1)
         assert one is two
+        assert registry.counter("x", b=2, a=1) is one  # now from the index
+        assert registry.counter("x", a="1", b="2") is one
+        assert len(registry) == 1
 
 
 class TestGauge:
@@ -120,6 +123,15 @@ class TestRegistryIdentity:
         registry.counter("x")
         with pytest.raises(ValueError):
             registry.gauge("x")
+
+    def test_type_conflict_raises_for_an_indexed_spelling(self):
+        registry = MetricsRegistry()
+        for _ in range(2):
+            registry.counter("x", shard="a")
+        with pytest.raises(ValueError):
+            registry.gauge("x", shard="a")
+        with pytest.raises(ValueError):
+            registry.histogram("x", shard="a")
 
     def test_histogram_bucket_conflict_raises(self):
         registry = MetricsRegistry()
