@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.replication import ShardReply, ShardTransport
+from repro.obs.metrics import Handles
 from repro.resilience import Deadline
 
 __all__ = ["StatusBatcher"]
@@ -69,6 +70,9 @@ class StatusBatcher:
         self.obs = obs
         self._batch_size = None if obs is None else obs.histogram(
             "frontend_batch_size", buckets=(1, 2, 4, 8, 16, 32, 64)
+        )
+        self._batches = None if obs is None else Handles(
+            obs.counter, "frontend_batches_total", "shard"
         )
         # Per-shard pending (item, serial, deadline, signed) lookups.
         self._queues: Dict[str, List[tuple]] = {}
@@ -142,7 +146,7 @@ class StatusBatcher:
         stats.batch_items += len(batch)
         bspan = None
         if self.obs is not None:
-            self.obs.counter("frontend_batches_total", shard=shard_id).inc()
+            self._batches[shard_id].inc()
             self._batch_size.observe(len(batch))
             bspan = self.obs.start(
                 "frontend.batch", shard=shard_id, items=len(batch)

@@ -25,10 +25,10 @@ Per-shard circuit breakers (``breaker_threshold``) stop paying timeouts
 to dead replicas.
 
 ``status_async`` is the one per-identifier implementation of that
-sequence.  ``status_many_async`` is a page view: one vectorized filter
-pass, the misses answered and counted together — a miss costs a filter
-probe, not a read object, a span and five metric look-ups — and
-``status_async`` for every hit.
+sequence.  A page view is one vectorized filter pass, ``probe_many``,
+which accounts for the misses together — a miss costs a filter probe,
+not a read object, a span and five metric look-ups — and
+``status_async`` for every hit (``status_many_async`` does both).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.crypto.signatures import KeyPair, PublicKey, Signature
 from repro.crypto.timestamp import TimestampAuthority
 from repro.ledger.proofs import StatusProof
 from repro.ledger.records import claim_digest
+from repro.obs.metrics import Handles
 from repro.cluster.batcher import StatusBatcher
 from repro.cluster.health import FailureDetector
 from repro.cluster.reads import ClusterAnswer, StatusRead
@@ -236,7 +237,7 @@ class ClusterFrontend:
         opens a ``frontend.status`` span per query (with
         ``replication.read`` / ``frontend.batch`` children and
         retry/proof-fetch/deadline events; the filter misses of a
-        :meth:`status_many_async` batch share its one
+        :meth:`probe_many` batch share its one
         ``frontend.status_many`` span instead), and wires the breaker
         board, token bucket and hint queue into the same registry.
         When None (the default) no instrumentation code runs and the
@@ -275,6 +276,9 @@ class ClusterFrontend:
         self.observer = observer
         self.rng = rng
         self.obs = obs
+        if obs is not None:  # the read path's metrics, each looked up once
+            self.counters = Handles(obs.counter)
+            self.answers = Handles(obs.counter, "frontend_answers_total", "source")
         self._open_breakers: set = set()
         self.backoff = self.config.backoff_policy()
         self.breakers: Optional[BreakerBoard] = None
@@ -331,15 +335,14 @@ class ClusterFrontend:
 
     def _breaker_transition(self, target: str, state: BreakerState) -> None:
         """Board hook: count transitions, track the open-breaker gauge."""
-        if self.obs is not None:
-            self.obs.counter(
-                "breaker_transitions_total", target=target, to=state.value
-            ).inc()
         if state is BreakerState.CLOSED:
             self._open_breakers.discard(target)
         else:
             self._open_breakers.add(target)
         if self.obs is not None:
+            self.obs.counter(
+                "breaker_transitions_total", target=target, to=state.value
+            ).inc()
             self.obs.gauge("breakers_open").set(len(self._open_breakers))
 
     # -- health fan-out ----------------------------------------------------------
@@ -429,6 +432,38 @@ class ClusterFrontend:
             read.backstop = self.later(budget, read.expire, watchdog=True)
         read.start()
 
+    def probe_many(self, serials: Sequence[int]) -> Optional[List[bool]]:
+        """One ``might_be_revoked_many`` pass over serials of this ledger.
+
+        A miss (~98 % of a page view, section 4.3) is answered by its
+        verdict — never shed, never held to a deadline, never near a shard
+        — and accounted for here by the misses' number: stats, counters,
+        one weighted latency observation, one ``frontend.status_many``
+        span.  None, counting nothing, when the filter has no batch verdict
+        or an operation observer is attached (it is told of each operation,
+        and ``check_spans`` pairs each with its own span).
+        """
+        many = getattr(self.filterset, "might_be_revoked_many", None)
+        if many is None or self.observer is not None:
+            return None
+        obs = self.obs
+        span = obs and obs.start("frontend.status_many", ids=len(serials))
+        verdicts = many(compact_keys(self.cluster_id, serials)).tolist()
+        misses = verdicts.count(False)
+        if misses:
+            self.stats.queries += misses
+            self.stats.filter_short_circuits += misses
+            if obs is not None:
+                self.counters["frontend_queries_total"].inc(misses)
+                self.counters["frontend_filter_short_circuits_total"].inc(misses)
+                self.answers["filter"].inc(misses)
+                obs.histogram("frontend_status_latency_seconds").observe(
+                    obs.now() - span.started_at, count=misses
+                )
+        if span is not None:
+            span.end(misses=misses)
+        return verdicts
+
     def status_many_async(
         self,
         identifiers: Sequence[int],
@@ -437,33 +472,22 @@ class ClusterFrontend:
         deadline: Optional[Deadline] = None,
         proof: bool = True,
     ) -> None:
-        """Queue a burst of status lookups; filter misses are answered together.
+        """Queue a burst of status lookups: one :meth:`probe_many`, a read per hit.
 
         ``identifiers`` are serials on this frontend's ledger, as a parsing
         caller holds them; ``callback(index, answer)`` fires exactly once
         per serial (completion order is arbitrary), with the answers, stats
         and ``/metrics`` totals of one :meth:`status_async` per identifier.
-        One :meth:`~repro.cluster.assembly.LearningBloom.might_be_revoked_many`
-        pass covers the batch; each miss (~98 % of a page view, section
-        4.3) is answered from it on the spot — never shed, never held to a
-        deadline, never near a shard, no identifier built — and the misses
-        are counted by their number: one ``frontend.status_many`` span, one
-        weighted latency observation.  A hit is one :meth:`status_async`,
-        and so is every serial when the filter has no vectorized verdict
-        or an operation observer is attached (it is told of each
-        operation, and ``check_spans`` pairs each with its own span).
+        With ``use_filter``, the probe accounts for the misses and each is
+        called back with its filter answer, no identifier built; a hit is
+        one :meth:`status_async`, and so is every serial when the probe
+        gives no verdicts.  ``POST /status`` probes by itself, renders its
+        misses from the verdicts and passes only its hits here, unfiltered.
         """
         serials = list(identifiers)
-        obs = self.obs
-        verdicts = span = None
-        if use_filter and self.observer is None:
-            many = getattr(self.filterset, "might_be_revoked_many", None)
-            if many is not None:
-                if obs is not None:
-                    span = obs.start("frontend.status_many", ids=len(serials))
-                verdicts = many(compact_keys(self.cluster_id, serials)).tolist()
-                use_filter = False  # probed: a hit goes on to the rest of admission
-        misses = 0
+        verdicts = self.probe_many(serials) if use_filter else None
+        if verdicts is not None:
+            use_filter = False  # probed: a hit goes on to the rest of admission
         for index, serial in enumerate(serials):
             if verdicts is None or verdicts[index]:
                 self.status_async(
@@ -474,22 +498,9 @@ class ClusterFrontend:
                     proof=proof,
                 )
             else:
-                misses += 1
                 callback(index, ClusterAnswer(
                     identifier_string(self.cluster_id, serial), False, "filter"
                 ))
-        if misses:
-            self.stats.queries += misses
-            self.stats.filter_short_circuits += misses
-            if obs is not None:
-                obs.counter("frontend_queries_total").inc(misses)
-                obs.counter("frontend_filter_short_circuits_total").inc(misses)
-                obs.counter("frontend_answers_total", source="filter").inc(misses)
-                obs.histogram("frontend_status_latency_seconds").observe(
-                    obs.now() - span.started_at, count=misses
-                )
-        if span is not None:
-            span.end(misses=misses)
 
     # -- claims and revocations ----------------------------------------------------
 

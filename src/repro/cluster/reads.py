@@ -121,9 +121,8 @@ class StatusRead:
         """Count one occurrence: in the stats, on ``/metrics``, on the span."""
         stats = self.frontend.stats
         setattr(stats, stat, getattr(stats, stat) + 1)
-        obs = self.frontend.obs
-        if obs is not None:
-            obs.counter(metric).inc()
+        if self.frontend.obs is not None:
+            self.frontend.counters[metric].inc()
             if event is not None:
                 self.span.event(event, **attrs)
 
@@ -136,9 +135,10 @@ class StatusRead:
         self.answered = True
         if self.backstop is not None:
             self.backstop.cancel()
-        obs = self.frontend.obs
+        frontend = self.frontend
+        obs = frontend.obs
         if obs is not None:
-            obs.counter("frontend_answers_total", source=answer.source).inc()
+            frontend.answers[answer.source].inc()
             obs.histogram("frontend_status_latency_seconds").observe(
                 obs.now() - self.span.started_at
             )
@@ -148,7 +148,7 @@ class StatusRead:
                 degraded=answer.degraded,
                 ok=answer.ok,
             )
-        self.frontend.end(
+        frontend.end(
             self.op_id,
             ok=answer.ok,
             revoked=answer.revoked,
@@ -195,21 +195,13 @@ class StatusRead:
                 )
             )
         return ClusterAnswer(
-            identifier=self.identifier.to_string(),
-            revoked=revoked,
-            source="degraded",
-            degraded=True,
-            cause=cause,
+            self.identifier.to_string(), revoked, "degraded", degraded=True, cause=cause
         )
 
     def _unavailable(self, error: str, cause: str = "quorum") -> ClusterAnswer:
         """The fail-safe verdict, ``revoked=True``; callers see ``.error``."""
         return ClusterAnswer(
-            identifier=self.identifier.to_string(),
-            revoked=True,
-            source="shard",
-            error=error,
-            cause=cause,
+            self.identifier.to_string(), True, "shard", error=error, cause=cause
         )
 
     # -- attempts ------------------------------------------------------------------
@@ -264,17 +256,11 @@ class StatusRead:
         if self.rspan is not None:
             self.rspan.end(ok=outcome.ok)
         if outcome.ok:
-            self.answer(
-                ClusterAnswer(
-                    identifier=self.identifier.to_string(),
-                    revoked=RevocationState(outcome.state).is_revoked,
-                    source="shard",
-                    proof=outcome.proof,
-                    state=outcome.state,
-                    epoch=outcome.epoch,
-                    answered_by=outcome.answered_by,
-                )
-            )
+            self.answer(ClusterAnswer(
+                self.identifier.to_string(), RevocationState(outcome.state).is_revoked,
+                "shard", proof=outcome.proof, state=outcome.state, epoch=outcome.epoch,
+                answered_by=outcome.answered_by,
+            ))
         elif outcome.error is not None and "unknown serial" in outcome.error:
             # The replicas answered: no such record.  That is an
             # application verdict, not unavailability — retry and the

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "Counter",
     "Gauge",
+    "Handles",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
@@ -157,6 +158,28 @@ class Histogram:
         return self.buckets[-1]  # pragma: no cover - rank <= count
 
 
+class Handles(dict):
+    """A hot site's metrics, each looked up once, at its first use.
+
+    ``Handles(registry.counter)[name]`` is ``registry.counter(name)``, and
+    ``Handles(registry.counter, name, label)[value]`` is
+    ``registry.counter(name, **{label: value})``: a repeat use is one dict
+    hit, and a metric still first appears on ``/metrics`` when first used.
+    """
+
+    __slots__ = ("_make", "_name", "_label")
+
+    def __init__(self, make, name: Optional[str] = None, label: Optional[str] = None):
+        self._make, self._name, self._label = make, name, label
+
+    def __missing__(self, key):
+        if self._label is None:
+            metric = self[key] = self._make(key)
+        else:
+            metric = self[key] = self._make(self._name, **{self._label: key})
+        return metric
+
+
 class MetricsRegistry:
     """Get-or-create store of metrics, keyed by name and labels."""
 
@@ -171,10 +194,7 @@ class MetricsRegistry:
         self._buckets: Dict[str, Tuple[float, ...]] = {}
 
     def _get(self, cls: type, name: str, labels: Dict[str, object], **kwargs):
-        spelled = (name, *labels.items())
-        metric = self._index.get(spelled)
-        if metric.__class__ is cls:
-            return metric
+        """The slow path: a first lookup of this spelling, or a clash."""
         seen = self._types.get(name)
         if seen is not None and seen is not cls:
             raise ValueError(
@@ -187,14 +207,18 @@ class MetricsRegistry:
             metric = cls(name, labels=key[1], **kwargs)
             self._metrics[key] = metric
             self._types[name] = cls
-        self._index[spelled] = metric
+        self._index[(name, *labels.items())] = metric
         return metric
 
+    # A repeat lookup is one hit on the index, checked inline.
+
     def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
+        m = self._index.get((name, *labels.items()))
+        return m if m.__class__ is Counter else self._get(Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
+        m = self._index.get((name, *labels.items()))
+        return m if m.__class__ is Gauge else self._get(Gauge, name, labels)
 
     def histogram(
         self,
@@ -202,8 +226,11 @@ class MetricsRegistry:
         buckets: Optional[Iterable[float]] = None,
         **labels,
     ) -> Histogram:
+        metric = self._index.get((name, *labels.items()))
+        if metric.__class__ is Histogram and buckets is None:
+            return metric
         seen = self._buckets.get(name)
-        bounds = seen or DEFAULT_LATENCY_BUCKETS  # hot path: not re-examined
+        bounds = seen or DEFAULT_LATENCY_BUCKETS
         if buckets is not None:
             bounds = tuple(float(b) for b in buckets)
             if seen is not None and seen != bounds:

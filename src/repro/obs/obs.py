@@ -15,10 +15,10 @@ their own clocks to the observability layer — one run, one time base.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.obs.export import prometheus_text, spans_to_jsonl
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
 __all__ = ["Observability"]
@@ -36,35 +36,16 @@ class Observability:
         clock: Optional[Callable[[], float]] = None,
         retain_spans: Optional[int] = None,
     ):
-        self._clock = clock or (lambda: 0.0)
+        self.now = clock or (lambda: 0.0)
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(self._clock, retain=retain_spans)
-
-    def now(self) -> float:
-        return self._clock()
-
-    # -- metrics shorthand --------------------------------------------------------
-
-    def counter(self, name: str, **labels) -> Counter:
-        return self.metrics.counter(name, **labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self.metrics.gauge(name, **labels)
-
-    def histogram(
-        self, name: str, buckets: Optional[Iterable[float]] = None, **labels
-    ) -> Histogram:
-        return self.metrics.histogram(name, buckets=buckets, **labels)
-
-    # -- tracing shorthand --------------------------------------------------------
-
-    def span(self, name: str, parent: Optional[Span] = None, **tags):
-        """Context-manager span (sync call chains)."""
-        return self.tracer.span(name, parent=parent, **tags)
-
-    def start(self, name: str, parent: Optional[Span] = None, **tags) -> Span:
-        """Manual span (callback chains); caller must ``end()`` it."""
-        return self.tracer.start(name, parent=parent, **tags)
+        self.tracer = Tracer(self.now, retain=retain_spans)
+        # The shorthand is the clock and the registry's and the tracer's
+        # own bound methods, so a site's lookup is one call, not two.
+        self.counter = self.metrics.counter
+        self.gauge = self.metrics.gauge
+        self.histogram = self.metrics.histogram
+        self.span = self.tracer.span  # context manager (sync call chains)
+        self.start = self.tracer.start  # manual span; the caller ``end()``s it
 
     @property
     def spans(self) -> List[Span]:

@@ -75,7 +75,8 @@ class Span:
         if self._tracer is None:
             raise ValueError("span is detached from its tracer")
         if self.ended_at is None:
-            self.tags.update(tags)
+            if tags:
+                self.tags.update(tags)
             self._tracer._finish(self)
         return self
 
@@ -146,8 +147,8 @@ class Tracer:
         manual spans opened inside a ``with tracer.span(...)`` block
         still join that trace.
         """
-        if parent is None:
-            parent = self.current()
+        if parent is None and self._stack:
+            parent = self._stack[-1]  # what current() returns, peeked inline
         if parent is None:
             trace_id = self._next_trace_id
             self._next_trace_id += 1

@@ -16,6 +16,8 @@ Protocol per side:
 3. one extra call under ``tracemalloc`` for the allocation peak —
    separate, because tracing skews timing by an order of magnitude.
 
+A paired case's two sides run steps 1-2 interleaved, call by call.
+
 Wall-clock access is confined to :mod:`repro.perf.timing`.
 """
 
@@ -78,25 +80,30 @@ class BenchCase:
     min_speedup: float = 1.0
 
 
-def _measure(
-    fn: Callable[[Any], Any],
-    state: Any,
-    ops: int,
-    warmup: int,
-    repeats: int,
-    slowdown_ns: int = 0,
-) -> tuple[Dict[str, float], Any]:
-    """Time ``fn(state)`` and return (timing dict, last result)."""
-    result: Any = None
-    for _ in range(warmup):
-        result = fn(state)
-    samples_ns: List[int] = []
-    for _ in range(repeats):
-        started = monotonic_ns()
-        result = fn(state)
-        if slowdown_ns:
-            busy_wait_ns(slowdown_ns)
-        samples_ns.append(monotonic_ns() - started)
+def _time(fns: List[Callable[[Any], Any]], state: Any, rounds: int, warmup: int,
+          slowdown_ns: int) -> tuple[List[List[int]], List[Any]]:
+    """Per-call nanoseconds of each of ``fns`` after ``warmup``; each one's last result.
+
+    One call of each per round, in an order that flips every round, so a
+    host stall lands on both sides of a paired case.  ``slowdown_ns`` is
+    busy-waited inside every timed call of ``fns[0]`` only.
+    """
+    sides = list(range(len(fns)))
+    samples: List[List[int]] = [[] for _ in fns]
+    results: List[Any] = [None] * len(fns)
+    for round_ in range(rounds):
+        for side in sides if round_ % 2 == 0 else sides[::-1]:
+            started = monotonic_ns()
+            results[side] = fns[side](state)
+            if round_ >= warmup:
+                busy_wait_ns(slowdown_ns if side == 0 else 0)
+                samples[side].append(monotonic_ns() - started)
+    return samples, results
+
+
+def _timing(fn: Callable[[Any], Any], state: Any, ops: int,
+            samples_ns: List[int]) -> Dict[str, float]:
+    """One side's timing from its samples, plus a call for its allocation peak."""
     samples = np.array(samples_ns, dtype=np.float64)
     median_call_ns = float(np.percentile(samples, 50))
     per_op = samples / float(max(ops, 1))
@@ -104,14 +111,13 @@ def _measure(
     fn(state)
     _, alloc_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    timing = {
+    return {
         "ops_per_sec": float(max(ops, 1)) / (median_call_ns / 1e9),
         "p50_ns_per_op": float(np.percentile(per_op, 50)),
         "p99_ns_per_op": float(np.percentile(per_op, 99)),
         "median_call_ms": median_call_ns / 1e6,
         "alloc_peak_bytes": int(alloc_peak),
     }
-    return timing, result
 
 
 def run_case(
@@ -133,10 +139,10 @@ def run_case(
     ops = int(case.ops(state))
     if ops < 1:
         raise PerfError(f"case {case.name!r} reports {ops} ops")
-    fast_timing, fast_result = _measure(
-        case.fast, state, ops, warmup, repeats, slowdown_ns=slowdown_ns
-    )
-    digest = case.checksum(state, fast_result)
+    fns = [case.fast] if case.baseline is None else [case.fast, case.baseline]
+    samples, results = _time(fns, state, warmup + repeats, warmup, slowdown_ns)
+    fast_timing = _timing(case.fast, state, ops, samples[0])
+    digest = case.checksum(state, results[0])
     entry: Dict[str, Any] = {
         "kind": "paired" if case.baseline is not None else "single",
         "description": case.description,
@@ -146,19 +152,15 @@ def run_case(
         "timing": {"fast": fast_timing},
     }
     if case.baseline is not None:
-        base_timing, base_result = _measure(
-            case.baseline, state, ops, warmup, repeats
-        )
-        base_digest = case.checksum(state, base_result)
+        base_digest = case.checksum(state, results[1])
         if base_digest != digest:
             raise PerfError(
                 f"case {case.name!r}: fast path and scalar oracle disagree "
                 f"(fast {digest[:16]}, oracle {base_digest[:16]})"
             )
+        base_timing = _timing(case.baseline, state, ops, samples[1])
         entry["timing"]["baseline"] = base_timing
-        entry["timing"]["speedup"] = (
-            fast_timing["ops_per_sec"] / base_timing["ops_per_sec"]
-        )
+        entry["timing"]["speedup"] = fast_timing["ops_per_sec"] / base_timing["ops_per_sec"]
     return entry
 
 

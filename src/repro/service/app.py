@@ -28,6 +28,7 @@ import asyncio
 import json
 import math
 import re
+from itertools import compress, repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.assembly import KEY_BITS
@@ -36,6 +37,7 @@ from repro.cluster.shard import CLAIM_COLLISION
 from repro.core.identifiers import IdentifierError, PhotoIdentifier, string_prefix
 from repro.crypto.signatures import KeyPair
 from repro.crypto.hashing import sha256_hex
+from repro.obs.metrics import Handles
 from repro.resilience.policy import Deadline
 from repro.service.cluster import LiveCluster
 from repro.service.errors import ERROR_STATUS, ApiError, error_envelope
@@ -51,6 +53,8 @@ __all__ = ["ServiceApp", "ServiceServer"]
 DEADLINE_HEADER = "x-deadline-ms"
 MAX_BATCH_IDS = 1024
 MAX_DELTA_PAGE = 1000
+Params = Dict[str, str]  # a route's path parameters
+Reply = Tuple[int, Any, Dict[str, str]]  # status, body, extra headers
 
 
 class ServiceApp:
@@ -58,6 +62,10 @@ class ServiceApp:
 
     def __init__(self, cluster: LiveCluster, obs=None):
         self.obs = obs
+        if obs is not None:  # every request's metrics, each looked up once
+            self._requests = Handles(obs.counter, "service_requests_total", "route")
+            self._responses = Handles(obs.counter, "service_responses_total", "code")
+            self.gauges, self.histograms = Handles(obs.gauge), Handles(obs.histogram)
         self.cluster = cluster
         self.frontend = self.cluster.frontend
         self._loop = asyncio.get_running_loop()
@@ -211,9 +219,7 @@ class ServiceApp:
 
     # -- handlers ----------------------------------------------------------------------
 
-    async def handle_claims(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_claims(self, request: HttpRequest, params: Params) -> Reply:
         payload = request.json()
         if not isinstance(payload, dict):
             raise ApiError("malformed", "body must be a JSON object")
@@ -250,9 +256,7 @@ class ServiceApp:
             "error": None,
         }, {}
 
-    async def handle_labels(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_labels(self, request: HttpRequest, params: Params) -> Reply:
         payload = request.json()
         if not isinstance(payload, dict):
             raise ApiError("malformed", "body must be a JSON object")
@@ -273,9 +277,7 @@ class ServiceApp:
             "error": None,
         }, {}
 
-    async def handle_revocations(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_revocations(self, request: HttpRequest, params: Params) -> Reply:
         payload = request.json()
         if not isinstance(payload, dict):
             raise ApiError("malformed", "body must be a JSON object")
@@ -327,16 +329,15 @@ class ServiceApp:
         )
         return answer
 
-    async def handle_status_one(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_status_one(self, request: HttpRequest, params: Params) -> Reply:
         identifier = self._parse_identifier(params["id"])
         answer = await self._status(identifier, self._deadline_from(request))
         return (*self._status_body(answer), {})
 
-    async def handle_status_batch(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_status_batch(self, request: HttpRequest, params: Params) -> Reply:
+        """A page view: ``probe_many`` answers the misses, rendered from the miss
+        template, and only hits go to ``status_many_async`` (with no verdicts,
+        every id: no batch filter, or an observer to tell of each id)."""
         payload = request.json()
         if not isinstance(payload, dict) or not isinstance(payload.get("ids"), list):
             raise ApiError("malformed", "body must be {'ids': [...]}")
@@ -346,24 +347,23 @@ class ServiceApp:
         if len(raw_ids) > MAX_BATCH_IDS:
             raise ApiError("too_large", f"at most {MAX_BATCH_IDS} ids per batch")
         serials, texts = self._parse_batch(raw_ids)
-        fragments: List[Optional[str]] = [None] * len(serials)
+        deadline = self._deadline_from(request)
+        verdicts = self.frontend.probe_many(serials)
+        hits = list(compress(range(len(serials)), verdicts or repeat(True)))
         head, tail = self._miss_template
-        for index, answer in await self._call(
-            self.frontend.status_many_async, serials,
-            deadline=self._deadline_from(request), proof=False,
-            calls=len(serials),
-        ):
-            fragments[index] = (
-                head + texts[index] + tail if answer.source == "filter"
-                else json.dumps(self._status_body(answer)[1])
-            )
+        fragments = [head + text + tail for text in texts]
+        if hits:
+            for index, answer in await self._call(
+                self.frontend.status_many_async, [serials[i] for i in hits],
+                use_filter=verdicts is None, deadline=deadline, proof=False,
+                calls=len(hits),
+            ):
+                fragments[hits[index]] = json.dumps(self._status_body(answer)[1])
         # json.dumps({"results": [...], "error": None}), byte for byte.
         body = '{"results": [' + ", ".join(fragments) + '], "error": null}'
         return 200, body.encode("utf-8"), {}
 
-    async def handle_bloom(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_bloom(self, request: HttpRequest, params: Params) -> Reply:
         # export_bloom scans every record to rebuild the filter — real
         # CPU work that must not run on the event loop (it would stall
         # every in-flight request; tests/service/test_async_safety.py
@@ -396,9 +396,7 @@ class ServiceApp:
         }
         return 200, data, headers
 
-    async def handle_deltas(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_deltas(self, request: HttpRequest, params: Params) -> Reply:
         raw = request.query.get("since", "0")
         try:
             since = int(raw)
@@ -419,9 +417,7 @@ class ServiceApp:
             "error": None,
         }, {}
 
-    async def handle_metrics(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_metrics(self, request: HttpRequest, params: Params) -> Reply:
         text = "# no observability attached\n"
         if self.obs is not None:
             text = self.obs.export_prometheus()
@@ -429,9 +425,7 @@ class ServiceApp:
             "content-type": "text/plain; version=0.0.4"
         }
 
-    async def handle_healthz(
-        self, request: HttpRequest, params: Dict[str, str]
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def handle_healthz(self, request: HttpRequest, params: Params) -> Reply:
         breakers = self.frontend.breakers
         open_targets = sorted(breakers.open_targets()) if breakers else []
         return 200, {
@@ -446,42 +440,36 @@ class ServiceApp:
 
     # -- dispatch ----------------------------------------------------------------------
 
-    def _envelope(self, exc: ApiError) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _envelope(self, exc: ApiError) -> Reply:
         """An :class:`ApiError` as a response, counted by kind."""
         if self.obs is not None:
             self.obs.counter("service_errors_total", kind=exc.kind).inc()
         return exc.status, error_envelope(exc.kind, exc.detail), {}
 
-    def _respond(
-        self, status: int, body: Any, headers: Dict[str, str]
-    ) -> Tuple[int, bytes, Dict[str, str]]:
+    def _respond(self, status: int, body: Any, headers: Dict[str, str]) -> Reply:
         """Encode a response body and count the response by code."""
         if isinstance(body, (dict, list)):
             body = json.dumps(body).encode("utf-8")
         if self.obs is not None:
-            self.obs.counter("service_responses_total", code=str(status)).inc()
+            self._responses[status].inc()
         return status, body, headers
 
-    def refuse(self, exc: ApiError) -> Tuple[int, bytes, Dict[str, str]]:
+    def refuse(self, exc: ApiError) -> Reply:
         """The response to a request the parser refused."""
         return self._respond(*self._envelope(exc))
 
-    async def dispatch(
-        self, request: HttpRequest
-    ) -> Tuple[int, bytes, Dict[str, str]]:
+    async def dispatch(self, request: HttpRequest) -> Reply:
         """Route + run one request, rendering envelopes for failures."""
         started = self.cluster.clock()
-        span = None
+        obs, span = self.obs, None
         self._inflight += 1
-        if self.obs is not None:
-            self.obs.gauge("service_inflight").set(self._inflight)
+        if obs is not None:
+            self.gauges["service_inflight"].set(self._inflight)
         try:
             route, params = match_route(request.method, request.path)
-            if self.obs is not None:
-                self.obs.counter(
-                    "service_requests_total", route=route.pattern
-                ).inc()
-                span = self.obs.start(
+            if obs is not None:
+                self._requests[route.pattern].inc()
+                span = obs.start(
                     "service.request", route=route.pattern, method=request.method
                 )
             handler = getattr(self, route.handler)
@@ -494,11 +482,11 @@ class ServiceApp:
             )
         finally:
             self._inflight -= 1
-            if self.obs is not None:
-                self.obs.gauge("service_inflight").set(self._inflight)
+            if obs is not None:
+                self.gauges["service_inflight"].set(self._inflight)
         status, raw, headers = self._respond(status, body, headers)
-        if self.obs is not None:
-            self.obs.histogram("service_request_latency_seconds").observe(
+        if obs is not None:
+            self.histograms["service_request_latency_seconds"].observe(
                 self.cluster.clock() - started
             )
             if span is not None:

@@ -1,11 +1,13 @@
 """``POST /status`` against a reference that parses and renders id by id.
 
 A page view's filter misses are parsed, answered and rendered as one
-batch (``ServiceApp._parse_batch`` and the miss template).  The
-reference is what the handler did before that: ``_parse_identifier`` per
-id, the first refusal in list order as the response, otherwise
-``json.dumps`` over one ``_status_body`` dict per answer.  Status code
-and body bytes must agree on every batch.
+batch (``ServiceApp._parse_batch``, ``ClusterFrontend.probe_many`` and
+the miss template), and only its hits are read.  The reference is what
+the handler did before that: ``_parse_identifier`` per id, the first
+refusal in list order as the response, otherwise ``json.dumps`` over one
+``_status_body`` dict per answer — a miss's answer built from the
+filter's own verdict on that id, a hit's from a ``status_async`` read of
+its own.  Status code and body bytes must agree on every batch.
 """
 
 import asyncio
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.frontend import ClusterFrontend
+import repro.cluster.frontend
+import repro.core.identifiers
+from repro.cluster.frontend import ClusterAnswer, ClusterFrontend
 from repro.core.identifiers import PhotoIdentifier
 from repro.service.app import ServiceApp
 from repro.service.cluster import LiveCluster
@@ -31,7 +35,7 @@ def _post(ids):
 
 
 class Rig:
-    """One app on one loop for every example, and the answers it received."""
+    """One app on one loop for every example."""
 
     def __init__(self):
         self.loop = asyncio.new_event_loop()
@@ -39,15 +43,29 @@ class Rig:
         self.population = self.app.cluster.seed_population(
             POPULATION, revoked_fraction=0.25
         )
-        self.answers = {}
         self.claimed = [i.serial for i in self.population.identifiers]
 
     async def _build(self):
         return ServiceApp(LiveCluster(4))
 
     def dispatch(self, ids):
-        self.answers = {}
         return self.loop.run_until_complete(self.app.dispatch(_post(ids)))
+
+    async def _answers(self, identifiers):
+        """A miss's answer from the filter's verdict; the hits' from their own
+        ``status_async`` reads, started in one tick as a view's hits are."""
+        app, answers, reads = self.app, {}, {}
+        for index, identifier in enumerate(identifiers):
+            if app.frontend.filterset.might_be_revoked(identifier.to_compact()):
+                reads[index] = app._call(
+                    app.frontend.status_async, identifier,
+                    use_filter=False, proof=False,
+                )
+            else:
+                answers[index] = ClusterAnswer(identifier.to_string(), False, "filter")
+        for index, read in reads.items():
+            [(answers[index],)] = await read
+        return [answers[index] for index in range(len(identifiers))]
 
     def reference(self, ids):
         """(status, body) as the handler rendered them id by id."""
@@ -56,8 +74,7 @@ class Rig:
             identifiers = [app._parse_identifier(raw) for raw in ids]
         except ApiError as exc:
             return exc.status, json.dumps(error_envelope(exc.kind, exc.detail)).encode()
-        answers = [self.answers[index] for index in range(len(ids))]
-        assert [a.identifier for a in answers] == [i.to_string() for i in identifiers]
+        answers = self.loop.run_until_complete(self._answers(identifiers))
         results = [app._status_body(answer)[1] for answer in answers]
         return 200, json.dumps({"results": results, "error": None}).encode()
 
@@ -65,19 +82,7 @@ class Rig:
 @pytest.fixture(scope="module")
 def rig():
     rig = Rig()
-    original = ClusterFrontend.status_many_async
-
-    def recorded(frontend, identifiers, callback, *args, **kwargs):
-        def record(index, answer):
-            rig.answers[index] = answer
-            callback(index, answer)
-
-        return original(frontend, identifiers, record, *args, **kwargs)
-
-    patch = pytest.MonkeyPatch()
-    patch.setattr(ClusterFrontend, "status_many_async", recorded)
     yield rig
-    patch.undo()
     rig.loop.close()
 
 
@@ -161,36 +166,65 @@ def test_every_kind_of_id_gives_its_reference_answer(rig):
 
 
 def test_a_page_view_renders_its_filter_hits_alone(monkeypatch):
-    """A count beside the clock: h hits cost h dicts, h dumps and no string parse."""
-    calls = {"dumps": 0, "from_string": 0, "status_body": 0}
-    real_dumps, real_from_string = json.dumps, PhotoIdentifier.from_string
-    real_status_body = ServiceApp._status_body
+    """A count beside the clock: h hits cost h answers, h callbacks, h dicts,
+    h dumps and no string parse; a view with no hits never enters the read path."""
+    calls = dict.fromkeys(
+        ("dumps", "from_string", "status_body", "answers", "identifier_string",
+         "status_many", "callbacks"), 0
+    )
 
-    def dumps(*args, **kwargs):
-        calls["dumps"] += 1
-        return real_dumps(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    def from_string(value):
-        calls["from_string"] += 1
-        return real_from_string(value)
+    def status_many_async(frontend, serials, callback, *args, **kwargs):
+        calls["status_many"] += 1
+        return real_status_many(
+            frontend, serials, counted("callbacks", callback), *args, **kwargs
+        )
 
-    def status_body(self, answer):
-        calls["status_body"] += 1
-        return real_status_body(self, answer)
+    real_status_many = ClusterFrontend.status_many_async
+    patches = [
+        (json, "dumps", counted("dumps", json.dumps)),
+        (PhotoIdentifier, "from_string",
+         staticmethod(counted("from_string", PhotoIdentifier.from_string))),
+        (ServiceApp, "_status_body", counted("status_body", ServiceApp._status_body)),
+        (ClusterAnswer, "__init__", counted("answers", ClusterAnswer.__init__)),
+        (ClusterFrontend, "status_many_async", status_many_async),
+        *[
+            (module, "identifier_string",
+             counted("identifier_string", module.identifier_string))
+            for module in (repro.core.identifiers, repro.cluster.frontend)
+        ],
+    ]
 
     async def inner():
         app = ServiceApp(LiveCluster(4))
         population = app.cluster.seed_population(64, revoked_fraction=0.1)
-        request = _post([identifier.to_string() for identifier in population.identifiers])
-        monkeypatch.setattr(json, "dumps", dumps)
-        monkeypatch.setattr(PhotoIdentifier, "from_string", staticmethod(from_string))
-        monkeypatch.setattr(ServiceApp, "_status_body", status_body)
-        status, body, _ = await app.dispatch(request)
+        misses = [
+            identifier.to_string() for identifier in population.identifiers
+            if not app.frontend.filterset.might_be_revoked(identifier.to_compact())
+        ]
+        view = _post([identifier.to_string() for identifier in population.identifiers])
+        no_hit_view = _post(misses)
+        for target, name, value in patches:
+            monkeypatch.setattr(target, name, value)
+        status, body, _ = await app.dispatch(view)
+        counts = dict(calls)
+        no_hits = await app.dispatch(no_hit_view)
         monkeypatch.undo()
-        return status, json.loads(body)["results"]
+        return status, json.loads(body)["results"], counts, no_hits, len(misses)
 
-    status, results = asyncio.run(inner())
+    status, results, counts, no_hits, misses = asyncio.run(inner())
     assert status == 200 and len(results) == 64
     hits = sum(result["source"] != "filter" for result in results)
-    assert 2 <= hits < 16
-    assert calls == {"dumps": hits, "from_string": 0, "status_body": hits}
+    assert 2 <= hits < 16 and hits + misses == 64
+    assert counts == {
+        "dumps": hits, "from_string": 0, "status_body": hits, "answers": hits,
+        "identifier_string": hits,  # each hit's answer names its id; no miss does
+        "status_many": 1, "callbacks": hits,
+    }
+    assert no_hits[0] == 200 and len(json.loads(no_hits[1])["results"]) == misses
+    assert calls == counts  # the no-hit view built nothing and read nothing

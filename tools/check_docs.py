@@ -14,7 +14,8 @@ Seven checks, all exact:
 2. **Metric drift** — the union of metric names documented in
    ``docs/observability.md`` must equal the union of names emitted in
    ``src/`` (``obs.counter("...")`` / ``gauge`` / ``histogram`` /
-   ``read.note("...")`` call sites). Either direction of drift fails:
+   ``read.note("...")`` call sites and bound ``Handles``). Either
+   direction of drift fails:
    an undocumented metric is invisible to operators, a
    documented-but-gone metric is a lie.
 3. **Lint-rule drift** — the union of rule ids documented in
@@ -69,8 +70,12 @@ LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
 
 #: An emission site: ``.counter("name"`` etc. on an obs/registry object,
 #: or ``.note("name"`` — an operation object's count-it-everywhere
-#: method (``repro.cluster.reads``), which takes the counter's name first.
-EMIT_RE = re.compile(r"\.(?:counter|gauge|histogram|note)\(\s*\"([a-z_]+)\"")
+#: method (``repro.cluster.reads``), which takes the counter's name first
+#: — or a bound handle: ``Handles(obs.counter, "name", label)`` or
+#: ``.counters["name"]`` (``.gauges[``, ``.histograms[``).
+EMIT_RE = re.compile(
+    r"\.(?:counter|gauge|histogram|note)(?:\(|, |s\[)\s*\"([a-z_]+)\""
+)
 
 #: A documented metric: a backticked name in a table row, e.g.
 #: ``| `frontend_queries_total` | counter | ...`` (labels stripped).
