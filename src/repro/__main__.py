@@ -553,14 +553,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.service.cli import add_serve_arguments, run_serve as run
 
         add_serve_arguments(serve_parser)
-    loadgen_parser = subparsers.add_parser(
-        "loadgen",
-        help="seeded open-loop load against the service; gates on invariants",
-    )
-    if named == "loadgen":
-        from repro.service.cli import add_loadgen_arguments, run_loadgen_cli as run
-
-        add_loadgen_arguments(loadgen_parser)
     args = parser.parse_args(argv)
     if run is not None:
         return run(args)

@@ -231,6 +231,11 @@ class ServiceApp:
                     "malformed", "body needs 'content_hash' or 'content'"
                 )
             content_hash = sha256_hex(content.encode("utf-8"))
+        initially_revoked = payload.get("initially_revoked", False)
+        custodial = payload.get("custodial", True)
+        for name, flag in (("initially_revoked", initially_revoked), ("custodial", custodial)):
+            if not isinstance(flag, bool):
+                raise ApiError("malformed", f"'{name}' must be true or false, got {flag!r}")
         deadline = self._deadline_from(request)
         signature = self.owner_keypair.sign(content_hash.encode("utf-8"))
         [(identifier, error)] = await self._bounded(
@@ -239,8 +244,8 @@ class ServiceApp:
                 content_hash,
                 signature,
                 self.owner_keypair.public,
-                initially_revoked=bool(payload.get("initially_revoked", False)),
-                custodial=bool(payload.get("custodial", True)),
+                initially_revoked=initially_revoked,
+                custodial=custodial,
             ),
             deadline,
         )
@@ -252,7 +257,7 @@ class ServiceApp:
         return 201, {
             "id": identifier.to_string(),
             "content_hash": content_hash,
-            "custodial": bool(payload.get("custodial", True)),
+            "custodial": custodial,
             "error": None,
         }, {}
 

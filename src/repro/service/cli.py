@@ -1,9 +1,8 @@
-"""``python -m repro serve`` / ``python -m repro loadgen``.
+"""``python -m repro serve``: the cluster + HTTP server, until interrupted.
 
-``serve`` stands the cluster + HTTP server up and runs until
-interrupted.  ``loadgen`` drives a seeded open-loop burst against a
-running server, checks the invariants and exits non-zero on any
-violation; a serving process never imports it.
+What a client may expect of each reply is held by the reference model
+in ``tests/service/model.py``, which tier-1's state machine and bench
+E21 drive; none of that client code lives in ``src/``.
 """
 
 from __future__ import annotations
@@ -16,12 +15,7 @@ import asyncio
 # all grows the heap with every request served.
 SERVED_SPAN_RING = 4096
 
-__all__ = [
-    "add_serve_arguments",
-    "add_loadgen_arguments",
-    "run_serve",
-    "run_loadgen_cli",
-]
+__all__ = ["add_serve_arguments", "run_serve"]
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -62,39 +56,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strict", action="store_true",
         help="disable degraded Bloom reads: quorum-dark answers become 503",
-    )
-
-
-def add_loadgen_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="server address (default 127.0.0.1)"
-    )
-    parser.add_argument(
-        "--port", type=int, default=8080, help="server port (default 8080)"
-    )
-    parser.add_argument(
-        "--rate", type=float, default=100.0,
-        help="open-loop arrival rate in req/s (default 100)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=5.0,
-        help="seconds of scheduled arrivals (default 5)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed; same seed, same schedule (default 0)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=250.0,
-        help="X-Deadline-Ms on status reads (default 250, §4.4)",
-    )
-    parser.add_argument(
-        "--warmup-claims", type=int, default=32,
-        help="identifiers claimed before the measured window (default 32)",
-    )
-    parser.add_argument(
-        "--connections", type=int, default=32,
-        help="keep-alive connection pool size (default 32)",
     )
 
 
@@ -151,38 +112,4 @@ def run_serve(args: argparse.Namespace) -> int:
         asyncio.run(_main())
     except KeyboardInterrupt:
         print("\nshutting down")
-    return 0
-
-
-def run_loadgen_cli(args: argparse.Namespace) -> int:
-    if args.rate <= 0 or args.duration <= 0:
-        raise SystemExit(
-            "python -m repro loadgen: --rate and --duration must be positive"
-        )
-
-    from repro.service.loadgen import LoadgenConfig, run_loadgen
-
-    config = LoadgenConfig(
-        host=args.host, port=args.port, rate=args.rate,
-        duration=args.duration, seed=args.seed,
-        deadline_ms=args.deadline_ms,
-        warmup_claims=args.warmup_claims, connections=args.connections,
-    )
-    report = asyncio.run(run_loadgen(config))
-    print(report.table().render())
-    kinds = report.kind_counts()
-    if kinds:
-        print(f"  error kinds: {kinds}")
-    print(
-        f"  answered: {report.answered_fraction():.1%} of "
-        f"{len(report.samples)} requests; "
-        f"{len(report.revoked_ids)} revocations acked"
-    )
-    if report.violations:
-        print(f"  invariants: {len(report.violations)} violation(s)")
-        for violation in report.violations:
-            print(f"    {violation}")
-        return 1
-    print("  invariants: OK — envelopes documented, no fail-open, "
-          "no lost claims")
     return 0

@@ -7,7 +7,8 @@ Every non-authoritative answer the API gives carries the same shape:
     {"error": {"kind": "deadline", "status": 504, "detail": "..."}}
 
 ``kind`` is the machine-readable contract — clients branch on it, the
-loadgen's invariant checker asserts it, and ``docs/api.md`` tables it.
+tests' reference model (``tests/service/model.py``) checks every reply
+against it, and ``docs/api.md`` tables it.
 The mapping below is the single source of truth; the doc table is held
 equal to it by ``tests/service/test_error_envelope.py``.
 

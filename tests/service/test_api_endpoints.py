@@ -7,6 +7,7 @@ import json
 from repro.cluster import ClusterConfig
 from repro.filters.bloom import BloomFilter
 from tests.service.conftest import serve
+from tests.service.model import LABEL_KEYS, STATUS_KEYS, error_kind
 
 
 def test_claim_status_label_revoke_flow():
@@ -264,8 +265,7 @@ def test_deadline_header_validation():
                     "GET", "/status/irs1:irs1:42",
                     headers={"X-Deadline-Ms": value},
                 )
-                assert r.status == 400
-                assert r.json()["error"]["kind"] == "malformed"
+                assert (r.status, error_kind(r)) == (400, "malformed")
 
     asyncio.run(inner())
 
@@ -283,12 +283,6 @@ def test_keep_alive_reuses_one_connection():
 
 
 # -- verdict reads: the service signs nothing it does not serve ------------------
-
-STATUS_KEYS = [
-    "id", "revoked", "source", "state", "epoch", "answered_by", "degraded",
-    "error",
-]
-LABEL_KEYS = ["id", "metadata", "watermark_hex", "revoked", "error"]
 
 
 def _assert_authoritative(env, identifier, body):

@@ -6,7 +6,6 @@ injects a fault.  Importing what ``run_serve`` imports — and building
 the app it builds — must therefore leave ``scipy``, ``repro.media`` and
 the simulator-only packages unloaded: they were a third of a fresh
 node's resident memory and of its time from spawn to listening.  The
-load generator is a client and stays unloaded too.  The
 check runs in a subprocess because this test session has long since
 imported all of them.
 """
@@ -41,7 +40,6 @@ UNWANTED = (
     "repro.chaos",
     "repro.perf",
     "repro.analysis",
-    "repro.service.loadgen",
 )
 
 

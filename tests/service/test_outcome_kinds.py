@@ -15,10 +15,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.core.identifiers import PhotoIdentifier
 from tests.service.conftest import serve
-
-
-def _kind(response):
-    return response.status, response.json()["error"]["kind"]
+from tests.service.model import error_kind
 
 
 def test_labels_are_handed_out_only_on_an_authoritative_read():
@@ -32,7 +29,7 @@ def test_labels_are_handed_out_only_on_an_authoritative_read():
             r = await env.client.request(
                 "POST", "/labels", {"id": "irs1:irs1:12345"}
             )
-            assert _kind(r) == (203, "degraded")
+            assert (r.status, error_kind(r)) == (203, "degraded")
             body = r.json()
             assert body["source"] == "degraded"
             assert "metadata" not in body and "watermark_hex" not in body
@@ -57,7 +54,7 @@ def test_a_revocation_whose_followers_lost_the_record_is_unavailable():
             r = await env.client.request(
                 "POST", "/revocations", {"id": claimed}
             )
-            assert _kind(r) == (503, "unavailable")
+            assert (r.status, error_kind(r)) == (503, "unavailable")
             record = env.cluster.shards[coordinator].ledger.store.get(serial)
             assert record.is_revoked  # the flip itself landed
 
@@ -74,7 +71,7 @@ def test_a_claim_collision_is_malformed(monkeypatch):
             r = await env.client.request("POST", "/claims", {"content": "a"})
             assert r.status == 201 and r.json()["id"] == "irs1:irs1:42"
             r = await env.client.request("POST", "/claims", {"content": "b"})
-            assert _kind(r) == (400, "malformed")
+            assert (r.status, error_kind(r)) == (400, "malformed")
 
     asyncio.run(inner())
 
