@@ -4,11 +4,10 @@ Section 2 extends the IRS design to "other digital media (such as
 personal videos)".  :class:`VideoOwnerToolkit` mirrors
 :class:`repro.core.owner.OwnerToolkit` for :class:`repro.media.video.Video`:
 
-* **claim** — the ledger records the hash over all frames;
+* **claim, revoke/unrevoke** — :class:`~repro.core.owner.MediaOwner`'s:
+  the hash covers all frames, and the ledger does not care what it covers;
 * **label** — metadata on the container plus the identifier
   watermarked into every frame (clip-resistant);
-* **revoke/unrevoke** — identical challenge-response protocol (the
-  ledger does not care what media type a claim covers);
 * **appeals** — the copy-vs-original comparison uses per-frame robust
   hashes with a coverage threshold
   (:func:`repro.media.video.video_match_coverage`), so clipped and
@@ -24,15 +23,14 @@ import numpy as np
 
 from repro.core.errors import ClaimError
 from repro.core.identifiers import IdentifierError, PhotoIdentifier
-from repro.core.owner import ClaimReceipt
-from repro.crypto.signatures import KeyPair
+from repro.core.owner import ClaimReceipt, MediaOwner
 from repro.ledger.ledger import Ledger
 from repro.media.video import Video, VideoWatermarkCodec, video_match_coverage
 
 __all__ = ["VideoOwnerToolkit", "VideoAppealJudgement", "judge_video_appeal"]
 
 
-class VideoOwnerToolkit:
+class VideoOwnerToolkit(MediaOwner):
     """Camera-side video operations."""
 
     def __init__(
@@ -41,32 +39,8 @@ class VideoOwnerToolkit:
         key_bits: int = 512,
         video_codec: Optional[VideoWatermarkCodec] = None,
     ):
-        self._rng = rng or np.random.default_rng(0)
-        self._key_bits = int(key_bits)
+        super().__init__(rng, key_bits)
         self.video_codec = video_codec or VideoWatermarkCodec()
-
-    def claim(
-        self,
-        video: Video,
-        ledger: Ledger,
-        initially_revoked: bool = False,
-    ) -> ClaimReceipt:
-        """Claim a video: the content hash covers every frame."""
-        keypair = KeyPair.generate(bits=self._key_bits, rng=self._rng)
-        content_hash = video.content_hash()
-        signature = keypair.sign(content_hash.encode("utf-8"))
-        record = ledger.claim(
-            content_hash=content_hash,
-            content_signature=signature,
-            public_key=keypair.public,
-            initially_revoked=initially_revoked,
-        )
-        return ClaimReceipt(
-            identifier=record.identifier,
-            keypair=keypair,
-            content_hash=content_hash,
-            timestamp=record.timestamp,
-        )
 
     def label(self, video: Video, receipt: ClaimReceipt) -> Video:
         """Metadata + per-frame watermark carrying the identifier."""
@@ -78,32 +52,6 @@ class VideoOwnerToolkit:
         labeled = self.video_codec.embed(video, compact)
         labeled.metadata.irs_identifier = receipt.identifier.to_string()
         return labeled
-
-    def claim_and_label(
-        self, video: Video, ledger: Ledger, initially_revoked: bool = False
-    ) -> tuple[ClaimReceipt, Video]:
-        receipt = self.claim(video, ledger, initially_revoked=initially_revoked)
-        return receipt, self.label(video, receipt)
-
-    def revoke(self, receipt: ClaimReceipt, ledger: Ledger) -> None:
-        self._flip(receipt, ledger, "revoke")
-
-    def unrevoke(self, receipt: ClaimReceipt, ledger: Ledger) -> None:
-        self._flip(receipt, ledger, "unrevoke")
-
-    def _flip(self, receipt: ClaimReceipt, ledger: Ledger, action: str) -> None:
-        if receipt.identifier.ledger_id != ledger.ledger_id:
-            raise ClaimError(
-                f"receipt is for ledger {receipt.identifier.ledger_id!r}, "
-                f"not {ledger.ledger_id!r}"
-            )
-        nonce = ledger.make_challenge(receipt.identifier)
-        payload = Ledger.ownership_payload(action, receipt.identifier, nonce)
-        signature = receipt.keypair.sign_struct(payload)
-        if action == "revoke":
-            ledger.revoke(receipt.identifier, nonce, signature)
-        else:
-            ledger.unrevoke(receipt.identifier, nonce, signature)
 
     def identify(self, video: Video, registry=None) -> Optional[PhotoIdentifier]:
         """Recover a video's identifier from metadata or watermark."""

@@ -10,9 +10,10 @@ primitives to deterministic bytes, independent of dict insertion order.
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import Any, List
 
 __all__ = [
+    "PackedDigests",
     "sha256_bytes",
     "sha256_hex",
     "sha256_int",
@@ -46,6 +47,32 @@ def hmac_sha256(key: bytes, data: bytes) -> bytes:
     import hmac
 
     return hmac.new(key, data, hashlib.sha256).digest()
+
+
+class PackedDigests:
+    """Equal-width digests in one ``bytearray``: a long-lived log of
+    hashes costs ``width`` bytes an entry, not a ``bytes`` object each."""
+
+    __slots__ = ("width", "_data")
+
+    def __init__(self, width: int):
+        self.width, self._data = int(width), bytearray()
+
+    def __len__(self) -> int:
+        return len(self._data) // self.width
+
+    def __getitem__(self, index: int) -> bytes:
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        return bytes(self._data[index * self.width : (index + 1) * self.width])
+
+    def append(self, digest: bytes) -> None:
+        self._data += digest
+
+    def prefix(self, count: int) -> List[bytes]:
+        """The first ``count`` digests, as a list."""
+        data, width = bytes(self._data[: count * self.width]), self.width
+        return [data[i : i + width] for i in range(0, len(data), width)]
 
 
 def canonical_encode(value: Any) -> bytes:

@@ -25,7 +25,7 @@ from repro.crypto.hashing import canonical_encode, sha256_int
 __all__ = ["KeyPair", "PublicKey", "Signature"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A detached signature over a SHA-256 digest.
 
@@ -49,7 +49,7 @@ class Signature:
         return Signature(value=data["value"], signer_fingerprint=data["signer"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicKey:
     """Verification half of a key pair."""
 

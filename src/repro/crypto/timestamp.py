@@ -25,7 +25,7 @@ class TimestampError(Exception):
     """Raised on invalid timestamp tokens."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimestampToken:
     """A signed statement that ``digest`` existed at ``time``.
 

@@ -13,41 +13,8 @@ A ledger supports the four IRS operations on its side of the wire:
   fraudulently re-claimed copies (sections 3.2 and 5), a Merkle
   transparency log, and owner-side honesty probes (section 5).
 
-:mod:`repro.ledger.appeals` compares photos and so imports the image
-stack; import it by name — a serving node never loads it from here.
+The package root imports nothing: a module that needs one of these
+imports it by name, so a serving node loads only what it runs (never,
+for one, :mod:`repro.ledger.appeals`, which compares photos and so
+imports the image stack).
 """
-
-from repro.ledger.records import ClaimRecord, RevocationState
-from repro.ledger.storage import LedgerStore
-from repro.ledger.events import EventLog, LedgerEvent, EventLogError
-from repro.ledger.durable import DurableStore
-from repro.ledger.recovery import RecoveryReport, recover_store
-from repro.ledger.ledger import Ledger, LedgerConfig
-from repro.ledger.registry import LedgerRegistry
-from repro.ledger.proofs import StatusProof
-from repro.ledger.export import FilterExporter, FilterSnapshot, coordinated_exporters
-from repro.ledger.economics import ServingCostModel, BootstrapScale
-from repro.ledger.probes import HonestyProber, ProbeReport
-
-__all__ = [
-    "ClaimRecord",
-    "RevocationState",
-    "LedgerStore",
-    "EventLog",
-    "LedgerEvent",
-    "EventLogError",
-    "DurableStore",
-    "RecoveryReport",
-    "recover_store",
-    "Ledger",
-    "LedgerConfig",
-    "LedgerRegistry",
-    "StatusProof",
-    "FilterExporter",
-    "FilterSnapshot",
-    "coordinated_exporters",
-    "ServingCostModel",
-    "BootstrapScale",
-    "HonestyProber",
-    "ProbeReport",
-]

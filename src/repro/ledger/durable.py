@@ -5,12 +5,12 @@
 in-memory (the whole reproduction runs inside a deterministic
 simulation) but byte-faithful to how a real write-ahead log fails:
 
-* **Frames.**  Every event is one length-prefixed frame — a 4-byte
-  big-endian length, the event's chain hash, its sealed bytes exactly
-  as the chain hashed them (never re-encoded), and an 8-byte blake2b
-  tag over everything after the length.  A torn write leaves a frame
-  shorter than its header promises; a bit flip breaks the tag; both
-  are *detected*, not silently replayed.
+* **Frames.**  Every event is one :func:`~repro.ledger.events.encode_frame`
+  frame, as in an :class:`~repro.ledger.events.EventLog`'s own file: a
+  4-byte big-endian length, the chain hash, the sealed bytes exactly as
+  the chain hashed them, and an 8-byte blake2b tag over all but the
+  length.  A torn write leaves a frame shorter than its header promises
+  and a bit flip breaks the tag: both are *detected*, not replayed.
 * **Segments.**  Frames append to the current segment; a segment seals
   after ``segment_size`` events.  Each segment remembers the sequence
   number of its first event, so recovery can seek straight to the
@@ -30,48 +30,21 @@ checker can demand detection only for faults that exist.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.ledger.events import HASH_BYTES, LedgerEvent, canonical_json
+from repro.ledger.events import (
+    TAG_BYTES,
+    LedgerEvent,
+    canonical_json,
+    encode_frame,
+    frame_tag,
+    read_frame,
+)
 from repro.ledger.records import ClaimRecord
 
-__all__ = ["DurableStore", "Snapshot", "encode_frame", "read_frame", "snapshot_body"]
-
-#: blake2b tag length guarding each frame and snapshot body.
-_TAG_BYTES = 8
-_LEN_BYTES = 4
-
-
-def _tag(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=_TAG_BYTES).digest()
-
-
-def encode_frame(event: LedgerEvent) -> bytes:
-    """One WAL frame: length + chain hash + sealed bytes + blake2b tag."""
-    body = event.chain_hash + event.encoded
-    return len(body).to_bytes(_LEN_BYTES, "big") + body + _tag(body)
-
-
-def read_frame(
-    data: bytes, position: int
-) -> Tuple[Optional[int], Optional[bytes], Optional[bytes]]:
-    """The frame at ``position``: ``(end offset, chain hash, sealed bytes)``.
-
-    A torn frame (the data stops before it does) has no end; a frame
-    whose tag does not verify has no hash and no bytes.
-    """
-    body_start = position + _LEN_BYTES
-    body_end = body_start + int.from_bytes(data[position:body_start], "big")
-    end = body_end + _TAG_BYTES
-    if end > len(data):
-        return None, None, None
-    body = data[body_start:body_end]
-    if _tag(body) != data[body_end:end]:
-        return end, None, None
-    return end, body[:HASH_BYTES], body[HASH_BYTES:]
+__all__ = ["DurableStore", "Snapshot", "snapshot_body"]
 
 
 def snapshot_body(
@@ -101,7 +74,7 @@ class Snapshot:
 
     @property
     def valid(self) -> bool:
-        return _tag(self.body) == self.checksum
+        return frame_tag(self.body) == self.checksum
 
 
 @dataclass
@@ -149,7 +122,7 @@ class DurableStore:
             snapshot_body(records, next_serial, anchor_seq, anchor_hash)
         )
         self._snapshots.append(
-            Snapshot(anchor_seq=anchor_seq, body=body, checksum=_tag(body))
+            Snapshot(anchor_seq=anchor_seq, body=body, checksum=frame_tag(body))
         )
         if len(self._snapshots) > self.max_snapshots:
             del self._snapshots[: len(self._snapshots) - self.max_snapshots]
@@ -161,10 +134,6 @@ class DurableStore:
     def segments(self) -> List[bytes]:
         """Raw segment bytes, oldest first (read-only copies)."""
         return [bytes(segment.data) for segment in self._segments]
-
-    @property
-    def snapshots(self) -> List[Snapshot]:
-        return list(self._snapshots)
 
     def latest_valid_snapshot(self) -> Tuple[Optional[dict], List[str]]:
         """Newest checksum-valid snapshot body, plus detection evidence.
@@ -242,7 +211,7 @@ class DurableStore:
         """Cut the last frame short — a write interrupted mid-flush."""
         for segment in reversed(self._segments):
             if segment.data:
-                cut = min(len(segment.data) - 1, _TAG_BYTES + 1)
+                cut = min(len(segment.data) - 1, TAG_BYTES + 1)
                 del segment.data[len(segment.data) - cut :]
                 return True
         return False
@@ -273,13 +242,6 @@ class DurableStore:
         self._snapshots.clear()
         self.events_written = 0
         return lost
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"DurableStore(events={self.events_written}, "
-            f"segments={len(self._segments)}, "
-            f"snapshots={len(self._snapshots)})"
-        )
 
 
 def _count_frames(data: bytes) -> int:

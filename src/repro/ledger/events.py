@@ -21,34 +21,45 @@ Two event payload shapes exist:
 
 Payloads are JSON-able by construction (bytes are hex-encoded at the
 record layer).  An event is encoded once, at seal time, with
-:func:`canonical_json`; those bytes are what the chain hash covers,
-what the in-memory window keeps and what a durable frame stores — the
-history verified is byte for byte the history kept.
+:func:`canonical_json`; those bytes are what the chain hash covers and
+what a frame (:func:`encode_frame`) stores, both in the log's own file
+and in a durable WAL segment — the history verified is byte for byte
+the history kept.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+import weakref
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.crypto.hashing import PackedDigests
 from repro.ledger.records import ClaimRecord, RevocationState
 
 __all__ = [
     "GENESIS_HASH",
     "HASH_BYTES",
+    "TAG_BYTES",
     "EventLog",
     "EventLogError",
     "LedgerEvent",
     "canonical_json",
     "chain_hash",
+    "encode_frame",
     "event_from_bytes",
+    "frame_tag",
+    "read_frame",
     "replay",
     "verify_events",
 ]
 
 HASH_BYTES = 32  # length of a chain hash
+TAG_BYTES = 8  # blake2b tag guarding each frame and snapshot body
+_LEN_BYTES = 4
 
 #: The anchor every chain starts from (no predecessor to hash).
 GENESIS_HASH = hashlib.blake2b(
@@ -70,6 +81,36 @@ def canonical_json(value: dict) -> bytes:
     compact separators); raises on what JSON cannot carry."""
     compact = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return compact.encode("utf-8")
+
+
+def frame_tag(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=TAG_BYTES).digest()
+
+
+def encode_frame(event: "LedgerEvent") -> bytes:
+    """One frame: length + chain hash + sealed bytes + blake2b tag
+    (see :mod:`repro.ledger.durable` for what each part detects)."""
+    body = event.chain_hash + event.encoded
+    return len(body).to_bytes(_LEN_BYTES, "big") + body + frame_tag(body)
+
+
+def read_frame(
+    data: bytes, position: int
+) -> Tuple[Optional[int], Optional[bytes], Optional[bytes]]:
+    """The frame at ``position``: ``(end offset, chain hash, sealed bytes)``.
+
+    A torn frame (the data stops before it does) has no end; a frame
+    whose tag does not verify has no hash and no bytes.
+    """
+    body_start = position + _LEN_BYTES
+    body_end = body_start + int.from_bytes(data[position:body_start], "big")
+    end = body_end + TAG_BYTES
+    if end > len(data):
+        return None, None, None
+    body = data[body_start:body_end]
+    if frame_tag(body) != data[body_end:end]:
+        return end, None, None
+    return end, body[:HASH_BYTES], body[HASH_BYTES:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,11 +178,14 @@ def event_from_bytes(
 
 
 class EventLog:
-    """An append-only chain of :class:`LedgerEvent` values.
+    """An append-only chain of :class:`LedgerEvent` values, kept on file.
 
-    The log may be *resumed* from an anchor — a recovery installs the
-    verified head ``(seq, hash)`` and continues appending without
-    holding the whole history in memory (the durable store keeps it).
+    Each sealed event goes to an anonymous temporary file the log owns,
+    as one :func:`encode_frame` frame; RAM keeps only each frame's end
+    offset and each chain hash.  Nothing is fsynced: the file keeps the
+    history off the heap, it does not promise it survives the process.
+    A log may be *resumed* from a verified anchor ``(seq, hash)`` and
+    holds nothing before it (the durable store keeps that).
     """
 
     def __init__(
@@ -149,8 +193,10 @@ class EventLog:
     ):
         self._anchor_seq = int(anchor_seq)
         self._anchor_hash = anchor_hash
-        self._events: List[LedgerEvent] = []
-        self._head_seq = self._anchor_seq
+        self._file = tempfile.TemporaryFile()
+        weakref.finalize(self, self._file.close)
+        self._ends = array("Q")
+        self._hashes = PackedDigests(HASH_BYTES)
         self._head_hash = anchor_hash
 
     # -- appending ---------------------------------------------------------------
@@ -158,14 +204,16 @@ class EventLog:
     def append(
         self, kind: str, serial: int, time: float, payload: dict
     ) -> LedgerEvent:
-        """Seal one event onto the chain and return it.
+        """Seal one event onto the chain, write its frame, return it.
 
         The body is encoded here, once: a numpy float seals as the
         float it decodes back to, and a payload JSON cannot carry (raw
-        ``bytes``, a numpy integer) raises before anything is sealed.
+        ``bytes``, a numpy integer) raises before anything is sealed,
+        and so does a write that raises or comes up short (the next
+        append overwrites what it left).
         """
         header = {
-            "seq": self._head_seq + 1,
+            "seq": self.head_seq + 1,
             "kind": kind,
             "serial": int(serial),
             "time": float(time),
@@ -177,8 +225,16 @@ class EventLog:
             prev_hash=self._head_hash,
             chain_hash=chain_hash(self._head_hash, encoded),
         )
-        self._events.append(event)
-        self._head_seq = event.seq
+        frame = encode_frame(event)
+        start = self._ends[-1] if self._ends else 0
+        try:
+            if self._file.write(frame) != len(frame):
+                raise EventLogError(f"short write sealing seq {event.seq}")
+        except BaseException:
+            self._file.seek(start)
+            raise
+        self._ends.append(start + len(frame))
+        self._hashes.append(event.chain_hash)
         self._head_hash = event.chain_hash
         return event
 
@@ -186,7 +242,7 @@ class EventLog:
 
     @property
     def head_seq(self) -> int:
-        return self._head_seq
+        return self._anchor_seq + len(self._ends)
 
     @property
     def head_hash(self) -> bytes:
@@ -197,26 +253,49 @@ class EventLog:
         return self._anchor_seq
 
     @property
+    def chain_hashes(self) -> PackedDigests:
+        """Chain hash of every event since the anchor, in seal order."""
+        return self._hashes
+
+    @property
     def events(self) -> List[LedgerEvent]:
-        """Events appended since the anchor (the in-memory window)."""
-        return list(self._events)
+        """Events since the anchor, read back as :meth:`verify_chain` does."""
+        return self._read_back()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._ends)
 
     # -- verification -------------------------------------------------------------
 
     def verify_chain(self) -> bytes:
-        """Re-derive every hash in the window; returns the head hash.
+        """Re-derive every hash from the stored bytes; returns the head hash.
 
-        Raises :class:`EventLogError` at the first broken link — a
-        gapped sequence number, a mismatched predecessor hash, a chain
-        hash that does not re-derive from the sealed bytes, or header
-        fields that are not what those bytes decode to.
+        Raises :class:`EventLogError` at the first torn or corrupt frame,
+        sequence gap, or hash or header that does not re-derive from the
+        stored bytes, and if the stored chain is not the one sealed.
         """
-        return verify_events(
-            self._events, self._anchor_seq, self._anchor_hash
-        )
+        self._read_back()
+        return self._head_hash
+
+    def _read_back(self) -> List[LedgerEvent]:
+        end = self._ends[-1] if self._ends else 0
+        self._file.seek(0)
+        data = self._file.read(end)
+        self._file.seek(end)
+        events: List[LedgerEvent] = []
+        start, prev_hash = 0, self._anchor_hash
+        for stored_end, sealed in zip(self._ends, self._hashes.prefix(len(self))):
+            stop, stored_hash, encoded = read_frame(data, start)
+            where = f"stored frame of seq {self._anchor_seq + len(events) + 1}"
+            if stop != stored_end or stored_hash != sealed:
+                raise EventLogError(f"{where} is torn, corrupt or not the one sealed")
+            try:
+                events.append(event_from_bytes(encoded, prev_hash, stored_hash))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise EventLogError(f"{where} is no event") from exc
+            start, prev_hash = stop, stored_hash
+        verify_events(events, self._anchor_seq, self._anchor_hash)
+        return events
 
 
 def verify_events(

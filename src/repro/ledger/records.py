@@ -42,7 +42,7 @@ def claim_digest(content_hash: str, public_key: PublicKey) -> bytes:
     return hash_struct({"content_hash": content_hash, "public_key": public_key.to_dict()})
 
 
-@dataclass
+@dataclass(slots=True)
 class ClaimRecord:
     """One photo's entry in a ledger.
 

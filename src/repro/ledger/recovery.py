@@ -34,12 +34,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import hash_struct
-from repro.ledger.durable import DurableStore, read_frame
+from repro.ledger.durable import DurableStore
 from repro.ledger.events import (
     GENESIS_HASH,
     LedgerEvent,
     chain_hash,
     event_from_bytes,
+    read_frame,
     replay,
 )
 from repro.ledger.records import ClaimRecord

@@ -1,8 +1,8 @@
 """An event is sealed once: the bytes hashed are the bytes kept.
 
 ``EventLog.append`` encodes an event body a single time; the chain hash
-covers those bytes, the in-memory window holds them instead of a
-decoded tree, and a WAL frame stores them verbatim.  Recovery hashes
+covers those bytes, and both the log's own file and a WAL frame store
+them verbatim.  Recovery hashes
 what it finds on disk, so bytes that merely *parse* to the same event
 no longer pass.
 """
@@ -17,9 +17,14 @@ import pytest
 from repro.crypto import hashing
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.timestamp import TimestampAuthority
-from repro.ledger import durable
-from repro.ledger.durable import DurableStore, encode_frame
-from repro.ledger.events import EventLog, chain_hash
+from repro.ledger.durable import DurableStore
+from repro.ledger.events import (
+    EventLog,
+    chain_hash,
+    encode_frame,
+    frame_tag,
+    read_frame,
+)
 from repro.ledger.ledger import Ledger
 from repro.ledger.records import RevocationState
 from repro.ledger.recovery import recover_store
@@ -98,8 +103,8 @@ def test_frame_carries_the_sealed_bytes_verbatim(record):
     for event, (start, body, end) in zip(store.events.events, _frames(segment)):
         assert body == event.chain_hash + event.encoded
         assert segment[start:end] == encode_frame(event)
-        assert segment[end - 8 : end] == durable._tag(body)
-        assert durable.read_frame(segment, start) == (
+        assert segment[end - 8 : end] == frame_tag(body)
+        assert read_frame(segment, start) == (
             end, event.chain_hash, event.encoded,
         )
 
@@ -117,7 +122,7 @@ def test_respaced_frame_body_breaks_the_chain(record):
     assert respaced != encoded and json.loads(respaced) == json.loads(encoded)
     forged = stored_hash + respaced
     disk._segments[0].data[start:end] = (
-        len(forged).to_bytes(4, "big") + forged + durable._tag(forged)
+        len(forged).to_bytes(4, "big") + forged + frame_tag(forged)
     )
     report = recover_store(disk)
     assert report.evidence == ("chain_broken",)
@@ -157,8 +162,9 @@ def test_one_encode_per_sealed_and_framed_event(monkeypatch, record):
 
 
 def test_window_retains_bytes_not_trees(session_keypair):
-    """1,024 claim events cost their encoded bytes plus one small object
-    each (the decoded payload tree the log used to keep was ~2.8 kB)."""
+    """1,024 claim events keep no decoded payload tree (it used to cost
+    ~2.8 kB each) and, since the bytes went to the log's file, not even
+    their encoded bytes."""
     ledger = Ledger("seal-once", TimestampAuthority())
     payloads = []
     for index in range(1024):
