@@ -17,21 +17,3 @@ This package implements an IRS-supporting aggregator:
 * :mod:`repro.aggregator.aggregator` -- the site itself: hosting,
   serving, takedowns.
 """
-
-from repro.aggregator.aggregator import ContentAggregator, AggregatorConfig, HostedPhoto
-from repro.aggregator.uploads import UploadPipeline, UploadOutcome, UploadDecision
-from repro.aggregator.hashdb import RobustHashDatabase, HashMatch
-from repro.aggregator.recheck import PeriodicRechecker, RecheckReport
-
-__all__ = [
-    "ContentAggregator",
-    "AggregatorConfig",
-    "HostedPhoto",
-    "UploadPipeline",
-    "UploadOutcome",
-    "UploadDecision",
-    "RobustHashDatabase",
-    "HashMatch",
-    "PeriodicRechecker",
-    "RecheckReport",
-]

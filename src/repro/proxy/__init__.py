@@ -11,27 +11,3 @@ an :class:`~repro.proxy.proxy.IrsProxy`, which
 3. caches recent ledger answers with a TTL (bounded staleness is
    explicitly acceptable: Nongoal #4, no instantaneous revocation).
 """
-
-from repro.proxy.cache import TtlLruCache, CacheStats
-from repro.proxy.filterset import ProxyFilterSet, FilterSubscription
-from repro.proxy.proxy import IrsProxy, ProxyAnswer, ProxyStats
-from repro.proxy.anonymity import (
-    LedgerObservation,
-    ObservationLog,
-    anonymity_report,
-    AnonymityReport,
-)
-
-__all__ = [
-    "TtlLruCache",
-    "CacheStats",
-    "ProxyFilterSet",
-    "FilterSubscription",
-    "IrsProxy",
-    "ProxyAnswer",
-    "ProxyStats",
-    "LedgerObservation",
-    "ObservationLog",
-    "anonymity_report",
-    "AnonymityReport",
-]

@@ -20,4 +20,4 @@ def forge_history(store: LedgerStore, index: int) -> None:
     )
     for i, event in enumerate(sealed):
         time = event.time + 1.0 if i == index else event.time
-        store._seal(event.kind, event.serial, time, event.payload)
+        store._seal(event.kind, event.serial, time, event.payload, lambda: None)
