@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     chaos_parser.add_argument(
         "--storage", type=float, default=0.0,
         help="per-crash probability of restarting against a damaged disk "
-        "(torn WAL frame, corrupted segment, or corrupted snapshot; "
+        "(torn WAL frame, corrupted WAL byte, or corrupted snapshot; "
         "default 0)",
     )
     recover_parser = subparsers.add_parser(

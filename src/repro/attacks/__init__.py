@@ -10,31 +10,3 @@
 * :mod:`repro.attacks.censorship` -- coercion scenarios and the
   nonprofit non-revocable archive ledger defence.
 """
-
-from repro.attacks.attackers import (
-    NaiveAttacker,
-    SophisticatedAttacker,
-    AttackResult,
-)
-from repro.attacks.malicious_ledger import LyingLedger, StonewallingLedger
-from repro.attacks.reputation import LedgerMarket, LedgerReputation
-from repro.attacks.censorship import (
-    ArchiveLedger,
-    CoercionAttempt,
-    CoercionOutcome,
-    attempt_coerced_revocation,
-)
-
-__all__ = [
-    "NaiveAttacker",
-    "SophisticatedAttacker",
-    "AttackResult",
-    "LyingLedger",
-    "StonewallingLedger",
-    "LedgerMarket",
-    "LedgerReputation",
-    "ArchiveLedger",
-    "CoercionAttempt",
-    "CoercionOutcome",
-    "attempt_coerced_revocation",
-]

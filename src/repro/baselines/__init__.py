@@ -8,11 +8,3 @@ proactively tries to prevent such photos from being posted or viewed)."
 :mod:`repro.baselines.oblivion` implements that reactive model so the
 proactive-vs-reactive contrast can be measured (experiment E16).
 """
-
-from repro.baselines.oblivion import (
-    ReactiveTakedownSystem,
-    TakedownCampaign,
-    CampaignOutcome,
-)
-
-__all__ = ["ReactiveTakedownSystem", "TakedownCampaign", "CampaignOutcome"]

@@ -15,22 +15,3 @@ the browser side:
 * :mod:`repro.browser.indicator` -- site marking ("browsers could mark
   such sites (as they do with TLS icons)", section 4.4).
 """
-
-from repro.browser.page import ImageResource, AuxResource, Page
-from repro.browser.loader import PageLoadModel, PageLoadResult, CheckMode
-from repro.browser.extension import IrsBrowserExtension, ExtensionStats
-from repro.browser.indicator import SiteIndicator, SiteRating, SiteReputation
-
-__all__ = [
-    "ImageResource",
-    "AuxResource",
-    "Page",
-    "PageLoadModel",
-    "PageLoadResult",
-    "CheckMode",
-    "IrsBrowserExtension",
-    "ExtensionStats",
-    "SiteIndicator",
-    "SiteRating",
-    "SiteReputation",
-]

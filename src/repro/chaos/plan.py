@@ -69,7 +69,7 @@ class ChaosKnobs:
     # would be a statement about the fault injector, not the cluster.
     max_wipes: int = 1
     # Probability that a non-wipe crash restarts against a *damaged*
-    # disk (torn final record, corrupted segment, or corrupted
+    # disk (torn final record, corrupted WAL byte, or corrupted
     # snapshot, equally likely).  Unscaled by intensity, like
     # ``wipe_probability``.  Torn/corrupt faults truncate acknowledged
     # log suffix on recovery, so they share the ``max_wipes`` budget;
@@ -166,7 +166,7 @@ class ChaosPlan:
         # per crash, in event-creation order, *after* every legacy draw
         # (stream stability — old seeds reproduce old schedules
         # exactly, with or without storage faults enabled).  Torn and
-        # corrupted segments shed acknowledged log suffix on recovery,
+        # corrupted WAL frames shed acknowledged log suffix on recovery,
         # so they draw from the same tolerance budget as wipes —
         # otherwise correlated corruption could annihilate a full write
         # quorum, which no recovery protocol could survive.  Snapshot

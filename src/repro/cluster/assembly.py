@@ -151,8 +151,9 @@ class Cluster:
         ``shard_clock(shard_id) -> clock`` for adapters whose shards
         read individually skewable clocks; default: the shared clock.
     durable:
-        Give every shard a simulated disk: it journals its event chain
-        there and :meth:`restart_shard` recovers from it.
+        Give every shard a simulated disk: its event chain is written
+        to the disk's WAL, snapshotted every ``snapshot_interval``
+        events, and :meth:`restart_shard` recovers from it.
     obs:
         Optional :class:`~repro.obs.Observability` handed to the
         frontend and the recovery counters.
@@ -191,7 +192,7 @@ class Cluster:
         shard_ids = [f"shard-{i}" for i in range(num_shards)]
         for shard_id in shard_ids:
             if durable:
-                self.disks[shard_id] = DurableStore()
+                self.disks[shard_id] = DurableStore(snapshot_interval)
             self.shards[shard_id] = ClusterShard(
                 shard_id,
                 cluster_id,
@@ -201,7 +202,6 @@ class Cluster:
                 ),
                 clock=shard_clock(shard_id) if shard_clock else clock,
                 durable=self.disks.get(shard_id),
-                snapshot_interval=snapshot_interval,
             )
         self.ring = HashRing(shard_ids)
         self.directory = ClusterDirectory(list(self.shards.values()))
@@ -248,8 +248,6 @@ class Cluster:
         disk = self.disks.get(shard_id)
         if wipe:
             lost = shard.ledger.store.wipe()
-            if disk is not None:
-                disk.wipe()
             self.revive_shard(shard_id)
             return lost
         if disk is not None:
@@ -316,8 +314,8 @@ class Cluster:
         """Damage a shard's durable store; True iff the fault landed.
 
         Kinds: ``torn`` (final WAL frame cut short), ``corrupt`` (one
-        byte flipped in the newest segment), ``snapshot`` (newest
-        snapshot damaged).  A fault can miss — an empty disk has
+        byte flipped past the newest snapshot's anchor), ``snapshot``
+        (newest snapshot damaged).  A fault can miss — an empty disk has
         nothing to tear — and the checker only demands detection for
         faults that actually landed.
         """

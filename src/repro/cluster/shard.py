@@ -83,7 +83,6 @@ class ClusterShard:
         clock: Optional[Callable[[], float]] = None,
         config: Optional[LedgerConfig] = None,
         durable: Optional[DurableStore] = None,
-        snapshot_interval: int = 64,
     ):
         self.shard_id = shard_id
         self.cluster_id = cluster_id
@@ -93,67 +92,41 @@ class ClusterShard:
             keypair=keypair,
             clock=clock,
             config=config,
+            disk=durable,
         )
         # Replication-plane counters (client-plane load lives on the
         # wrapped ledger's counters).
         self.states_applied = 0
         self.stale_applies_ignored = 0
-        # Durability: when a simulated disk is attached, every sealed
-        # ledger event is journaled to it, with a chain-anchored
-        # snapshot every ``snapshot_interval`` events to bound replay.
+        # Durability: with a simulated disk, the ledger's event chain
+        # is written to its WAL, and the disk snapshots on its cadence.
         self.durable = durable
-        self.snapshot_interval = max(1, int(snapshot_interval))
-        self._events_since_snapshot = 0
-        if durable is not None:
-            self.ledger.store.attach_journal(self._journal_event)
 
     # -- durability -----------------------------------------------------------------
-
-    def _journal_event(self, event) -> None:
-        """WAL append for one sealed event, snapshotting periodically."""
-        self.durable.append_event(event)
-        self._events_since_snapshot += 1
-        if self._events_since_snapshot >= self.snapshot_interval:
-            self.write_snapshot()
-
-    def write_snapshot(self) -> None:
-        """Persist a chain-anchored snapshot of the current view."""
-        store = self.ledger.store
-        self.durable.write_snapshot(
-            store.records_map(),
-            store.next_serial,
-            store.events.head_seq,
-            store.events.head_hash,
-        )
-        self._events_since_snapshot = 0
 
     def recover(self) -> RecoveryReport:
         """Restart path: rebuild state from the local durable store.
 
         Loads the newest valid snapshot, verifies the WAL chain,
-        replays the proven tail, installs the result, and truncates the
-        disk to the verified prefix so the resumed chain and the log on
-        disk agree.  The report's ``evidence`` names every torn,
-        corrupted, or truncated structure detected; whatever was lost
-        past the truncation point must come back via peer backfill.
+        replays the proven tail, truncates the WAL to the verified
+        prefix, and installs the result with the chain resumed on that
+        file, so the resumed chain and the log on disk agree.  The
+        report's ``evidence`` names every torn, corrupted, or truncated
+        structure detected; whatever was lost past the truncation point
+        must come back via peer backfill.
         """
         if self.durable is None:
             raise RuntimeError(
                 f"shard {self.shard_id!r} has no durable store to recover"
             )
         report = recover_store(self.durable)
-        store = self.ledger.store
-        store.restore(
+        self.durable.truncate_after(report.truncation)
+        self.ledger.store.restore(
             report.records,
             report.next_serial,
             report.head_seq,
             report.head_hash,
         )
-        if report.truncation is not None:
-            self.durable.truncate_after(
-                report.truncation[0], report.truncation[1], report.head_seq
-            )
-        self._events_since_snapshot = 0
         return report
 
     # -- identity -----------------------------------------------------------------

@@ -22,14 +22,17 @@ Two event payload shapes exist:
 Payloads are JSON-able by construction (bytes are hex-encoded at the
 record layer).  An event is encoded once, at seal time, with
 :func:`canonical_json`; those bytes are what the chain hash covers and
-what a frame (:func:`encode_frame`) stores, both in the log's own file
-and in a durable WAL segment — the history verified is byte for byte
-the history kept.
+what a frame (:func:`encode_frame`) stores in the log's file — an
+anonymous temporary file the log owns, or a durable store's WAL
+(:mod:`repro.ledger.durable`).  The history verified is byte for byte
+the history kept, and one reader, :func:`read_chain`, walks it for both
+:meth:`EventLog.verify_chain` and crash recovery.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import tempfile
 import weakref
@@ -52,6 +55,7 @@ __all__ = [
     "encode_frame",
     "event_from_bytes",
     "frame_tag",
+    "read_chain",
     "read_frame",
     "replay",
     "verify_events",
@@ -89,7 +93,7 @@ def frame_tag(data: bytes) -> bytes:
 
 def encode_frame(event: "LedgerEvent") -> bytes:
     """One frame: length + chain hash + sealed bytes + blake2b tag
-    (see :mod:`repro.ledger.durable` for what each part detects)."""
+    (see :func:`read_chain` for what each part detects)."""
     body = event.chain_hash + event.encoded
     return len(body).to_bytes(_LEN_BYTES, "big") + body + frame_tag(body)
 
@@ -177,24 +181,74 @@ def event_from_bytes(
     )
 
 
+def read_chain(
+    data: bytes, head_seq: int, head_hash: bytes
+) -> Tuple[List[LedgerEvent], Optional[str], int]:
+    """Walk the frames in ``data`` as the chain after ``(head_seq, head_hash)``.
+
+    Each frame must be whole, pass its tag, hold an event body, carry
+    the next sequence number after ``head_seq`` and a chain hash that
+    re-derives from ``head_hash`` and the stored bytes (hashed as
+    found, never re-encoded).  Returns ``(events, verdict, end)``:
+    the events verified, ``None`` or the evidence kind of the first
+    frame that failed, and the offset just past the last verified one.
+
+    ``torn_record``
+        the data stops before the frame does;
+    ``corrupted_segment``
+        the tag does not verify, or the body is no event;
+    ``truncated_segment``
+        the sequence number does not follow on — history is missing;
+    ``chain_broken``
+        the chain hash does not re-derive from the stored bytes.
+    """
+    events: List[LedgerEvent] = []
+    position = 0
+    while position < len(data):
+        end, stored_hash, encoded = read_frame(data, position)
+        if end is None:
+            return events, "torn_record", position
+        if encoded is None:
+            return events, "corrupted_segment", position
+        try:
+            event = event_from_bytes(encoded, head_hash, stored_hash)
+        except (ValueError, KeyError, TypeError):
+            return events, "corrupted_segment", position
+        if event.seq != head_seq + 1:
+            return events, "truncated_segment", position
+        if chain_hash(head_hash, encoded) != stored_hash:
+            return events, "chain_broken", position
+        events.append(event)
+        head_seq, head_hash, position = event.seq, stored_hash, end
+    return events, None, position
+
+
 class EventLog:
     """An append-only chain of :class:`LedgerEvent` values, kept on file.
 
-    Each sealed event goes to an anonymous temporary file the log owns,
-    as one :func:`encode_frame` frame; RAM keeps only each frame's end
-    offset and each chain hash.  Nothing is fsynced: the file keeps the
-    history off the heap, it does not promise it survives the process.
-    A log may be *resumed* from a verified anchor ``(seq, hash)`` and
-    holds nothing before it (the durable store keeps that).
+    Each sealed event goes to the log's file as one :func:`encode_frame`
+    frame; RAM keeps only each frame's end offset and each chain hash.
+    The file is a durable store's WAL when one is given, and otherwise
+    an anonymous temporary file the log owns.  Nothing is fsynced: the
+    file keeps the history off the heap, it does not promise it
+    survives the process.  A log may be *resumed* from a verified
+    anchor ``(seq, hash)``: it appends from the file's end and holds
+    nothing before it (a durable store keeps that).
     """
 
     def __init__(
-        self, anchor_seq: int = 0, anchor_hash: bytes = GENESIS_HASH
+        self,
+        anchor_seq: int = 0,
+        anchor_hash: bytes = GENESIS_HASH,
+        file=None,
     ):
         self._anchor_seq = int(anchor_seq)
         self._anchor_hash = anchor_hash
-        self._file = tempfile.TemporaryFile()
-        weakref.finalize(self, self._file.close)
+        if file is None:
+            file = tempfile.TemporaryFile()
+            weakref.finalize(self, file.close)
+        self._file = file
+        self._start = file.seek(0, io.SEEK_END)
         self._ends = array("Q")
         self._hashes = PackedDigests(HASH_BYTES)
         self._head_hash = anchor_hash
@@ -226,7 +280,7 @@ class EventLog:
             chain_hash=chain_hash(self._head_hash, encoded),
         )
         frame = encode_frame(event)
-        start = self._ends[-1] if self._ends else 0
+        start = self._ends[-1] if self._ends else self._start
         try:
             if self._file.write(frame) != len(frame):
                 raise EventLogError(f"short write sealing seq {event.seq}")
@@ -253,6 +307,11 @@ class EventLog:
         return self._anchor_seq
 
     @property
+    def end_offset(self) -> int:
+        """File offset just past the head's frame (where the next goes)."""
+        return self._ends[-1] if self._ends else self._start
+
+    @property
     def chain_hashes(self) -> PackedDigests:
         """Chain hash of every event since the anchor, in seal order."""
         return self._hashes
@@ -271,30 +330,27 @@ class EventLog:
         """Re-derive every hash from the stored bytes; returns the head hash.
 
         Raises :class:`EventLogError` at the first torn or corrupt frame,
-        sequence gap, or hash or header that does not re-derive from the
-        stored bytes, and if the stored chain is not the one sealed.
+        sequence gap, or hash that does not re-derive from the stored
+        bytes, and if the stored chain is not the one sealed.
         """
         self._read_back()
         return self._head_hash
 
     def _read_back(self) -> List[LedgerEvent]:
-        end = self._ends[-1] if self._ends else 0
-        self._file.seek(0)
-        data = self._file.read(end)
+        end = self.end_offset
+        self._file.seek(self._start)
+        data = self._file.read(end - self._start)
         self._file.seek(end)
-        events: List[LedgerEvent] = []
-        start, prev_hash = 0, self._anchor_hash
-        for stored_end, sealed in zip(self._ends, self._hashes.prefix(len(self))):
-            stop, stored_hash, encoded = read_frame(data, start)
-            where = f"stored frame of seq {self._anchor_seq + len(events) + 1}"
-            if stop != stored_end or stored_hash != sealed:
-                raise EventLogError(f"{where} is torn, corrupt or not the one sealed")
-            try:
-                events.append(event_from_bytes(encoded, prev_hash, stored_hash))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise EventLogError(f"{where} is no event") from exc
-            start, prev_hash = stop, stored_hash
-        verify_events(events, self._anchor_seq, self._anchor_hash)
+        events, verdict, _ = read_chain(
+            data, self._anchor_seq, self._anchor_hash
+        )
+        if verdict is not None:
+            seq = self._anchor_seq + len(events) + 1
+            raise EventLogError(f"stored frame of seq {seq}: {verdict}")
+        if [event.chain_hash for event in events] != self._hashes.prefix(
+            len(self)
+        ):
+            raise EventLogError("the stored chain is not the one sealed")
         return events
 
 

@@ -34,6 +34,7 @@ from repro.crypto.timestamp import TimestampAuthority
 from repro.crypto.tokens import PaymentToken, TokenError, TokenIssuer
 from repro.ledger.proofs import StatusProof
 from repro.ledger.records import ClaimRecord, RevocationState, claim_digest
+from repro.ledger.durable import DurableStore
 from repro.ledger.storage import LedgerStore
 
 __all__ = ["Ledger", "LedgerConfig"]
@@ -79,6 +80,7 @@ class Ledger:
         clock: Optional[Callable[[], float]] = None,
         config: Optional[LedgerConfig] = None,
         token_issuer: Optional[TokenIssuer] = None,
+        disk: Optional[DurableStore] = None,
     ):
         if not ledger_id or ":" in ledger_id or "|" in ledger_id:
             raise ValueError(
@@ -91,7 +93,7 @@ class Ledger:
         self._logical_time = 0.0
         self.config = config or LedgerConfig()
         self._token_issuer = token_issuer
-        self.store = LedgerStore()
+        self.store = LedgerStore(disk)
         self._challenges: Dict[tuple[int, bytes], float] = {}
         # Load counters, read by the E5 bench.
         self.claims_served = 0

@@ -2,9 +2,11 @@
 
 :func:`recover_store` is the restart path a shard runs against its
 :class:`~repro.ledger.durable.DurableStore`.  It loads the newest
-checksum-valid snapshot, scans the WAL segments from the snapshot's
-anchor, verifies every frame tag and every chain link, and replays the
-proven tail onto the snapshot's records.  The scan stops at the first
+checksum-valid snapshot, reads the WAL from the snapshot's anchor
+offset, and walks it with :func:`~repro.ledger.events.read_chain` — the
+same reader :meth:`~repro.ledger.events.EventLog.verify_chain` uses —
+which verifies every frame tag and every chain link.  The proven tail
+is replayed onto the snapshot's records.  The walk stops at the first
 frame it cannot vouch for and names what it saw:
 
 ``torn_record``
@@ -12,7 +14,8 @@ frame it cannot vouch for and names what it saw:
 ``corrupted_segment``
     a frame's blake2b tag does not verify, or its body is not an event;
 ``truncated_segment``
-    verified frames skip sequence numbers — a middle of the log is gone;
+    a verified frame's sequence number does not follow on — a middle
+    of the log is gone;
 ``chain_broken``
     a frame decodes but its chain hash does not re-derive from the
     stored bytes (hashed as found, never re-encoded);
@@ -20,29 +23,22 @@ frame it cannot vouch for and names what it saw:
     a snapshot failed its checksum and was skipped.
 
 Everything past the stop point is *unprovable* and is excluded from the
-recovered state; the shard then truncates the disk to the verified
-prefix and leans on peer backfill (hinted handoff + anti-entropy) for
-the lost suffix.  The report carries both the recovered records and the
-raw inputs (snapshot base, tail events) so callers can independently
-re-replay and compare — the ``recovered state == replayed log``
-invariant the consistency checker enforces.
+recovered state; the shard then truncates the WAL to the verified
+prefix, resumes its chain there, and leans on peer backfill (hinted
+handoff + anti-entropy) for the lost suffix.  The report carries both
+the recovered records and the raw inputs (snapshot base, tail events)
+so callers can independently re-replay and compare — the ``recovered
+state == replayed log`` invariant the consistency checker enforces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crypto.hashing import hash_struct
 from repro.ledger.durable import DurableStore
-from repro.ledger.events import (
-    GENESIS_HASH,
-    LedgerEvent,
-    chain_hash,
-    event_from_bytes,
-    read_frame,
-    replay,
-)
+from repro.ledger.events import GENESIS_HASH, LedgerEvent, read_chain, replay
 from repro.ledger.records import ClaimRecord
 
 __all__ = ["RecoveryReport", "recover_store", "records_digest"]
@@ -67,8 +63,8 @@ class RecoveryReport:
     tail_events: List[LedgerEvent] = field(default_factory=list)
     snapshot_records: Dict[int, ClaimRecord] = field(default_factory=dict)
     evidence: Tuple[str, ...] = ()
-    #: (segment index, byte offset) just past the last verified frame.
-    truncation: Optional[Tuple[int, int]] = None
+    #: WAL byte offset just past the last verified frame.
+    truncation: int = 0
 
     #: Evidence kinds that mean the WAL scan stopped early — everything
     #: past the stop point was shed, so acknowledged writes may be
@@ -90,11 +86,12 @@ class RecoveryReport:
 
 def _load_snapshot(
     store: DurableStore,
-) -> Tuple[Dict[int, ClaimRecord], int, int, bytes, List[str]]:
-    """Newest valid snapshot as (records, next_serial, seq, hash, evidence)."""
-    body, evidence = store.latest_valid_snapshot()
+) -> Tuple[Dict[int, ClaimRecord], int, int, bytes, int, List[str]]:
+    """Newest usable snapshot as
+    (records, next_serial, seq, hash, offset, evidence)."""
+    body, offset, evidence = store.latest_valid_snapshot()
     if body is None:
-        return {}, 1, 0, GENESIS_HASH, evidence
+        return {}, 1, 0, GENESIS_HASH, 0, evidence
     records: Dict[int, ClaimRecord] = {}
     for payload in body["records"]:
         record = ClaimRecord.from_payload(payload)
@@ -104,52 +101,9 @@ def _load_snapshot(
         body["next_serial"],
         body["anchor_seq"],
         bytes.fromhex(body["anchor_hash"]),
+        offset,
         evidence,
     )
-
-
-def _scan_tail(
-    store: DurableStore, anchor_seq: int, anchor_hash: bytes
-) -> Tuple[List[LedgerEvent], List[str], Tuple[int, int]]:
-    """Decode and verify frames past ``anchor_seq``.
-
-    Returns ``(tail events, evidence, truncation position)``.  The scan
-    verifies every frame tag in the scanned region — including frames
-    at or before the anchor, which are skipped from replay but still
-    extend the verified prefix — and stops at the first failure.
-    """
-    start_index, segments = store.scan_segments_from(anchor_seq)
-    tail: List[LedgerEvent] = []
-    evidence: List[str] = []
-    head_seq, head_hash = anchor_seq, anchor_hash
-    truncation = (start_index, 0)
-    for local_index, data in enumerate(segments):
-        position = 0
-        while position < len(data):
-            frame_end, stored_hash, encoded = read_frame(data, position)
-            if frame_end is None:
-                evidence.append("torn_record")
-                return tail, evidence, truncation
-            if encoded is None:
-                evidence.append("corrupted_segment")
-                return tail, evidence, truncation
-            try:
-                event = event_from_bytes(encoded, head_hash, stored_hash)
-            except (ValueError, KeyError, TypeError):
-                evidence.append("corrupted_segment")
-                return tail, evidence, truncation
-            if event.seq > head_seq:
-                if event.seq != head_seq + 1:
-                    evidence.append("truncated_segment")
-                    return tail, evidence, truncation
-                if chain_hash(head_hash, encoded) != stored_hash:
-                    evidence.append("chain_broken")
-                    return tail, evidence, truncation
-                tail.append(event)
-                head_seq, head_hash = event.seq, event.chain_hash
-            position = frame_end
-            truncation = (start_index + local_index, position)
-    return tail, evidence, truncation
 
 
 def recover_store(
@@ -157,26 +111,22 @@ def recover_store(
 ) -> RecoveryReport:
     """Rebuild ledger state from a (possibly damaged) durable store.
 
-    With ``use_snapshots=False`` the whole log is scanned and replayed
+    With ``use_snapshots=False`` the whole WAL is walked and replayed
     from genesis — slower, but it verifies every frame on disk; the
     perf suite uses it as the snapshot path's baseline and property
     tests use it to prove corruption anywhere in the log is caught.
     """
     if use_snapshots:
-        base, next_serial, anchor_seq, anchor_hash, snap_evidence = (
+        base, next_serial, anchor_seq, anchor_hash, offset, evidence = (
             _load_snapshot(store)
         )
     else:
-        base, next_serial, anchor_seq, anchor_hash, snap_evidence = (
-            {},
-            1,
-            0,
-            GENESIS_HASH,
-            [],
+        base, next_serial, anchor_seq, anchor_hash, offset, evidence = (
+            {}, 1, 0, GENESIS_HASH, 0, [],
         )
-    tail, scan_evidence, truncation = _scan_tail(
-        store, anchor_seq, anchor_hash
-    )
+    tail, verdict, end = read_chain(store.read(offset), anchor_seq, anchor_hash)
+    if verdict is not None:
+        evidence.append(verdict)
     records = replay(tail, base=base)
     # Reconstruct the serial allocator: a claim minted through the
     # allocator carries exactly the serial the allocator would hand out
@@ -195,6 +145,6 @@ def recover_store(
         head_hash=head_hash,
         tail_events=tail,
         snapshot_records=base,
-        evidence=tuple(snap_evidence) + tuple(scan_evidence),
-        truncation=truncation,
+        evidence=tuple(evidence),
+        truncation=offset + end,
     )

@@ -4,10 +4,12 @@ The records map is a *materialized view* of an append-only,
 hash-chained event log (:mod:`repro.ledger.events`): every mutation —
 storing a record, flipping its revocation state — seals a typed event
 onto the chain before the view changes, and replaying the log from
-genesis reproduces the map exactly.  A journal callback lets a durable
-layer (:mod:`repro.ledger.durable`) persist each event as it is
-sealed; :meth:`restore` is the inverse, installing crash-recovered
-state and resuming the chain from the verified head.
+genesis reproduces the map exactly.  Given a durable store
+(:mod:`repro.ledger.durable`), the chain is written to that store's
+WAL file, so each event is framed once, and the store cuts its
+snapshots when the chain's head reaches its interval; :meth:`restore`
+is the inverse, installing crash-recovered state and resuming the
+chain from the verified head on the same file.
 
 That chain is the only history, kept in the event log's file (RAM
 holds each event's frame offset and chain hash).  The Merkle tree
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, Optional
 
 from repro.crypto.merkle import MerkleLog
+from repro.ledger.durable import DurableStore
 from repro.ledger.events import GENESIS_HASH, EventLog, LedgerEvent
 from repro.ledger.records import ClaimRecord, RevocationState
 
@@ -29,11 +32,11 @@ __all__ = ["LedgerStore"]
 class LedgerStore:
     """Records, serial allocation, the event chain and its Merkle view."""
 
-    def __init__(self):
+    def __init__(self, disk: Optional[DurableStore] = None):
         self._records: Dict[int, ClaimRecord] = {}
         self._next_serial = 1
+        self._disk = disk
         self._anchor_chain(0, GENESIS_HASH)
-        self._journal: Optional[Callable[[LedgerEvent], None]] = None
 
     # -- serials ---------------------------------------------------------------
 
@@ -54,19 +57,14 @@ class LedgerStore:
         """The hash-chained event log this store materializes."""
         return self._events
 
-    def attach_journal(
-        self, journal: Optional[Callable[[LedgerEvent], None]]
-    ) -> None:
-        """Install a callback invoked with every sealed event.
-
-        The durable layer uses this to write each event to disk before
-        the in-memory view advances past it.
-        """
-        self._journal = journal
-
     def _anchor_chain(self, anchor_seq: int, anchor_hash: bytes) -> None:
-        """Start the chain at an anchor, with an empty Merkle view of it."""
-        self._events = EventLog(anchor_seq=anchor_seq, anchor_hash=anchor_hash)
+        """Start the chain at an anchor, with an empty Merkle view of it.
+
+        With a disk the chain appends to the end of its WAL file;
+        without one the log opens a temporary file of its own.
+        """
+        file = None if self._disk is None else self._disk.file
+        self._events = EventLog(anchor_seq, anchor_hash, file)
         self._merkle = MerkleLog(self._events.chain_hashes)
 
     def _seal(
@@ -77,19 +75,26 @@ class LedgerStore:
         payload: dict,
         change: Callable[[], None],
     ) -> LedgerEvent:
-        """Append to the chain, apply ``change`` to the view, journal.
+        """Append to the chain, apply ``change`` to the view, snapshot.
 
         The one place a mutation is recorded.  The event is sealed
         first, so a seal that fails (a write to the log's file that
         raises or comes up short) leaves the view as it was; the view
-        changes before the journal runs, so a journal that snapshots
-        sees state consistent with the event's sequence number.
+        changes before a snapshot is cut, so the snapshot holds state
+        consistent with the event's sequence number.
         """
         event = self._events.append(kind, serial, time, payload)
         change()
         self.log_operation()
-        if self._journal is not None:
-            self._journal(event)
+        disk = self._disk
+        if disk is not None and event.seq % disk.snapshot_interval == 0:
+            disk.write_snapshot(
+                self._records,
+                self._next_serial,
+                event.seq,
+                event.chain_hash,
+                self._events.end_offset,
+            )
         return event
 
     # -- records ---------------------------------------------------------------
@@ -148,13 +153,15 @@ class LedgerStore:
     def wipe(self) -> int:
         """Lose everything — a crash that takes the disk with it.
 
-        Records and the event chain reset (they are one node's local
-        state; peers keep theirs).  The serial allocator is preserved
-        so a restarted single-node ledger cannot re-mint identifiers.
-        Returns the number of records lost.
+        Records, the event chain and the disk, if any, reset (they are
+        one node's local state; peers keep theirs).  The serial
+        allocator is preserved so a restarted single-node ledger cannot
+        re-mint identifiers.  Returns the number of records lost.
         """
         lost = len(self._records)
         self._records.clear()
+        if self._disk is not None:
+            self._disk.wipe()
         self._anchor_chain(0, GENESIS_HASH)
         return lost
 
@@ -170,9 +177,11 @@ class LedgerStore:
         The records are adopted as-is (no events are sealed — they were
         already sealed before the crash); the chain resumes from the
         verified head so post-recovery mutations extend the proven
-        history.  The Merkle view covers what is sealed from that
-        anchor on; the history before it is on disk, proven by the
-        head hash.
+        history.  With a disk it resumes on the same WAL file, at its
+        end: the caller has truncated the file to the verified prefix
+        (:meth:`~repro.ledger.durable.DurableStore.truncate_after`).
+        The Merkle view covers what is sealed from that anchor on; the
+        history before it is on disk, proven by the head hash.
         """
         self._records = dict(records)
         self._next_serial = max(self._next_serial, next_serial)

@@ -16,47 +16,3 @@ Every IRS component takes a :class:`Clock` so identical code runs
 in-process (tests, prototype bench) and inside the simulator
 (latency/load benches).
 """
-
-from repro.netsim.simulator import (
-    Simulator,
-    Clock,
-    SimClock,
-    ManualClock,
-    SkewedClock,
-)
-from repro.netsim.rand import RngRegistry
-from repro.netsim.latency import (
-    LatencyModel,
-    ConstantLatency,
-    UniformLatency,
-    LogNormalLatency,
-    EmpiricalLatency,
-    dns_like_latency,
-    lan_latency,
-    wan_latency,
-)
-from repro.netsim.node import Node
-from repro.netsim.link import Link, Network
-from repro.netsim.transport import RpcEndpoint, RpcError
-
-__all__ = [
-    "Simulator",
-    "Clock",
-    "SimClock",
-    "ManualClock",
-    "SkewedClock",
-    "RngRegistry",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "EmpiricalLatency",
-    "dns_like_latency",
-    "lan_latency",
-    "wan_latency",
-    "Node",
-    "Link",
-    "Network",
-    "RpcEndpoint",
-    "RpcError",
-]

@@ -23,28 +23,3 @@ Timing numbers are machine-dependent and therefore informational; the
 CI gate compares *speedup ratios* (fast vs oracle on the same machine,
 same run), which transfer across hosts.  See docs/perf.md.
 """
-
-from repro.perf.harness import BenchCase, PerfError, run_case, run_suite
-from repro.perf.report import (
-    REPORT_SCHEMA,
-    build_report,
-    canonical_json,
-    compare_to_baseline,
-    strip_timing,
-    validate_report,
-)
-from repro.perf.suite import default_suite
-
-__all__ = [
-    "BenchCase",
-    "PerfError",
-    "REPORT_SCHEMA",
-    "build_report",
-    "canonical_json",
-    "compare_to_baseline",
-    "default_suite",
-    "run_case",
-    "run_suite",
-    "strip_timing",
-    "validate_report",
-]

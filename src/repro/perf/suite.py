@@ -216,23 +216,9 @@ def _recovery_setup(seed: int) -> Dict[str, Any]:
     tsa = TimestampAuthority(
         keypair=KeyPair.generate(bits=512, rng=rng)
     )
-    ledger = Ledger("perf", tsa, keypair=owner)
+    disk = DurableStore(snapshot_interval=1024)
+    ledger = Ledger("perf", tsa, keypair=owner, disk=disk)
     store = ledger.store
-    disk = DurableStore()
-    appended = [0]
-
-    def journal(event) -> None:
-        disk.append_event(event)
-        appended[0] += 1
-        if appended[0] % 1024 == 0:
-            disk.write_snapshot(
-                store.records_map(),
-                store.next_serial,
-                store.events.head_seq,
-                store.events.head_hash,
-            )
-
-    store.attach_journal(journal)
     serials = []
     for index in range(200):
         content_hash = sha256_hex(b"perf:recover:%d" % index)

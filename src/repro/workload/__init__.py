@@ -11,19 +11,3 @@
 * :mod:`repro.workload.pages` -- photo-heavy page generation
   (pinterest-like, per section 4.3's case study).
 """
-
-from repro.workload.population import PhotoPopulation, populate_ledger
-from repro.workload.zipf import ZipfSampler
-from repro.workload.traces import BrowsingTraceGenerator, ViewEvent
-from repro.workload.pages import pinterest_like_page
-from repro.workload.diurnal import DiurnalProfile
-
-__all__ = [
-    "PhotoPopulation",
-    "populate_ledger",
-    "ZipfSampler",
-    "BrowsingTraceGenerator",
-    "ViewEvent",
-    "pinterest_like_page",
-    "DiurnalProfile",
-]

@@ -1,4 +1,4 @@
-"""Shard-level durability: journaling, snapshots, crash recovery."""
+"""Shard-level durability: the WAL, snapshots, crash recovery."""
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class TestInjectedFaults:
         shard = cluster.shards["shard-0"]
         assert (
             cluster.disks["shard-0"].events_written
-            >= shard.ledger.store.events.head_seq
+            == shard.ledger.store.events.head_seq
         )
 
     def test_suffix_loss_backfills_from_peers(self):

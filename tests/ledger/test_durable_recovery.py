@@ -7,7 +7,7 @@ single-byte mutation of a snapshot is rejected by its checksum — never
 silently accepted into recovered state.
 """
 
-import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import KeyPair
 from repro.crypto.timestamp import TimestampAuthority
 from repro.ledger.durable import DurableStore
+from repro.ledger.events import EventLogError
 from repro.ledger.ledger import Ledger
 from repro.ledger.records import RevocationState
 from repro.ledger.recovery import recover_store, records_digest
@@ -24,35 +25,22 @@ from repro.ledger.recovery import recover_store, records_digest
 
 @pytest.fixture(scope="module")
 def rig():
-    """A ledger journaling to a durable store: 12 claims, 30 flips.
+    """A ledger writing to a durable store: 12 claims, 30 flips.
 
     Snapshots land every 16 events (at seq 16 and 32), so recovery has
-    a real anchor and a real tail; tests deep-copy the disk before
-    damaging it.
+    a real anchor and a real tail; tests copy the disk before damaging
+    it.
     """
     rng = np.random.default_rng(7)
     owner = KeyPair.generate(bits=512, rng=rng)
+    disk = DurableStore(snapshot_interval=16)
     ledger = Ledger(
         "durable-test",
         TimestampAuthority(keypair=KeyPair.generate(bits=512, rng=rng)),
         keypair=owner,
+        disk=disk,
     )
     store = ledger.store
-    disk = DurableStore(segment_size=8)
-    appended = [0]
-
-    def journal(event):
-        disk.append_event(event)
-        appended[0] += 1
-        if appended[0] % 16 == 0:
-            disk.write_snapshot(
-                store.records_map(),
-                store.next_serial,
-                store.events.head_seq,
-                store.events.head_hash,
-            )
-
-    store.attach_journal(journal)
     serials = []
     for index in range(12):
         content_hash = sha256_hex(b"durable:%d" % index)
@@ -81,7 +69,21 @@ def rig():
 
 
 def _clone(disk):
-    return copy.deepcopy(disk)
+    """Another disk holding the same WAL bytes and snapshots."""
+    clone = DurableStore(disk.snapshot_interval)
+    clone.file.write(disk.read())
+    clone._snapshots = [replace(snapshot) for snapshot in disk._snapshots]
+    return clone
+
+
+def _flip_stored_byte(disk, position):
+    """Flip the WAL byte at ``position`` (modulo the file's size)."""
+    data = bytearray(disk.read())
+    position %= len(data)
+    data[position] ^= 0xFF
+    disk.file.seek(0)
+    disk.file.write(data)
+    return position
 
 
 class TestCleanRecovery:
@@ -113,6 +115,35 @@ class TestCleanRecovery:
 
 
 class TestFaultDetection:
+    def test_a_flipped_byte_fails_the_live_chain_and_recovery(
+        self, session_keypair
+    ):
+        """The live chain reads the same file recovery does: one
+        flipped byte fails both."""
+        disk = DurableStore()
+        ledger = Ledger("flip-test", TimestampAuthority(), disk=disk)
+        for index in range(3):
+            content_hash = sha256_hex(b"flip:%d" % index)
+            record = ledger.claim(
+                content_hash,
+                session_keypair.sign(content_hash.encode("utf-8")),
+                session_keypair.public,
+            )
+            ledger.store.apply_flip(
+                record.identifier.serial,
+                RevocationState.REVOKED,
+                1,
+                "revoke",
+                float(index),
+            )
+        store = ledger.store
+        assert store.events.verify_chain() == store.events.head_hash
+        assert recover_store(disk, use_snapshots=False).clean
+        _flip_stored_byte(disk, disk.size // 2)
+        with pytest.raises(EventLogError):
+            store.events.verify_chain()
+        assert recover_store(disk, use_snapshots=False).evidence
+
     def test_torn_final_record_detected_and_truncated(self, rig):
         store, disk = rig
         damaged = _clone(disk)
@@ -120,8 +151,21 @@ class TestFaultDetection:
         report = recover_store(damaged)
         assert report.evidence == ("torn_record",)
         assert report.head_seq == store.events.head_seq - 1
-        damaged.truncate_after(*report.truncation, report.head_seq)
+        damaged.truncate_after(report.truncation)
         assert recover_store(damaged).clean
+
+    def test_torn_snapshot_anchor_falls_back_to_the_older_snapshot(
+        self, rig
+    ):
+        """A snapshot whose anchor frame is torn is passed over: the
+        walk from the older anchor names the tear."""
+        _, disk = rig
+        damaged = _clone(disk)
+        damaged.truncate_after(damaged._snapshots[-1].offset)  # head = 32
+        assert damaged.tear_final_record()
+        report = recover_store(damaged)
+        assert report.evidence == ("torn_record",)
+        assert (report.anchor_seq, report.head_seq) == (16, 31)
 
     def test_corrupt_byte_detected(self, rig):
         _, disk = rig
@@ -169,17 +213,9 @@ def test_property_any_log_byte_flip_is_detected(rig, position):
     """Property: no single-byte WAL mutation is silently accepted."""
     store, disk = rig
     damaged = _clone(disk)
-    sizes = [len(segment) for segment in damaged.segments]
-    position %= sum(sizes)
-    for segment_index, size in enumerate(sizes):
-        if position < size:
-            break
-        position -= size
-    damaged._segments[segment_index].data[position] ^= 0xFF
+    position = _flip_stored_byte(damaged, position)
     report = recover_store(damaged, use_snapshots=False)
-    assert report.evidence, (
-        f"flip at segment {segment_index} byte {position} went undetected"
-    )
+    assert report.evidence, f"flip at byte {position} went undetected"
     # Detection stops the scan: nothing past the damage reaches state.
     assert report.head_seq < store.events.head_seq or report.suffix_lost
 

@@ -13,11 +13,14 @@ import io
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
+from repro.core.identifiers import PhotoIdentifier
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.timestamp import TimestampAuthority
+from repro.ledger.durable import DurableStore
 from repro.ledger.events import EventLogError
 from repro.ledger.ledger import Ledger
 from repro.ledger.records import RevocationState
@@ -151,6 +154,60 @@ def test_heap_grows_by_index_bytes_per_event(pad):
     assert len(store.events) == store.merkle.size == 2001
     assert grown / 2000 <= 128
     assert store.events.verify_chain() == store.events.head_hash
+
+
+def _sealed_heap_per_event(records, disk) -> float:
+    """Traced heap grown per event sealing ``records`` as claims, then
+    two flips of each, into a store with ``disk`` (or none)."""
+    store = LedgerStore(disk)
+    copies = [replace(record) for record in records]  # flips mutate them
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for record in copies:
+            store.put(record)
+        for epoch, state in ((1, RevocationState.REVOKED),
+                             (2, RevocationState.NOT_REVOKED)):
+            for record in copies:
+                store.apply_flip(
+                    record.identifier.serial, state, epoch, "revoke", 1.0
+                )
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert store.events.head_seq == 3 * len(records)
+    return grown / store.events.head_seq
+
+
+def test_a_disk_adds_no_heap_per_sealed_event(session_keypair):
+    """2,000 claims and 4,000 flips cost the same heap with a disk as
+    without one: the WAL is the log's file, not a second copy in RAM.
+
+    The disk's snapshots are held off (an interval past the run): they
+    are bounded by the record count, not the event count, and are not
+    what this compares.
+    """
+    content_hash = sha256_hex(b"heap")
+    claimed = Ledger("heap", TimestampAuthority()).claim(
+        content_hash,
+        session_keypair.sign(content_hash.encode("utf-8")),
+        session_keypair.public,
+    )
+    records = [
+        replace(
+            claimed,
+            identifier=PhotoIdentifier("heap", serial),
+            content_hash=sha256_hex(b"heap:%d" % serial),
+        )
+        for serial in range(1, 2001)
+    ]
+    diskless = _sealed_heap_per_event(records, None)
+    durable = _sealed_heap_per_event(
+        records, DurableStore(snapshot_interval=10**6)
+    )
+    assert durable - diskless <= 32, (diskless, durable)
 
 
 @pytest.mark.skipif(

@@ -1,8 +1,8 @@
 """An event is sealed once: the bytes hashed are the bytes kept.
 
 ``EventLog.append`` encodes an event body a single time; the chain hash
-covers those bytes, and both the log's own file and a WAL frame store
-them verbatim.  Recovery hashes
+covers those bytes, and one frame in the log's file — a durable
+store's WAL, when there is one — stores them verbatim.  Recovery hashes
 what it finds on disk, so bytes that merely *parse* to the same event
 no longer pass.
 """
@@ -75,10 +75,9 @@ def record(session_keypair):
     )
 
 
-def _journaled_store(record, disk: DurableStore) -> LedgerStore:
-    """One claim and two flips of it, each journaled as it is sealed."""
-    store = LedgerStore()
-    store.attach_journal(disk.append_event)
+def _durable_store(record, disk: DurableStore) -> LedgerStore:
+    """One claim and two flips of it, each written to the disk's WAL."""
+    store = LedgerStore(disk)
     store.put(replace(record), time=1.0)  # a copy: flips mutate the record
     serial = record.identifier.serial
     store.apply_flip(serial, RevocationState.REVOKED, 1, "revoke", 2.0)
@@ -87,7 +86,7 @@ def _journaled_store(record, disk: DurableStore) -> LedgerStore:
 
 
 def _frames(data: bytes):
-    """(start, body, end) of every frame in one segment's bytes."""
+    """(start, body, end) of every frame in the WAL's bytes."""
     position = 0
     while position < len(data):
         length = int.from_bytes(data[position : position + 4], "big")
@@ -98,13 +97,13 @@ def _frames(data: bytes):
 
 def test_frame_carries_the_sealed_bytes_verbatim(record):
     disk = DurableStore()
-    store = _journaled_store(record, disk)
-    (segment,) = disk.segments
-    for event, (start, body, end) in zip(store.events.events, _frames(segment)):
+    store = _durable_store(record, disk)
+    wal = disk.read()
+    for event, (start, body, end) in zip(store.events.events, _frames(wal)):
         assert body == event.chain_hash + event.encoded
-        assert segment[start:end] == encode_frame(event)
-        assert segment[end - 8 : end] == frame_tag(body)
-        assert read_frame(segment, start) == (
+        assert wal[start:end] == encode_frame(event)
+        assert wal[end - 8 : end] == frame_tag(body)
+        assert read_frame(wal, start) == (
             end, event.chain_hash, event.encoded,
         )
 
@@ -113,28 +112,31 @@ def test_respaced_frame_body_breaks_the_chain(record):
     """Same JSON value, different bytes, tag recomputed: not the history
     that was hashed."""
     disk = DurableStore()
-    store = _journaled_store(record, disk)
+    store = _durable_store(record, disk)
     assert recover_store(disk).clean
-    (segment,) = disk.segments
-    start, body, end = list(_frames(segment))[1]
+    first_hash = store.events.events[0].chain_hash
+    wal = bytearray(disk.read())
+    start, body, end = list(_frames(wal))[1]
     stored_hash, encoded = body[:32], body[32:]
     respaced = json.dumps(json.loads(encoded), sort_keys=True).encode("utf-8")
     assert respaced != encoded and json.loads(respaced) == json.loads(encoded)
     forged = stored_hash + respaced
-    disk._segments[0].data[start:end] = (
+    wal[start:end] = (
         len(forged).to_bytes(4, "big") + forged + frame_tag(forged)
     )
+    disk.file.seek(0)
+    disk.file.write(wal)
+    disk.file.truncate()
     report = recover_store(disk)
     assert report.evidence == ("chain_broken",)
     assert report.head_seq == 1
-    assert report.head_hash == store.events.events[0].chain_hash
+    assert report.head_hash == first_hash
 
 
 def test_one_encode_per_sealed_and_framed_event(monkeypatch, record):
     """Seal + Merkle leaf + WAL frame: one ``json.dumps``, nothing else."""
-    store = LedgerStore()
     disk = DurableStore()
-    store.attach_journal(disk.append_event)
+    store = LedgerStore(disk)
     record = replace(record)  # a copy: the flip below mutates it
     calls = {"dumps": 0, "loads": 0, "canonical_encode": 0}
 
