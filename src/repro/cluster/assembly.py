@@ -152,8 +152,8 @@ class Cluster:
         read individually skewable clocks; default: the shared clock.
     durable:
         Give every shard a simulated disk: its event chain is written
-        to the disk's WAL, snapshotted every ``snapshot_interval``
-        events, and :meth:`restart_shard` recovers from it.
+        to the disk's WAL, which snapshots it as the WAL grows, and
+        :meth:`restart_shard` recovers from it.
     obs:
         Optional :class:`~repro.obs.Observability` handed to the
         frontend and the recovery counters.
@@ -173,7 +173,6 @@ class Cluster:
         filterset=None,
         obs=None,
         durable: bool = False,
-        snapshot_interval: int = 64,
         shard_clock: Optional[Callable[[str], Callable[[], float]]] = None,
     ):
         if num_shards < 1:
@@ -192,7 +191,7 @@ class Cluster:
         shard_ids = [f"shard-{i}" for i in range(num_shards)]
         for shard_id in shard_ids:
             if durable:
-                self.disks[shard_id] = DurableStore(snapshot_interval)
+                self.disks[shard_id] = DurableStore()
             self.shards[shard_id] = ClusterShard(
                 shard_id,
                 cluster_id,

@@ -151,6 +151,9 @@ class SimulatedCluster(Cluster):
         The obs clock is created here, not passed in, so spans and the
         event schedule can never disagree about the time base.  Default
         False: ``self.obs is None`` and nothing is instrumented.
+    durable:
+        Default True: every shard writes its chain to a simulated disk
+        that cuts its own snapshots, and restarts recover from it.
 
     Frontend<->shard links have LAN latency (the cluster is one
     operator's deployment), shards are priced by
@@ -169,7 +172,6 @@ class SimulatedCluster(Cluster):
         filterset=None,
         instrument: bool = False,
         durable: bool = True,
-        snapshot_interval: int = 64,
     ):
         self.simulator = Simulator()
         clock = self.simulator.clock().now
@@ -217,7 +219,6 @@ class SimulatedCluster(Cluster):
             filterset=filterset,
             obs=Observability(clock) if instrument else None,
             durable=durable,
-            snapshot_interval=snapshot_interval,
             shard_clock=shard_clock,
         )
 

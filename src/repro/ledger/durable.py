@@ -13,13 +13,19 @@ write-ahead log does:
   Each frame is written once.  A torn write leaves a frame shorter
   than its header promises and a bit flip breaks the tag: both are
   *detected* by :func:`~repro.ledger.events.read_chain`, not replayed.
-* **Snapshots.**  Every ``snapshot_interval``-th event (by the chain's
-  sequence number) the store cuts a snapshot: the canonical JSON of the
+* **Snapshots.**  A snapshot is the canonical JSON of the
   materialized records map, *chain-anchored* — it names the event
   ``(seq, hash)`` it captures and the file offset just past that
   event's frame — with a blake2b checksum over its body.  Recovery
   loads the newest snapshot whose checksum verifies and whose anchor
   the file still holds, seeks to its offset, and replays only the tail.
+* **Cadence.**  The store works out when to cut from bytes it holds: a
+  snapshot is due once the WAL past the newest one's anchor is as long
+  as that snapshot's body (or :data:`MIN_SNAPSHOT_TAIL`, whichever is
+  larger; from offset 0 before the first).  Each cut is paid for by at
+  least as many bytes written since the last, so snapshots cost O(1)
+  per WAL byte whatever the ledger's size, and a restart replays at
+  most one snapshot's worth of tail.
 
 The fault-injection surface (:meth:`tear_final_record`,
 :meth:`corrupt_random_byte`, :meth:`corrupt_latest_snapshot`,
@@ -37,36 +43,16 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.ledger.events import (
-    GENESIS_HASH,
-    TAG_BYTES,
-    canonical_json,
-    frame_tag,
-    read_chain,
-)
+from repro.ledger.events import TAG_BYTES, canonical_json, frame_tag
 from repro.ledger.records import ClaimRecord
 
-__all__ = ["DurableStore", "Snapshot", "snapshot_body"]
+__all__ = ["DurableStore", "Snapshot"]
 
 #: Snapshots kept; older ones are pruned as new ones are cut.
 MAX_SNAPSHOTS = 2
 
-
-def snapshot_body(
-    records: Dict[int, ClaimRecord],
-    next_serial: int,
-    anchor_seq: int,
-    anchor_hash: bytes,
-) -> dict:
-    """The JSON-able snapshot payload (records in serial order)."""
-    return {
-        "anchor_seq": anchor_seq,
-        "anchor_hash": anchor_hash.hex(),
-        "next_serial": next_serial,
-        "records": [
-            records[serial].to_payload() for serial in sorted(records)
-        ],
-    }
+#: WAL bytes that make a snapshot due however small the newest one is.
+MIN_SNAPSHOT_TAIL = 4096
 
 
 @dataclass
@@ -85,14 +71,19 @@ class Snapshot:
 class DurableStore:
     """The simulated disk: the WAL file plus chain-anchored snapshots."""
 
-    def __init__(self, snapshot_interval: int = 64):
-        self.snapshot_interval = max(1, int(snapshot_interval))
+    def __init__(self):
         self.file = tempfile.TemporaryFile()
         weakref.finalize(self, self.file.close)
         self._snapshots: List[Snapshot] = []
-        self.snapshots_written = 0
 
     # -- writing -------------------------------------------------------------------
+
+    def snapshot_due(self, offset: int) -> bool:
+        """Whether a WAL ending at ``offset`` has outgrown its newest snapshot."""
+        if not self._snapshots:
+            return offset >= MIN_SNAPSHOT_TAIL
+        newest = self._snapshots[-1]
+        return offset - newest.offset >= max(len(newest.body), MIN_SNAPSHOT_TAIL)
 
     def write_snapshot(
         self,
@@ -103,14 +94,18 @@ class DurableStore:
         offset: int,
     ) -> None:
         """Persist a snapshot anchored at the frame ending at ``offset``."""
-        body = canonical_json(
-            snapshot_body(records, next_serial, anchor_seq, anchor_hash)
-        )
+        body = canonical_json({
+            "anchor_seq": anchor_seq,
+            "anchor_hash": anchor_hash.hex(),
+            "next_serial": next_serial,
+            "records": [
+                records[serial].to_payload() for serial in sorted(records)
+            ],
+        })
         self._snapshots.append(
             Snapshot(offset=offset, body=body, checksum=frame_tag(body))
         )
         del self._snapshots[:-MAX_SNAPSHOTS]
-        self.snapshots_written += 1
 
     # -- reading -------------------------------------------------------------------
 
@@ -129,11 +124,6 @@ class DurableStore:
         size = self.file.seek(0, io.SEEK_END)
         self.file.seek(position)
         return size
-
-    @property
-    def events_written(self) -> int:
-        """Frames in the WAL that verify as one chain from genesis."""
-        return len(read_chain(self.read(), 0, GENESIS_HASH)[0])
 
     def latest_valid_snapshot(self) -> Tuple[Optional[dict], int, List[str]]:
         """Newest usable snapshot: ``(parsed body | None, offset, evidence)``.
@@ -221,10 +211,8 @@ class DurableStore:
                 return True
         return False
 
-    def wipe(self) -> int:
-        """Lose the disk entirely; returns events lost."""
-        lost = self.events_written
+    def wipe(self) -> None:
+        """Lose the disk entirely: the WAL and every snapshot."""
         self.file.seek(0)
         self.file.truncate()
         self._snapshots.clear()
-        return lost

@@ -6,8 +6,8 @@ storing a record, flipping its revocation state — seals a typed event
 onto the chain before the view changes, and replaying the log from
 genesis reproduces the map exactly.  Given a durable store
 (:mod:`repro.ledger.durable`), the chain is written to that store's
-WAL file, so each event is framed once, and the store cuts its
-snapshots when the chain's head reaches its interval; :meth:`restore`
+WAL file, so each event is framed once, and the store cuts a
+snapshot whenever its WAL has outgrown the last one; :meth:`restore`
 is the inverse, installing crash-recovered state and resuming the
 chain from the verified head on the same file.
 
@@ -81,13 +81,14 @@ class LedgerStore:
         first, so a seal that fails (a write to the log's file that
         raises or comes up short) leaves the view as it was; the view
         changes before a snapshot is cut, so the snapshot holds state
-        consistent with the event's sequence number.
+        consistent with the event's sequence number.  The disk decides
+        whether one is due.
         """
         event = self._events.append(kind, serial, time, payload)
         change()
         self.log_operation()
         disk = self._disk
-        if disk is not None and event.seq % disk.snapshot_interval == 0:
+        if disk is not None and disk.snapshot_due(self._events.end_offset):
             disk.write_snapshot(
                 self._records,
                 self._next_serial,

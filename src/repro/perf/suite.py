@@ -199,10 +199,11 @@ def _chain_verify_run(state: Dict[str, Any]) -> str:
 def _recovery_setup(seed: int) -> Dict[str, Any]:
     """A durable store with a long flip history and fresh snapshots.
 
-    200 real claims then 3000 state flips, snapshotting every 1024
-    events — the shape where snapshot-anchored recovery pays: the
-    snapshot path replays only the post-anchor tail while the genesis
-    path re-verifies and replays the whole log.
+    200 real claims then 3000 state flips, snapshotted as the WAL
+    outgrows its newest snapshot — the shape where snapshot-anchored
+    recovery pays: the snapshot path replays at most one snapshot's
+    worth of tail while the genesis path re-verifies and replays the
+    whole log.
     """
     from repro.crypto.hashing import sha256_hex
     from repro.crypto.signatures import KeyPair
@@ -216,7 +217,7 @@ def _recovery_setup(seed: int) -> Dict[str, Any]:
     tsa = TimestampAuthority(
         keypair=KeyPair.generate(bits=512, rng=rng)
     )
-    disk = DurableStore(snapshot_interval=1024)
+    disk = DurableStore()
     ledger = Ledger("perf", tsa, keypair=owner, disk=disk)
     store = ledger.store
     serials = []

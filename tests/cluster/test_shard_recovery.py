@@ -3,7 +3,9 @@
 import numpy as np
 
 from repro.cluster import ClusterConfig, SimulatedCluster
+from repro.ledger.durable import MIN_SNAPSHOT_TAIL
 from repro.ledger.recovery import records_digest
+from tests.ledger.conftest import wal_events
 
 
 def _cluster(seed=11, **kwargs):
@@ -25,16 +27,22 @@ class TestJournaling:
         cluster.seed_population(60, revoked_fraction=0.25)
         for shard_id, shard in cluster.shards.items():
             disk = cluster.disks[shard_id]
-            assert disk.events_written == shard.ledger.store.events.head_seq
-            assert disk.events_written > 0
+            assert wal_events(disk) == shard.ledger.store.events.head_seq
+            assert wal_events(disk) > 0
 
-    def test_snapshots_ride_the_configured_cadence(self):
-        cluster = _cluster(snapshot_interval=16)
+    def test_snapshots_ride_the_wal_growth(self):
+        """Each snapshot was cut once the WAL past the one before had
+        grown to that one's size, and none is due at the end."""
+        cluster = _cluster()
         cluster.seed_population(60, revoked_fraction=0.25)
-        for shard_id, shard in cluster.shards.items():
-            disk = cluster.disks[shard_id]
-            expected = shard.ledger.store.events.head_seq // 16
-            assert disk.snapshots_written == expected
+        for disk in cluster.disks.values():
+            older, newest = disk._snapshots
+            assert newest.offset - older.offset >= max(
+                len(older.body), MIN_SNAPSHOT_TAIL
+            )
+            assert disk.size - newest.offset < max(
+                len(newest.body), MIN_SNAPSHOT_TAIL
+            )
 
     def test_durable_false_runs_diskless(self):
         cluster = _cluster(durable=False)
@@ -46,7 +54,7 @@ class TestJournaling:
 
 class TestCrashRecovery:
     def test_restart_rebuilds_exact_state(self):
-        cluster = _cluster(snapshot_interval=16)
+        cluster = _cluster()
         cluster.seed_population(60, revoked_fraction=0.25)
         before = _shard_digests(cluster)
         cluster.kill_shard("shard-1")
@@ -75,7 +83,7 @@ class TestCrashRecovery:
         # Post-recovery appends extend the verified chain and the disk.
         for shard_id, shard in cluster.shards.items():
             disk = cluster.disks[shard_id]
-            assert disk.events_written == shard.ledger.store.events.head_seq
+            assert wal_events(disk) == shard.ledger.store.events.head_seq
         assert shard.ledger.store.events.verify_chain()
         assert shard.ledger.store.events.head_seq >= head_before
 
@@ -84,7 +92,7 @@ class TestCrashRecovery:
         cluster.seed_population(30, revoked_fraction=0.25)
         lost = cluster.restart_shard("shard-2", wipe=True)
         assert lost > 0
-        assert cluster.disks["shard-2"].events_written == 0
+        assert wal_events(cluster.disks["shard-2"]) == 0
         assert cluster.shards["shard-2"].ledger.store.counts()["total"] == 0
 
 
@@ -102,7 +110,7 @@ class TestInjectedFaults:
         # The disk was truncated back to the verified prefix.
         shard = cluster.shards["shard-0"]
         assert (
-            cluster.disks["shard-0"].events_written
+            wal_events(cluster.disks["shard-0"])
             == shard.ledger.store.events.head_seq
         )
 
@@ -137,7 +145,7 @@ class TestInjectedFaults:
         assert record is not None and record.is_revoked
 
     def test_snapshot_fault_is_detection_only(self):
-        cluster = _cluster(snapshot_interval=16)
+        cluster = _cluster()
         cluster.seed_population(60, revoked_fraction=0.25)
         before = _shard_digests(cluster)
         assert cluster.inject_storage_fault("shard-1", "snapshot")

@@ -1,6 +1,13 @@
 """Shared helpers for ledger tests."""
 
+from repro.ledger.durable import DurableStore
+from repro.ledger.events import GENESIS_HASH, read_chain
 from repro.ledger.storage import LedgerStore
+
+
+def wal_events(disk: DurableStore) -> int:
+    """Frames in ``disk``'s WAL that verify as one chain from genesis."""
+    return len(read_chain(disk.read(), 0, GENESIS_HASH)[0])
 
 
 def forge_history(store: LedgerStore, index: int) -> None:

@@ -7,6 +7,7 @@ single-byte mutation of a snapshot is rejected by its checksum — never
 silently accepted into recovered state.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -21,19 +22,20 @@ from repro.ledger.events import EventLogError
 from repro.ledger.ledger import Ledger
 from repro.ledger.records import RevocationState
 from repro.ledger.recovery import recover_store, records_digest
+from tests.ledger.conftest import wal_events
 
 
 @pytest.fixture(scope="module")
 def rig():
     """A ledger writing to a durable store: 12 claims, 30 flips.
 
-    Snapshots land every 16 events (at seq 16 and 32), so recovery has
-    a real anchor and a real tail; tests copy the disk before damaging
-    it.
+    The disk cuts its snapshots as the WAL outgrows them and keeps two,
+    so recovery has a real anchor, an older one to fall back to and a
+    real tail; tests copy the disk before damaging it.
     """
     rng = np.random.default_rng(7)
     owner = KeyPair.generate(bits=512, rng=rng)
-    disk = DurableStore(snapshot_interval=16)
+    disk = DurableStore()
     ledger = Ledger(
         "durable-test",
         TimestampAuthority(keypair=KeyPair.generate(bits=512, rng=rng)),
@@ -70,10 +72,15 @@ def rig():
 
 def _clone(disk):
     """Another disk holding the same WAL bytes and snapshots."""
-    clone = DurableStore(disk.snapshot_interval)
+    clone = DurableStore()
     clone.file.write(disk.read())
     clone._snapshots = [replace(snapshot) for snapshot in disk._snapshots]
     return clone
+
+
+def _anchor_seq(snapshot):
+    """The event seq a stored snapshot captures."""
+    return json.loads(snapshot.body)["anchor_seq"]
 
 
 def _flip_stored_byte(disk, position):
@@ -107,11 +114,12 @@ class TestCleanRecovery:
         assert full.head_seq == fast.head_seq
         assert records_digest(full.records) == records_digest(fast.records)
 
-    def test_anchor_skips_pre_snapshot_segments(self, rig):
+    def test_anchor_is_the_newest_snapshot(self, rig):
         store, disk = rig
         report = recover_store(_clone(disk))
-        assert report.anchor_seq == 32
-        assert len(report.tail_events) == store.events.head_seq - 32
+        anchor = _anchor_seq(disk._snapshots[-1])
+        assert 0 < report.anchor_seq == anchor < store.events.head_seq
+        assert len(report.tail_events) == store.events.head_seq - anchor
 
 
 class TestFaultDetection:
@@ -160,12 +168,15 @@ class TestFaultDetection:
         """A snapshot whose anchor frame is torn is passed over: the
         walk from the older anchor names the tear."""
         _, disk = rig
+        older, newest = disk._snapshots
         damaged = _clone(disk)
-        damaged.truncate_after(damaged._snapshots[-1].offset)  # head = 32
+        damaged.truncate_after(newest.offset)  # head = newest's anchor
         assert damaged.tear_final_record()
         report = recover_store(damaged)
         assert report.evidence == ("torn_record",)
-        assert (report.anchor_seq, report.head_seq) == (16, 31)
+        assert (report.anchor_seq, report.head_seq) == (
+            _anchor_seq(older), _anchor_seq(newest) - 1,
+        )
 
     def test_corrupt_byte_detected(self, rig):
         _, disk = rig
@@ -194,7 +205,8 @@ class TestFaultDetection:
     def test_wipe_recovers_empty(self, rig):
         _, disk = rig
         damaged = _clone(disk)
-        assert damaged.wipe() > 0
+        assert wal_events(damaged) > 0
+        damaged.wipe()
         report = recover_store(damaged)
         assert report.clean
         assert report.records == {}

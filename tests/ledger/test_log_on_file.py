@@ -20,7 +20,7 @@ import pytest
 from repro.core.identifiers import PhotoIdentifier
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.timestamp import TimestampAuthority
-from repro.ledger.durable import DurableStore
+from repro.ledger.durable import MAX_SNAPSHOTS, DurableStore
 from repro.ledger.events import EventLogError
 from repro.ledger.ledger import Ledger
 from repro.ledger.records import RevocationState
@@ -185,9 +185,9 @@ def test_a_disk_adds_no_heap_per_sealed_event(session_keypair):
     """2,000 claims and 4,000 flips cost the same heap with a disk as
     without one: the WAL is the log's file, not a second copy in RAM.
 
-    The disk's snapshots are held off (an interval past the run): they
-    are bounded by the record count, not the event count, and are not
-    what this compares.
+    The snapshot bodies the disk keeps are counted apart: they are
+    bounded by the record count, not the event count, and at most
+    ``MAX_SNAPSHOTS`` of them are held.
     """
     content_hash = sha256_hex(b"heap")
     claimed = Ledger("heap", TimestampAuthority()).claim(
@@ -204,10 +204,12 @@ def test_a_disk_adds_no_heap_per_sealed_event(session_keypair):
         for serial in range(1, 2001)
     ]
     diskless = _sealed_heap_per_event(records, None)
-    durable = _sealed_heap_per_event(
-        records, DurableStore(snapshot_interval=10**6)
-    )
-    assert durable - diskless <= 32, (diskless, durable)
+    disk = DurableStore()
+    durable = _sealed_heap_per_event(records, disk)
+    bodies = [len(snapshot.body) for snapshot in disk._snapshots]
+    assert 0 < sum(bodies) <= MAX_SNAPSHOTS * bodies[-1]
+    wal_only = durable - sum(bodies) / (3 * len(records))
+    assert wal_only - diskless <= 32, (diskless, durable, bodies)
 
 
 @pytest.mark.skipif(

@@ -29,6 +29,7 @@ from repro.ledger.ledger import Ledger
 from repro.ledger.records import RevocationState
 from repro.ledger.recovery import recover_store
 from repro.ledger.storage import LedgerStore
+from tests.ledger.conftest import wal_events
 from tests.ledger.test_one_log import _ledger_protocol, _replication
 
 
@@ -159,7 +160,7 @@ def test_one_encode_per_sealed_and_framed_event(monkeypatch, record):
     )
     assert calls == {"dumps": 2, "loads": 0, "canonical_encode": 0}
     monkeypatch.undo()
-    assert disk.events_written == store.merkle.size == 2
+    assert wal_events(disk) == store.merkle.size == 2
     assert recover_store(disk).head_hash == store.events.head_hash
 
 
